@@ -50,18 +50,7 @@ from .forecast import (
     train_bank,
 )
 from .dispatch import assign_pickups, distance_cost_matrix, hungarian
-from .simplex import LpResult, solve_lp_bland
-from .ilp import (
-    ExternalCommandSolver,
-    IlpProblem,
-    IlpSolution,
-    ScipyMilpSolver,
-    SolverConfig,
-    parse_lp_file,
-    solve_ilp,
-    solve_lp_file,
-    write_lp_file,
-)
+from .ilp import IlpProblem, IlpSolution, SolverConfig, solve_ilp
 from .mpc import (
     CostWeights,
     RebalancePlan,
@@ -104,10 +93,7 @@ __all__ = [
     "FlowModel", "ForecastBank", "ForecastTensor", "forecast_demand",
     "load_bank", "save_bank", "train_bank",
     "assign_pickups", "distance_cost_matrix", "hungarian",
-    "LpResult", "solve_lp_bland",
-    "ExternalCommandSolver", "IlpProblem", "IlpSolution", "ScipyMilpSolver",
-    "SolverConfig", "parse_lp_file", "solve_ilp", "solve_lp_file",
-    "write_lp_file",
+    "IlpProblem", "IlpSolution", "SolverConfig", "solve_ilp",
     "CostWeights", "RebalancePlan", "build_problem", "quantile_demand",
     "solve_rebalance",
     "DemandFlow", "TripTable", "ingest_trips", "synth_demand",

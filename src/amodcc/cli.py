@@ -14,6 +14,7 @@ failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -22,7 +23,6 @@ import numpy as np
 from .demand import DAY, ingest_trips
 from .errors import InvalidInputError, NumericalError, SolverError
 from .forecast import bank_train_config, load_bank, save_bank, train_bank
-from .gp import TrainConfig
 from .ilp import SolverConfig
 from .network import StationNetwork, kmeans_partition, load_network, save_network
 from .report import (
@@ -115,24 +115,23 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="training window length in days")
     p.add_argument("--backlog-cost", type=float, default=10.0)
     p.add_argument("--pickup-slope", type=float, default=0.1)
-    p.add_argument("--engine", default="highs", choices=("highs", "bland"))
     p.add_argument("--time-limit", type=float, default=10.0,
-                   help="per-solve time limit in seconds")
-    p.add_argument("--gap", type=float, default=0.0,
-                   help="absolute optimality gap")
+                   help="safety stop per MILP solve; reaching it fails the "
+                        "run with exit code 3")
     p.add_argument("--gp-max-iters", type=int, default=None)
     p.add_argument("--gp-jobs", type=int, default=1)
     p.add_argument("--no-verify-plans", action="store_true",
                    help="skip integer re-verification of each plan")
 
 
+def _gp_train_config(args):
+    """The bank's training defaults, with ``--gp-max-iters`` if given."""
+    if args.gp_max_iters is None:
+        return None
+    return dataclasses.replace(bank_train_config(), max_iters=args.gp_max_iters)
+
+
 def _run_config(args) -> RunConfig:
-    gp_cfg = None
-    if args.gp_max_iters is not None:
-        base = bank_train_config()
-        gp_cfg = TrainConfig(max_iters=args.gp_max_iters,
-                             learning_rate=base.learning_rate,
-                             tolerance=base.tolerance)
     return RunConfig(
         controller=args.controller,
         epsilon=args.epsilon,
@@ -143,9 +142,8 @@ def _run_config(args) -> RunConfig:
         train_window_days=args.window_days,
         backlog_cost=args.backlog_cost,
         pickup_delay_slope=args.pickup_slope,
-        solver=SolverConfig(engine=args.engine, time_limit_s=args.time_limit,
-                            gap=args.gap),
-        gp_train=gp_cfg,
+        solver=SolverConfig(time_limit_s=args.time_limit),
+        gp_train=_gp_train_config(args),
         gp_jobs=args.gp_jobs,
         check_invariants=not args.no_verify_plans,
     )
@@ -193,11 +191,7 @@ def cmd_train(args) -> int:
     if grid.counts.sum() == 0:
         raise InvalidInputError(
             f"no trips fall inside the training window [{start}, {end})")
-    cfg = bank_train_config()
-    if args.gp_max_iters is not None:
-        cfg = TrainConfig(max_iters=args.gp_max_iters,
-                          learning_rate=cfg.learning_rate,
-                          tolerance=cfg.tolerance)
+    cfg = _gp_train_config(args) or bank_train_config()
     bank = train_bank(grid.counts, grid.midpoint_hours(end), dt,
                       series_origin=end, window=(start, end), trained_at=end,
                       cfg=cfg, n_jobs=args.gp_jobs)

@@ -1,33 +1,26 @@
-"""Integer linear programming via branch and bound.
+"""Integer linear programs: root LP on HiGHS, HiGHS MILP when it is fractional.
 
-Problems are all-integer minimizations over bounded-below variables.  The
-LP relaxation at each node can run on the bundled Bland-rule simplex
-("bland") or on SciPy's HiGHS backend ("highs", the default and the right
-choice beyond toy sizes).  Branching picks the variable whose fractional
-part is closest to one half (lowest index on ties) and explores the
-floor branch first, depth first, so search order and results are
-deterministic for a fixed engine.
-
-The module also speaks CPLEX LP format: problems can be exported for an
-external solver, parsed back, and solved through a user-supplied command.
+Problems are all-integer minimizations over bounded-below variables.  Every
+solve starts with the LP relaxation on SciPy's HiGHS backend; when that
+optimum is integral, which is the common case for the rebalancing programs,
+its vertex is the plan.  Otherwise one ``scipy.optimize.milp`` call proves
+the integer optimum with a zero relative gap.  The time limit is only a
+safety stop: a MILP that reaches it raises :class:`SolverError` rather than
+returning an incumbent, so no plan depends on the speed of the machine.
 """
 
 from __future__ import annotations
 
-import math
-import os
-import re
-import subprocess
-import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog, milp, LinearConstraint, Bounds
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .errors import InfeasibleError, InvalidInputError, NumericalError, SolverError
-from .simplex import solve_lp_bland
+
+_INT_TOL = 1e-6      # an LP value this close to an integer counts as integral
 
 
 @dataclass
@@ -40,8 +33,6 @@ class IlpProblem:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    names: list[str]
-    row_names: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
@@ -56,16 +47,10 @@ class IlpProblem:
                 f"row matrix is {self.a.shape}, expected {(m, n)}")
         if len(self.senses) != m or any(s not in ("L", "E", "G") for s in self.senses):
             raise InvalidInputError("senses must be 'L', 'E' or 'G', one per row")
-        if len(self.names) != n:
-            raise InvalidInputError("one variable name required per column")
         if self.lb.shape != (n,) or self.ub.shape != (n,):
             raise InvalidInputError("bound vectors must match the variable count")
         if not np.all(np.isfinite(self.lb)):
             raise InvalidInputError("lower bounds must be finite")
-        if not self.row_names:
-            self.row_names = [f"r{k}" for k in range(m)]
-        elif len(self.row_names) != m:
-            raise InvalidInputError("one row name required per row")
 
     @property
     def n_vars(self) -> int:
@@ -74,18 +59,15 @@ class IlpProblem:
 
 @dataclass
 class SolverConfig:
-    engine: str = "highs"        # "highs" | "bland"
-    time_limit_s: float = 10.0
-    gap: float = 0.0             # absolute optimality gap
-    int_tol: float = 1e-6
+    time_limit_s: float = 10.0   # safety stop per MILP solve; reaching it raises
 
 
 @dataclass
 class IlpSolution:
     x: np.ndarray
     objective: float
-    status: str                  # "optimal" | "time_limit"
-    nodes: int
+    status: str                  # always "optimal": anything else raises
+    nodes: int                   # 1 for the root LP, plus the MILP's nodes
     wall_seconds: float
 
 
@@ -105,29 +87,6 @@ def _split_rows(prob: IlpProblem):
     return a_ub, b_ub, a_eq, b_eq
 
 
-def _relax_highs(prob, split, lb, ub):
-    a_ub, b_ub, a_eq, b_eq = split
-    bounds = [(lo, None if math.isinf(hi) else hi) for lo, hi in zip(lb, ub)]
-    res = linprog(prob.c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if res.status == 2:
-        return None
-    if res.status == 3:
-        raise SolverError("LP relaxation is unbounded")
-    if res.status != 0:
-        raise NumericalError(f"LP backend failed: {res.message}")
-    return float(res.fun), np.asarray(res.x, dtype=float)
-
-
-def _relax_bland(prob, dense_a, lb, ub):
-    res = solve_lp_bland(prob.c, dense_a, prob.senses, prob.b, lb, ub)
-    if res.status == "infeasible":
-        return None
-    if res.status == "unbounded":
-        raise SolverError("LP relaxation is unbounded")
-    return float(res.objective), res.x
-
-
 def _check_rows(prob: IlpProblem, x: np.ndarray, tol: float = 1e-6) -> bool:
     lhs = prob.a @ x
     for k, s in enumerate(prob.senses):
@@ -141,427 +100,51 @@ def _check_rows(prob: IlpProblem, x: np.ndarray, tol: float = 1e-6) -> bool:
     return bool(np.all(x >= prob.lb - tol) and np.all(x <= prob.ub + tol))
 
 
+def _solve_root(prob: IlpProblem) -> np.ndarray:
+    a_ub, b_ub, a_eq, b_eq = _split_rows(prob)
+    res = linprog(prob.c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=np.column_stack([prob.lb, prob.ub]), method="highs")
+    if res.status == 2:
+        raise InfeasibleError("no integer-feasible point")
+    if res.status == 3:
+        raise SolverError("LP relaxation is unbounded")
+    if res.status != 0:
+        raise NumericalError(f"LP backend failed: {res.message}")
+    return np.asarray(res.x, dtype=float)
+
+
+def _solve_milp(prob: IlpProblem, time_limit_s: float) -> tuple[np.ndarray, int]:
+    senses = np.asarray(prob.senses)
+    lo = np.where(senses == "L", -np.inf, prob.b)
+    hi = np.where(senses == "G", np.inf, prob.b)
+    res = milp(c=prob.c, constraints=LinearConstraint(prob.a, lo, hi),
+               integrality=np.ones(prob.n_vars), bounds=Bounds(prob.lb, prob.ub),
+               options={"time_limit": time_limit_s, "mip_rel_gap": 0.0})
+    if res.status == 2:
+        raise InfeasibleError("no integer-feasible point")
+    if res.status == 1:
+        raise SolverError(
+            f"MILP not proven optimal within the {time_limit_s} s time limit")
+    if res.status != 0:
+        raise SolverError(f"MILP backend failed: {res.message}")
+    return np.asarray(res.x, dtype=float), int(res.mip_node_count)
+
+
 def solve_ilp(prob: IlpProblem, cfg: SolverConfig | None = None) -> IlpSolution:
-    """Branch-and-bound search for an integer optimum.
+    """Integer optimum: the root LP vertex if integral, else HiGHS MILP.
 
     Raises :class:`InfeasibleError` when no integer point exists and
-    :class:`SolverError` when the time limit expires before any incumbent
-    is found.  A timeout with an incumbent returns it with status
-    "time_limit".
+    :class:`SolverError` when the MILP reaches the time limit.
     """
     cfg = cfg or SolverConfig()
-    if cfg.engine not in ("highs", "bland"):
-        raise InvalidInputError(f"unknown LP engine {cfg.engine!r}")
-    split = _split_rows(prob) if cfg.engine == "highs" else None
-    dense_a = prob.a.toarray() if cfg.engine == "bland" else None
-
     t0 = time.perf_counter()
-    best_x: np.ndarray | None = None
-    best_obj = math.inf
-    nodes = 0
-    timed_out = False
-    stack: list[tuple[np.ndarray, np.ndarray]] = [(prob.lb.copy(), prob.ub.copy())]
-
-    while stack:
-        if time.perf_counter() - t0 > cfg.time_limit_s:
-            timed_out = True
-            break
-        lb, ub = stack.pop()
-        if np.any(lb > ub):
-            continue
-        relaxed = (_relax_highs(prob, split, lb, ub) if cfg.engine == "highs"
-                   else _relax_bland(prob, dense_a, lb, ub))
-        nodes += 1
-        if relaxed is None:
-            continue
-        obj, x = relaxed
-        if obj >= best_obj - cfg.gap - 1e-9:
-            continue
-        frac = np.abs(x - np.round(x))
-        open_vars = np.flatnonzero(frac > cfg.int_tol)
-        if open_vars.size == 0:
-            xr = np.round(x)
-            if not _check_rows(prob, xr):
-                raise NumericalError("rounded LP optimum violates the rows")
-            cand = float(prob.c @ xr)
-            if cand < best_obj:
-                best_obj, best_x = cand, xr
-            continue
-        part = x[open_vars] - np.floor(x[open_vars])
-        j = int(open_vars[np.argmin(np.abs(part - 0.5))])
-        v = x[j]
-        up_lb = lb.copy()
-        up_lb[j] = math.ceil(v)
-        down_ub = ub.copy()
-        down_ub[j] = math.floor(v)
-        stack.append((up_lb, ub))
-        stack.append((lb, down_ub))      # floor branch pops first
-
-    wall = time.perf_counter() - t0
-    if best_x is None:
-        if timed_out:
-            raise SolverError(
-                f"no integer solution within {cfg.time_limit_s} s time limit")
-        raise InfeasibleError("no integer-feasible point")
-    status = "time_limit" if timed_out else "optimal"
-    return IlpSolution(x=best_x, objective=best_obj, status=status,
-                       nodes=nodes, wall_seconds=wall)
-
-
-# --- LP file bridge --------------------------------------------------------------
-
-
-def _format_terms(coefs: np.ndarray, names: list[str]) -> str:
-    parts: list[str] = []
-    for coef, name in zip(coefs, names):
-        if coef == 0.0:
-            continue
-        mag = repr(abs(float(coef)))
-        if not parts:
-            parts.append(f"- {mag} {name}" if coef < 0 else f"{mag} {name}")
-        else:
-            parts.append(f"{'-' if coef < 0 else '+'} {mag} {name}")
-    return " ".join(parts) if parts else f"0 {names[0]}"
-
-
-def write_lp_file(path: str, prob: IlpProblem) -> None:
-    """Write the problem in CPLEX LP format (all variables integer)."""
-    op = {"L": "<=", "E": "=", "G": ">="}
-    lines = ["\\ integer rebalancing problem", "Minimize",
-             f" obj: {_format_terms(prob.c, prob.names)}", "Subject To"]
-    dense = prob.a.toarray()
-    for k in range(len(prob.b)):
-        lines.append(f" {prob.row_names[k]}: {_format_terms(dense[k], prob.names)}"
-                     f" {op[prob.senses[k]]} {float(prob.b[k])!r}")
-    lines.append("Bounds")
-    for j, name in enumerate(prob.names):
-        lo, hi = float(prob.lb[j]), float(prob.ub[j])
-        if math.isinf(hi):
-            if lo != 0.0:
-                lines.append(f" {name} >= {lo!r}")
-        elif lo == hi:
-            lines.append(f" {name} = {lo!r}")
-        else:
-            lines.append(f" {lo!r} <= {name} <= {hi!r}")
-    lines.append("General")
-    lines.append(" " + " ".join(prob.names))
-    lines.append("End")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-_LP_TOKEN = re.compile(
-    r"\s*(?:(?P<op><=|>=|=)"
-    r"|(?P<sign>[+-])"
-    r"|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_.]*)"
-    r"|(?P<colon>:))")
-
-
-def _tokenize_lp(text: str, path: str) -> list[str]:
-    tokens: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("\\", 1)[0]
-        pos = 0
-        while pos < len(line):
-            m = _LP_TOKEN.match(line, pos)
-            if m is None:
-                if line[pos:].strip():
-                    raise InvalidInputError(
-                        f"{path}: unrecognized LP syntax on line {lineno}: "
-                        f"{line[pos:].strip()[:40]!r}")
-                break
-            tokens.append(m.group().strip())
-            pos = m.end()
-    return tokens
-
-
-_SECTIONS = {"minimize", "maximize", "subject", "st", "s.t.", "bounds",
-             "general", "generals", "integer", "integers", "binary",
-             "binaries", "end"}
-
-
-def _is_number(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
-
-
-class _LpParser:
-    """Recovers an :class:`IlpProblem` from the subset of LP format we emit."""
-
-    def __init__(self, text: str, path: str):
-        self.toks = _tokenize_lp(text, path)
-        self.pos = 0
-        self.path = path
-        self.order: list[str] = []
-        self.index: dict[str, int] = {}
-
-    def fail(self, msg: str):
-        near = " ".join(self.toks[max(0, self.pos - 3):self.pos + 3])
-        raise InvalidInputError(f"{self.path}: {msg} (near ...{near}...)")
-
-    def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def var(self, name: str) -> int:
-        if name not in self.index:
-            self.index[name] = len(self.order)
-            self.order.append(name)
-        return self.index[name]
-
-    def at_section(self) -> bool:
-        tok = self.peek()
-        return tok is None or tok.lower() in _SECTIONS
-
-    def number(self) -> float:
-        sign = 1.0
-        while self.peek() in ("+", "-"):
-            if self.toks[self.pos] == "-":
-                sign = -sign
-            self.pos += 1
-        tok = self.peek()
-        if tok is None or not _is_number(tok):
-            self.fail("expected a number")
-        self.pos += 1
-        return sign * float(tok)
-
-    def skip_section_word(self) -> str:
-        tok = self.toks[self.pos].lower()
-        self.pos += 1
-        if tok == "subject":
-            if self.peek() and self.peek().lower() == "to":
-                self.pos += 1
-        return tok
-
-    def expr(self) -> dict[int, float]:
-        coefs: dict[int, float] = {}
-        sign = 1.0
-        pending: float | None = None
-        while not self.at_section():
-            tok = self.peek()
-            if tok in ("<=", ">=", "="):
-                break
-            self.pos += 1
-            if tok == "+":
-                sign = 1.0
-            elif tok == "-":
-                sign = -1.0 if sign > 0 else 1.0
-            elif _is_number(tok):
-                pending = (pending if pending is not None else 1.0) * float(tok)
-            else:
-                j = self.var(tok)
-                coef = sign * (pending if pending is not None else 1.0)
-                coefs[j] = coefs.get(j, 0.0) + coef
-                sign, pending = 1.0, None
-        if pending is not None:
-            self.fail("dangling numeric constant in expression")
-        return coefs
-
-    def parse(self) -> IlpProblem:
-        obj: dict[int, float] = {}
-        rows: list[tuple[str, dict[int, float], str, float]] = []
-        bounds: dict[int, tuple[float, float]] = {}
-        sense_min = True
-        seen_obj = False
-
-        while self.pos < len(self.toks):
-            section = self.skip_section_word()
-            if section == "end":
-                break
-            if section in ("minimize", "maximize"):
-                sense_min = section == "minimize"
-                if (self.pos + 1 < len(self.toks)
-                        and self.toks[self.pos + 1] == ":"):
-                    self.pos += 2
-                obj = self.expr()
-                seen_obj = True
-            elif section in ("subject", "st", "s.t."):
-                while not self.at_section():
-                    name = f"c{len(rows)}"
-                    if (self.pos + 1 < len(self.toks)
-                            and self.toks[self.pos + 1] == ":"):
-                        name = self.toks[self.pos]
-                        self.pos += 2
-                    coefs = self.expr()
-                    op = self.peek()
-                    if op not in ("<=", ">=", "="):
-                        self.fail("expected a relational operator")
-                    self.pos += 1
-                    sense = {"<=": "L", ">=": "G", "=": "E"}[op]
-                    rows.append((name, coefs, sense, self.number()))
-            elif section == "bounds":
-                while not self.at_section():
-                    self._bound_line(bounds)
-            elif section in ("general", "generals", "integer", "integers",
-                             "binary", "binaries"):
-                is_binary = section.startswith("binar")
-                while not self.at_section():
-                    j = self.var(self.toks[self.pos])
-                    self.pos += 1
-                    if is_binary:
-                        bounds[j] = (0.0, 1.0)
-            else:
-                self.fail(f"unexpected token {section!r}")
-
-        if not seen_obj:
-            raise InvalidInputError(f"{self.path}: missing objective section")
-        n = len(self.order)
-        if n == 0:
-            raise InvalidInputError(f"{self.path}: no variables found")
-        c = np.zeros(n)
-        for j, coef in obj.items():
-            c[j] = coef if sense_min else -coef
-        lb = np.zeros(n)
-        ub = np.full(n, np.inf)
-        for j, (lo, hi) in bounds.items():
-            lb[j], ub[j] = lo, hi
-        a = sparse.lil_matrix((len(rows), n))
-        b = np.zeros(len(rows))
-        senses: list[str] = []
-        row_names: list[str] = []
-        for k, (name, coefs, sense, rhs) in enumerate(rows):
-            for j, coef in coefs.items():
-                a[k, j] = coef
-            b[k] = rhs
-            senses.append(sense)
-            row_names.append(name)
-        return IlpProblem(c=c, a=a.tocsr(), senses=senses, b=b, lb=lb, ub=ub,
-                          names=list(self.order), row_names=row_names)
-
-    def _bound_line(self, bounds: dict[int, tuple[float, float]]) -> None:
-        tok = self.peek()
-        if tok in ("+", "-") or _is_number(tok):        # lo <= x [<= hi]
-            lo = self.number()
-            if self.peek() != "<=":
-                self.fail("expected '<=' after a bound value")
-            self.pos += 1
-            j = self.var(self.toks[self.pos])
-            self.pos += 1
-            hi = np.inf
-            if self.peek() == "<=":
-                self.pos += 1
-                hi = self.number()
-            bounds[j] = (lo, hi)
-            return
-        j = self.var(tok)
-        self.pos += 1
-        op = self.peek()
-        if op == "free":
-            self.pos += 1
-            bounds[j] = (-np.inf, np.inf)
-        elif op in ("<=", ">=", "="):
-            self.pos += 1
-            val = self.number()
-            old = bounds.get(j, (0.0, np.inf))
-            if op == "<=":
-                bounds[j] = (old[0], val)
-            elif op == ">=":
-                bounds[j] = (val, old[1])
-            else:
-                bounds[j] = (val, val)
-        else:
-            self.fail("malformed bound line")
-
-
-def parse_lp_file(path: str) -> IlpProblem:
-    """Parse a CPLEX-LP-format file produced by :func:`write_lp_file`.
-
-    Handles the common subset: Minimize/Maximize, Subject To, Bounds,
-    General/Integer/Binary sections.  Variables default to [0, inf).
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return _LpParser(text, path).parse()
-
-
-def solve_lp_file(path: str, cfg: SolverConfig | None = None
-                  ) -> tuple[IlpSolution, list[str]]:
-    """Parse and solve an LP file; returns the solution and variable order."""
-    prob = parse_lp_file(path)
-    return solve_ilp(prob, cfg), list(prob.names)
-
-
-class ExternalCommandSolver:
-    """Shell out to an external MILP solver through LP files.
-
-    The command is invoked as ``cmd <problem.lp> <solution.txt>`` and must
-    write one `name value` line per nonzero variable.  The parsed point is
-    verified against the rows before being accepted.
-    """
-
-    def __init__(self, command: list[str], timeout_s: float = 60.0):
-        if not command:
-            raise InvalidInputError("external solver command must be non-empty")
-        self.command = list(command)
-        self.timeout_s = timeout_s
-
-    def solve(self, prob: IlpProblem) -> IlpSolution:
-        t0 = time.perf_counter()
-        with tempfile.TemporaryDirectory(prefix="amodcc_lp_") as tmp:
-            lp_path = os.path.join(tmp, "problem.lp")
-            sol_path = os.path.join(tmp, "solution.txt")
-            write_lp_file(lp_path, prob)
-            try:
-                proc = subprocess.run(self.command + [lp_path, sol_path],
-                                      capture_output=True, text=True,
-                                      timeout=self.timeout_s)
-            except (subprocess.TimeoutExpired, OSError) as exc:
-                raise SolverError(f"external solver failed to run: {exc}") from exc
-            if proc.returncode != 0:
-                raise SolverError(
-                    f"external solver exited with {proc.returncode}: "
-                    f"{proc.stderr.strip()[:400]}")
-            index = {name: j for j, name in enumerate(prob.names)}
-            x = np.zeros(prob.n_vars)
-            try:
-                with open(sol_path, "r", encoding="utf-8") as fh:
-                    for lineno, raw in enumerate(fh, start=1):
-                        line = raw.strip()
-                        if not line or line.startswith("#"):
-                            continue
-                        name, value = line.split()[:2]
-                        if name not in index:
-                            raise InvalidInputError(
-                                f"{sol_path}: unknown variable {name!r} "
-                                f"on line {lineno}")
-                        x[index[name]] = float(value)
-            except OSError as exc:
-                raise SolverError(
-                    f"external solver wrote no solution file: {exc}") from exc
-            except ValueError as exc:
-                raise SolverError(f"malformed solution file: {exc}") from exc
-        xr = np.round(x)
-        if np.max(np.abs(x - xr)) > 1e-6 or not _check_rows(prob, xr):
-            raise SolverError("external solution violates the problem rows")
-        return IlpSolution(x=xr, objective=float(prob.c @ xr), status="optimal",
-                           nodes=0, wall_seconds=time.perf_counter() - t0)
-
-
-class ScipyMilpSolver:
-    """Adapter over :func:`scipy.optimize.milp`, mainly for cross-checks."""
-
-    def __init__(self, time_limit_s: float = 10.0):
-        self.time_limit_s = time_limit_s
-
-    def solve(self, prob: IlpProblem) -> IlpSolution:
-        t0 = time.perf_counter()
-        lo = np.where([s == "L" for s in prob.senses], -np.inf, prob.b)
-        hi = np.where([s == "G" for s in prob.senses], np.inf, prob.b)
-        res = milp(c=prob.c,
-                   constraints=LinearConstraint(prob.a, lo, hi),
-                   integrality=np.ones(prob.n_vars),
-                   bounds=Bounds(prob.lb, prob.ub),
-                   options={"time_limit": self.time_limit_s})
-        if res.status == 2:
-            raise InfeasibleError("no integer-feasible point")
-        if res.x is None:
-            raise SolverError(f"MILP backend failed: {res.message}")
-        xr = np.round(np.asarray(res.x, dtype=float))
-        if not _check_rows(prob, xr):
-            raise NumericalError("rounded MILP optimum violates the rows")
-        status = "optimal" if res.status == 0 else "time_limit"
-        return IlpSolution(x=xr, objective=float(prob.c @ xr), status=status,
-                           nodes=0, wall_seconds=time.perf_counter() - t0)
+    x = _solve_root(prob)
+    nodes = 1
+    if np.any(np.abs(x - np.round(x)) > _INT_TOL):
+        x, milp_nodes = _solve_milp(prob, cfg.time_limit_s)
+        nodes += milp_nodes
+    xr = np.round(x)
+    if not _check_rows(prob, xr):
+        raise NumericalError("rounded optimum violates the rows")
+    return IlpSolution(x=xr, objective=float(prob.c @ xr), status="optimal",
+                       nodes=nodes, wall_seconds=time.perf_counter() - t0)

@@ -28,7 +28,6 @@ from .ilp import IlpProblem, IlpSolution, SolverConfig, solve_ilp
 from .network import FleetState, StationNetwork
 
 REBALANCE, CUSTOMER, BACKLOG, PICKUP = range(4)
-_PREFIX = ("reb", "srv", "bkl", "pkp")
 
 
 def var_index(kind: int, i: int, j: int, k: int, n: int, horizon: int) -> int:
@@ -140,7 +139,6 @@ def build_problem(
     vals: list[float] = []
     b: list[float] = []
     senses: list[str] = []
-    row_names: list[str] = []
 
     def add(r, kind, i, j, k, v):
         rows.append(r)
@@ -156,7 +154,6 @@ def build_problem(
             add(r, BACKLOG, i, j, 0, -1.0)
             b.append(0.0)
             senses.append("E")
-            row_names.append(f"fs_{i}_{j}")
             r += 1
 
     # Queue recursion: service plus carried backlog covers each step's
@@ -170,7 +167,6 @@ def build_problem(
                 add(r, PICKUP, i, j, k, -1.0)
                 b.append(float(demand[i, j, k]))
                 senses.append("E")
-                row_names.append(f"q_{i}_{j}_{k}")
                 r += 1
 
     # Vehicle availability: cumulative departures from a station never
@@ -191,7 +187,6 @@ def build_problem(
                     add(r, CUSTOMER, j, i, sig, -1.0)
             b.append(float(state.idle[i] + arr_cum[i, k]))
             senses.append("L")
-            row_names.append(f"av_{i}_{k}")
             r += 1
 
     # Every waiting request gets picked up somewhere in the horizon.
@@ -201,7 +196,6 @@ def build_problem(
                 add(r, PICKUP, i, j, k, 1.0)
             b.append(float(outstanding[i, j]))
             senses.append("E")
-            row_names.append(f"pk_{i}_{j}")
             r += 1
 
     n_vars = 4 * n * n * steps
@@ -219,11 +213,8 @@ def build_problem(
             ub[col(REBALANCE, i, i, k)] = 0.0
             ub[col(CUSTOMER, i, i, k)] = 0.0
 
-    names = [f"{_PREFIX[kind]}_{i}_{j}_{k}"
-             for kind in range(4) for i in range(n) for j in range(n)
-             for k in range(steps)]
     return IlpProblem(c=c.ravel(), a=a, senses=senses, b=np.asarray(b),
-                      lb=lb, ub=ub, names=names, row_names=row_names)
+                      lb=lb, ub=ub)
 
 
 @dataclass

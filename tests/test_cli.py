@@ -1,9 +1,13 @@
 """End-to-end command-line tests: pipeline round-trips and exit codes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from amodcc import cli
 from amodcc.cli import main
+from amodcc.forecast import bank_train_config
 from amodcc.network import load_network
 
 
@@ -122,4 +126,49 @@ def test_exit_codes(city, tmp_path, capsys):
     # argparse rejects malformed option values itself
     with pytest.raises(SystemExit):
         main(["sweep", "--seeds", "1,x"])
+    # the solver has one engine and no gap option, on the command line
+    # or in a config file
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--benchmark", "0", "--engine", "bland"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text("engine = highs\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg), "--benchmark", "0"])
+    assert exc.value.code == 2
     capsys.readouterr()
+
+
+class _Captured(Exception):
+    """Stops a command once the training configuration is known."""
+
+
+def test_gp_max_iters_keeps_bank_training_defaults(city, monkeypatch, tmp_path):
+    root, trips, net = city
+    seen = []
+
+    def fake_train_bank(*args, cfg, **kwargs):
+        seen.append(cfg)
+        raise _Captured
+
+    def fake_run_simulation(scenario, cfg, bank=None):
+        seen.append(cfg.gp_train)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "train_bank", fake_train_bank)
+    monkeypatch.setattr(cli, "run_simulation", fake_run_simulation)
+    with pytest.raises(_Captured):
+        main(["train", "--network", net, "--trips", trips,
+              "--train-end", "21600", "--window-days", "0.25",
+              "--gp-max-iters", "15", "--out", str(tmp_path / "bank.json")])
+    with pytest.raises(_Captured):
+        main(["simulate", "--network", net, "--trips", trips,
+              "--start", "21600", "--end", "43200", "--fleet", "5",
+              "--gp-max-iters", "15"])
+    with pytest.raises(_Captured):
+        main(["simulate", "--network", net, "--trips", trips,
+              "--start", "21600", "--end", "43200", "--fleet", "5",
+              "--gp-max-iters", "4"])
+    assert seen[0] == seen[1] == bank_train_config()
+    assert seen[0].freeze == ("b.period",)
+    assert seen[2] == dataclasses.replace(bank_train_config(), max_iters=4)

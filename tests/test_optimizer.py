@@ -1,10 +1,14 @@
 """The rebalancing integer program: structure, solutions, verification."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from amodcc.errors import InvalidInputError, SolverError
-from amodcc.ilp import ScipyMilpSolver, SolverConfig
+from amodcc.ilp import solve_ilp
 from amodcc.mpc import (
     BACKLOG,
     CUSTOMER,
@@ -17,6 +21,9 @@ from amodcc.mpc import (
     var_index,
 )
 from amodcc.network import FleetState, StationNetwork
+from amodcc.sim import benchmark_network
+
+DATA = Path(__file__).parent / "data"
 
 
 def line_network(n, spacing_m=9000.0, step_seconds=900.0):
@@ -114,16 +121,28 @@ class TestBuildProblem:
                              CostWeights.defaults(net, horizon))
         assert prob.n_vars == 4 * n * n * (horizon + 1) == 5200
 
-    def test_variable_names_match_index_map(self):
+    def test_index_map_matches_plan_reshape(self):
+        # solve_rebalance reads the plan tensors off the solution with
+        # reshape(4, n, n, T+1); var_index must name the same columns.
         n, horizon = 3, 2
+        tensors = np.arange(4 * n * n * (horizon + 1)).reshape(4, n, n, horizon + 1)
+        for kind in (REBALANCE, CUSTOMER, BACKLOG, PICKUP):
+            for i in range(n):
+                for j in range(n):
+                    for k in range(horizon + 1):
+                        col = var_index(kind, i, j, k, n, horizon)
+                        assert tensors[kind, i, j, k] == col
+        # build_problem lays its costs out in the same order.
         net = line_network(n)
+        w = CostWeights.defaults(net, horizon)
         prob = build_problem(net, FleetState(idle=np.ones(n, dtype=int)),
-                             np.zeros((n, n), dtype=int), zero_demand(n, horizon),
-                             CostWeights.defaults(net, horizon))
-        assert prob.names[var_index(REBALANCE, 0, 1, 2, n, horizon)] == "reb_0_1_2"
-        assert prob.names[var_index(CUSTOMER, 2, 0, 1, n, horizon)] == "srv_2_0_1"
-        assert prob.names[var_index(BACKLOG, 1, 2, 0, n, horizon)] == "bkl_1_2_0"
-        assert prob.names[var_index(PICKUP, 1, 0, 2, n, horizon)] == "pkp_1_0_2"
+                             np.zeros((n, n), dtype=int), zero_demand(n, horizon), w)
+        cost = prob.c.reshape(4, n, n, horizon + 1)
+        reb, backlog, pickup = w.expanded(n, horizon)
+        assert np.array_equal(cost[REBALANCE], reb)
+        assert np.all(cost[CUSTOMER] == 0)
+        assert np.array_equal(cost[BACKLOG], np.broadcast_to(backlog, (n, n, horizon + 1)))
+        assert np.array_equal(cost[PICKUP], np.broadcast_to(pickup, (n, n, horizon + 1)))
 
     def test_diagonal_moves_fixed_to_zero(self):
         n, horizon = 3, 2
@@ -247,7 +266,6 @@ class TestSolvePlans:
 
     def test_matches_reference_solver(self):
         rng = np.random.default_rng(19)
-        ref = ScipyMilpSolver()
         for _ in range(6):
             n = int(rng.integers(2, 4))
             horizon = int(rng.integers(2, 4))
@@ -263,10 +281,31 @@ class TestSolvePlans:
                                arrivals=[(int(rng.integers(0, n)), 1)])
             weights = CostWeights.defaults(net, horizon)
             prob = build_problem(net, state, out, demand, weights)
-            from amodcc.ilp import solve_ilp
             ours = solve_ilp(prob)
-            theirs = ref.solve(prob)
-            assert ours.objective == pytest.approx(theirs.objective, abs=1e-6)
+            senses = np.asarray(prob.senses)
+            theirs = milp(c=prob.c,
+                          constraints=LinearConstraint(
+                              prob.a, np.where(senses == "L", -np.inf, prob.b),
+                              np.where(senses == "G", np.inf, prob.b)),
+                          integrality=np.ones(prob.n_vars),
+                          bounds=Bounds(prob.lb, prob.ub))
+            assert theirs.status == 0
+            assert ours.objective == pytest.approx(theirs.fun, abs=1e-6)
+
+    def test_recorded_hard_step_is_solved_to_optimality(self):
+        # Control step 76 of the seed-0 benchmark day: the root LP is
+        # fractional, and the proven integer optimum is 1067.137.
+        rec = json.loads((DATA / "seed0_step76.json").read_text())
+        net = benchmark_network()
+        state = FleetState(np.array(rec["idle"]),
+                           [tuple(a) for a in rec["arrivals"]])
+        out = np.array(rec["outstanding"])
+        demand = np.array(rec["demand"])
+        plan = solve_rebalance(net, state, out, demand)
+        assert plan.status == "optimal"
+        assert plan.objective == pytest.approx(1067.137, rel=1e-6)
+        assert plan.nodes > 1
+        plan.verify_against(net, state, out, demand)
 
     def test_quantile_half_equals_deterministic_mean(self):
         # The chance-constrained path at epsilon = 0.5 with the realized
@@ -285,7 +324,6 @@ class TestSolvePlans:
         out = np.zeros((n, n), dtype=int)
         pa = build_problem(net, state, out, via_quantile, w)
         pb = build_problem(net, state, out, deterministic, w)
-        assert pa.names == pb.names
         assert np.array_equal(pa.c, pb.c)
         assert (pa.a != pb.a).nnz == 0
         assert np.array_equal(pa.b, pb.b)
