@@ -11,7 +11,6 @@ from .errors import (
 )
 from .network import (
     FleetState,
-    GeoPoint,
     StationNetwork,
     assign_station,
     assign_stations,
@@ -31,7 +30,6 @@ from .gp import (
     TrainConfig,
     TrainedGP,
     gaussian_quantile,
-    kernel_eval,
     kernel_matrix,
     log_marginal_likelihood,
     lml_gradient,
@@ -82,12 +80,12 @@ __version__ = "0.1.0"
 __all__ = [
     "InfeasibleError", "InvalidInputError", "NoSolutionError",
     "NumericalError", "SolverError",
-    "FleetState", "GeoPoint", "StationNetwork", "assign_station",
+    "FleetState", "StationNetwork", "assign_station",
     "assign_stations", "build_travel_matrices", "kmeans_partition",
     "load_network", "outstanding_matrix", "project_lonlat", "save_network",
     "Forecast", "GPTrainingSet", "PeriodicKernel", "ProductKernel",
     "RBFKernel", "TrainConfig", "TrainedGP", "gaussian_quantile",
-    "kernel_eval", "kernel_matrix", "log_marginal_likelihood",
+    "kernel_matrix", "log_marginal_likelihood",
     "lml_gradient", "predict", "predict_batch", "standard_normal_quantile",
     "train",
     "FlowModel", "ForecastBank", "ForecastTensor", "forecast_demand",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.special import erfc
+from scipy.special import ndtri
 
 from .errors import InvalidInputError, NumericalError
 
@@ -175,12 +175,6 @@ def kernel_param_names(kernel: Kernel, include_noise: bool = True) -> list[str]:
     if include_noise:
         names.append("noise_var")
     return names
-
-
-def kernel_eval(kernel: Kernel, t: float, t2: float) -> float:
-    """Kernel value k(t, t2) for scalar inputs."""
-    kernel.validate()
-    return float(kernel.value(np.asarray(t - t2, dtype=float)))
 
 
 def kernel_matrix(kernel: Kernel, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
@@ -452,57 +446,12 @@ def predict(gp: TrainedGP, t_star: float) -> Forecast:
 
 # --- Gaussian quantile ----------------------------------------------------------
 
-# Rational approximation coefficients (absolute error < 1.2e-9), refined
-# below by a single Newton step on the normal CDF.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _norm_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * erfc(-x / math.sqrt(2.0))
-
-
 def standard_normal_quantile(p):
-    """Inverse standard normal CDF, vectorized.
-
-    Piecewise rational approximation plus one Newton refinement on the
-    CDF; exact zero at p = 0.5.
-    """
+    """Inverse standard normal CDF, vectorized; exact zero at p = 0.5."""
     arr = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise InvalidInputError("quantile probability must lie strictly inside (0, 1)")
-    x = np.empty_like(arr)
-
-    lo = arr < _P_LOW
-    hi = arr > 1.0 - _P_LOW
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = arr[mid] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        x[mid] = num * q / den
-    if np.any(lo):
-        q = np.sqrt(-2.0 * np.log(arr[lo]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        x[lo] = num / den
-    if np.any(hi):
-        q = np.sqrt(-2.0 * np.log(1.0 - arr[hi]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        x[hi] = -num / den
-
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    x = x - (_norm_cdf(x) - arr) / pdf
+    x = ndtri(arr)
     if np.isscalar(p) or np.ndim(p) == 0:
         return float(x)
     return x

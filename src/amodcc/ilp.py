@@ -45,7 +45,7 @@ class IlpProblem:
         if self.a.shape != (m, n):
             raise InvalidInputError(
                 f"row matrix is {self.a.shape}, expected {(m, n)}")
-        if len(self.senses) != m or any(s not in ("L", "E", "G") for s in self.senses):
+        if len(self.senses) != m or not np.isin(self.senses, ("L", "E", "G")).all():
             raise InvalidInputError("senses must be 'L', 'E' or 'G', one per row")
         if self.lb.shape != (n,) or self.ub.shape != (n,):
             raise InvalidInputError("bound vectors must match the variable count")
@@ -73,31 +73,26 @@ class IlpSolution:
 
 def _split_rows(prob: IlpProblem):
     """Precompute the <=/= split HiGHS wants; >= rows are negated."""
-    le = [k for k, s in enumerate(prob.senses) if s == "L"]
-    ge = [k for k, s in enumerate(prob.senses) if s == "G"]
-    eq = [k for k, s in enumerate(prob.senses) if s == "E"]
+    senses = np.asarray(prob.senses)
+    le, ge, eq = (np.flatnonzero(senses == s) for s in ("L", "G", "E"))
     a_ub = None
     b_ub = None
-    if le or ge:
+    if le.size or ge.size:
         a_ub = sparse.vstack(
-            [prob.a[le], -prob.a[ge]], format="csr") if ge else prob.a[le]
+            [prob.a[le], -prob.a[ge]], format="csr") if ge.size else prob.a[le]
         b_ub = np.concatenate([prob.b[le], -prob.b[ge]])
-    a_eq = prob.a[eq] if eq else None
-    b_eq = prob.b[eq] if eq else None
+    a_eq = prob.a[eq] if eq.size else None
+    b_eq = prob.b[eq] if eq.size else None
     return a_ub, b_ub, a_eq, b_eq
 
 
 def _check_rows(prob: IlpProblem, x: np.ndarray, tol: float = 1e-6) -> bool:
-    lhs = prob.a @ x
-    for k, s in enumerate(prob.senses):
-        r = lhs[k] - prob.b[k]
-        if s == "E" and abs(r) > tol:
-            return False
-        if s == "L" and r > tol:
-            return False
-        if s == "G" and r < -tol:
-            return False
-    return bool(np.all(x >= prob.lb - tol) and np.all(x <= prob.ub + tol))
+    r = prob.a @ x - prob.b
+    senses = np.asarray(prob.senses)
+    violated = (((senses == "E") & (np.abs(r) > tol)) | ((senses == "L") & (r > tol))
+                | ((senses == "G") & (r < -tol)))
+    return bool(not violated.any() and np.all(x >= prob.lb - tol)
+                and np.all(x <= prob.ub + tol))
 
 
 def _solve_root(prob: IlpProblem) -> np.ndarray:

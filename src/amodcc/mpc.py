@@ -30,9 +30,13 @@ from .network import FleetState, StationNetwork
 REBALANCE, CUSTOMER, BACKLOG, PICKUP = range(4)
 
 
-def var_index(kind: int, i: int, j: int, k: int, n: int, horizon: int) -> int:
-    """Flat column index; kind-major, then origin, destination, step."""
-    return ((kind * n + i) * n + j) * (horizon + 1) + k
+def columns(n: int, horizon: int) -> np.ndarray:
+    """Column ids of the four flow tensors, indexed ``[kind, i, j, k]``.
+
+    The one statement of the column layout: kind-major, then origin,
+    destination and step.  Both assembly and plan read-out index with it.
+    """
+    return np.arange(4 * n * n * (horizon + 1)).reshape(4, n, n, horizon + 1)
 
 
 def quantile_demand(mean: np.ndarray, std: np.ndarray, epsilon: float) -> np.ndarray:
@@ -129,92 +133,64 @@ def build_problem(
     horizon = demand.shape[2] - 1
     steps = horizon + 1
     reb_w, backlog_w, pickup_w = weights.expanded(n, horizon)
-    kappa = network.kappa
+    x = columns(n, horizon)
+    moves = x[[REBALANCE, CUSTOMER]]    # both kinds of trip take a vehicle
 
-    def col(kind, i, j, k):
-        return ((kind * n + i) * n + j) * steps + k
+    # Row ids of the four blocks, in row order.
+    first = np.arange(n * n).reshape(n, n)
+    queue = first.size + np.arange(n * n * horizon).reshape(n, n, horizon)
+    avail = first.size + queue.size + np.arange(n * steps).reshape(n, steps)
+    done = first.size + queue.size + avail.size + np.arange(n * n).reshape(n, n)
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    b: list[float] = []
-    senses: list[str] = []
+    # Vehicle availability at (i, k) counts, for every j != i, the trips
+    # i -> j that depart at sigma <= k and the trips j -> i that land by k.
+    i, k, j, sig = np.ogrid[:n, :steps, :n, :steps]
+    di, dk, dj, ds = np.nonzero((sig <= k) & (j != i))
+    li, lk, lj, ls = np.nonzero((sig <= k - network.kappa[j, i]) & (j != i))
 
-    def add(r, kind, i, j, k, v):
-        rows.append(r)
-        cols.append(col(kind, i, j, k))
-        vals.append(v)
+    terms = [  # (row ids, column ids, coefficient), broadcast together
+        # Pickups of already-waiting requests either move now or queue.
+        (first, x[PICKUP, :, :, 0], 1.0),
+        (first, x[CUSTOMER, :, :, 0], -1.0),
+        (first, x[BACKLOG, :, :, 0], -1.0),
+        # Queue recursion: service plus carried backlog covers each step's
+        # quantile demand and scheduled pickups exactly.
+        (queue, x[CUSTOMER, :, :, 1:], 1.0),
+        (queue, x[BACKLOG, :, :, 1:], 1.0),
+        (queue, x[BACKLOG, :, :, :-1], -1.0),
+        (queue, x[PICKUP, :, :, 1:], -1.0),
+        # Vehicle availability: cumulative departures from a station never
+        # exceed its opening stock plus everything that has landed by then.
+        (avail[di, dk], moves[:, di, dj, ds], 1.0),
+        (avail[li, lk], moves[:, lj, li, ls], -1.0),
+        # Every waiting request gets picked up somewhere in the horizon.
+        (done[:, :, None], x[PICKUP], 1.0),
+    ]
+    rows, cols, vals = [], [], []
+    for row_ids, col_ids, coef in terms:
+        row_ids, col_ids = np.broadcast_arrays(row_ids, col_ids)
+        rows.append(row_ids.ravel())
+        cols.append(col_ids.ravel())
+        vals.append(np.full(col_ids.size, coef))
+    n_rows = first.size + queue.size + avail.size + done.size
+    a = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n_rows, x.size)).tocsr()
 
-    r = 0
-    # Pickups of already-waiting requests either move now or queue.
-    for i in range(n):
-        for j in range(n):
-            add(r, PICKUP, i, j, 0, 1.0)
-            add(r, CUSTOMER, i, j, 0, -1.0)
-            add(r, BACKLOG, i, j, 0, -1.0)
-            b.append(0.0)
-            senses.append("E")
-            r += 1
+    stock = state.idle[:, None] + np.cumsum(state.arrival_counts(horizon), axis=1)
+    b = np.concatenate([np.zeros(first.size), demand[:, :, 1:].ravel(),
+                        stock.ravel(), outstanding.ravel()], dtype=float)
+    senses = ["E"] * (first.size + queue.size) + ["L"] * avail.size + ["E"] * done.size
 
-    # Queue recursion: service plus carried backlog covers each step's
-    # quantile demand and scheduled pickups exactly.
-    for i in range(n):
-        for j in range(n):
-            for k in range(1, steps):
-                add(r, CUSTOMER, i, j, k, 1.0)
-                add(r, BACKLOG, i, j, k, 1.0)
-                add(r, BACKLOG, i, j, k - 1, -1.0)
-                add(r, PICKUP, i, j, k, -1.0)
-                b.append(float(demand[i, j, k]))
-                senses.append("E")
-                r += 1
+    c = np.zeros(x.size)
+    c[x[REBALANCE]] = reb_w
+    c[x[BACKLOG]] = backlog_w
+    c[x[PICKUP]] = pickup_w
 
-    # Vehicle availability: cumulative departures from a station never
-    # exceed its opening stock plus everything that has landed by then.
-    arr = state.arrival_counts(horizon)
-    arr_cum = np.cumsum(arr, axis=1)
-    for i in range(n):
-        for k in range(steps):
-            for j in range(n):
-                if j == i:
-                    continue
-                for sig in range(k + 1):
-                    add(r, REBALANCE, i, j, sig, 1.0)
-                    add(r, CUSTOMER, i, j, sig, 1.0)
-                last_in = k - int(kappa[j, i])
-                for sig in range(last_in + 1):
-                    add(r, REBALANCE, j, i, sig, -1.0)
-                    add(r, CUSTOMER, j, i, sig, -1.0)
-            b.append(float(state.idle[i] + arr_cum[i, k]))
-            senses.append("L")
-            r += 1
+    diag = np.arange(n)
+    ub = np.full(x.size, np.inf)
+    ub[moves[:, diag, diag]] = 0.0
 
-    # Every waiting request gets picked up somewhere in the horizon.
-    for i in range(n):
-        for j in range(n):
-            for k in range(steps):
-                add(r, PICKUP, i, j, k, 1.0)
-            b.append(float(outstanding[i, j]))
-            senses.append("E")
-            r += 1
-
-    n_vars = 4 * n * n * steps
-    a = sparse.coo_matrix((vals, (rows, cols)), shape=(r, n_vars)).tocsr()
-
-    c = np.zeros((4, n, n, steps))
-    c[REBALANCE] = reb_w
-    c[BACKLOG] = backlog_w
-    c[PICKUP] = pickup_w
-
-    lb = np.zeros(n_vars)
-    ub = np.full(n_vars, np.inf)
-    for i in range(n):
-        for k in range(steps):
-            ub[col(REBALANCE, i, i, k)] = 0.0
-            ub[col(CUSTOMER, i, i, k)] = 0.0
-
-    return IlpProblem(c=c.ravel(), a=a, senses=senses, b=np.asarray(b),
-                      lb=lb, ub=ub)
+    return IlpProblem(c=c, a=a, senses=senses, b=b, lb=np.zeros(x.size), ub=ub)
 
 
 @dataclass
@@ -269,20 +245,16 @@ class RebalancePlan:
                "complete pickup of waiting requests")
 
         moves = xr + xc
-        arr = state.arrival_counts(horizon)
-        stock = state.idle.astype(np.int64).copy()
-        kappa = network.kappa
-        for k in range(steps):
-            inflow = arr[:, k].astype(np.int64).copy()
-            for j in range(n):
-                for i in range(n):
-                    if i == j:
-                        continue
-                    sig = k - int(kappa[j, i])
-                    if sig >= 0:
-                        inflow[i] += moves[j, i, sig]
-            stock = stock + inflow - moves[:, :, k].sum(axis=1)
-            ensure(bool(np.all(stock >= 0)), f"vehicle availability at step {k}")
+        # Every trip j -> i that departs at sigma lands at sigma + kappa[j, i];
+        # the stock after step k is what landed minus what left by then.
+        inflow = state.arrival_counts(horizon).astype(np.int64)
+        j, i, sig = np.meshgrid(idx, idx, np.arange(steps), indexing="ij")
+        land = sig + network.kappa[j, i]
+        lands = (j != i) & (land < steps)
+        np.add.at(inflow, (i[lands], land[lands]), moves[lands])
+        stock = state.idle[:, None] + np.cumsum(inflow - moves.sum(axis=1), axis=1)
+        short = np.any(stock < 0, axis=0)
+        ensure(not short.any(), f"vehicle availability at step {short.argmax()}")
 
 
 def solve_rebalance(
@@ -298,8 +270,7 @@ def solve_rebalance(
     weights = weights or CostWeights.defaults(network, horizon)
     prob = build_problem(network, state, outstanding, demand, weights)
     sol: IlpSolution = solve_ilp(prob, cfg)
-    n = network.n_stations
-    tensors = np.round(sol.x).astype(np.int64).reshape(4, n, n, horizon + 1)
+    tensors = np.round(sol.x).astype(np.int64)[columns(network.n_stations, horizon)]
     return RebalancePlan(rebalance=tensors[REBALANCE], customer=tensors[CUSTOMER],
                          backlog=tensors[BACKLOG], pickup=tensors[PICKUP],
                          objective=sol.objective, status=sol.status,

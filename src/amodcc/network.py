@@ -16,20 +16,6 @@ from .errors import InvalidInputError
 EARTH_RADIUS_M = 6_371_000.0
 
 
-@dataclass(frozen=True)
-class GeoPoint:
-    """A planar point in meters."""
-
-    x: float
-    y: float
-
-    def distance_to(self, other: "GeoPoint") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-
 def project_lonlat(lon, lat, lon0: float, lat0: float):
     """Project lon/lat degrees to planar meters about a reference point.
 
@@ -128,10 +114,7 @@ def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 def assign_station(centroids: np.ndarray, point) -> int:
     """Index of the nearest centroid; ties go to the lowest index."""
-    if isinstance(point, GeoPoint):
-        p = point.as_array()
-    else:
-        p = np.asarray(point, dtype=float)
+    p = np.asarray(point, dtype=float)
     d2 = np.sum((np.asarray(centroids, dtype=float) - p) ** 2, axis=1)
     return int(np.argmin(d2))
 
@@ -223,13 +206,6 @@ class StationNetwork:
     @property
     def n_stations(self) -> int:
         return self.centroids.shape[0]
-
-    def contains(self, x: float, y: float) -> bool:
-        x0, y0, x1, y1 = self.bbox
-        return x0 <= x <= x1 and y0 <= y <= y1
-
-    def station_of(self, point) -> int:
-        return assign_station(self.centroids, point)
 
     @classmethod
     def from_centroids(

@@ -1,5 +1,6 @@
 """The rebalancing integer program: structure, solutions, verification."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -16,9 +17,9 @@ from amodcc.mpc import (
     REBALANCE,
     CostWeights,
     build_problem,
+    columns,
     quantile_demand,
     solve_rebalance,
-    var_index,
 )
 from amodcc.network import FleetState, StationNetwork
 from amodcc.sim import benchmark_network
@@ -122,22 +123,23 @@ class TestBuildProblem:
         assert prob.n_vars == 4 * n * n * (horizon + 1) == 5200
 
     def test_index_map_matches_plan_reshape(self):
-        # solve_rebalance reads the plan tensors off the solution with
-        # reshape(4, n, n, T+1); var_index must name the same columns.
+        # columns is the one statement of the layout: kind-major, then
+        # origin, destination and step.  solve_rebalance reads the plan
+        # tensors off the solution through it.
         n, horizon = 3, 2
-        tensors = np.arange(4 * n * n * (horizon + 1)).reshape(4, n, n, horizon + 1)
+        cols = columns(n, horizon)
+        assert cols.shape == (4, n, n, horizon + 1)
         for kind in (REBALANCE, CUSTOMER, BACKLOG, PICKUP):
             for i in range(n):
                 for j in range(n):
                     for k in range(horizon + 1):
-                        col = var_index(kind, i, j, k, n, horizon)
-                        assert tensors[kind, i, j, k] == col
+                        assert cols[kind, i, j, k] == ((kind * n + i) * n + j) * (horizon + 1) + k
         # build_problem lays its costs out in the same order.
         net = line_network(n)
         w = CostWeights.defaults(net, horizon)
         prob = build_problem(net, FleetState(idle=np.ones(n, dtype=int)),
                              np.zeros((n, n), dtype=int), zero_demand(n, horizon), w)
-        cost = prob.c.reshape(4, n, n, horizon + 1)
+        cost = prob.c[cols]
         reb, backlog, pickup = w.expanded(n, horizon)
         assert np.array_equal(cost[REBALANCE], reb)
         assert np.all(cost[CUSTOMER] == 0)
@@ -150,11 +152,81 @@ class TestBuildProblem:
         prob = build_problem(net, FleetState(idle=np.ones(n, dtype=int)),
                              np.zeros((n, n), dtype=int), zero_demand(n, horizon),
                              CostWeights.defaults(net, horizon))
+        ub = prob.ub[columns(n, horizon)]
         for i in range(n):
-            for k in range(horizon + 1):
-                for kind in (REBALANCE, CUSTOMER):
-                    j = var_index(kind, i, i, k, n, horizon)
-                    assert prob.ub[j] == 0.0
+            for kind in (REBALANCE, CUSTOMER):
+                assert np.all(ub[kind, i, i] == 0.0)
+        off = ~np.eye(n, dtype=bool)
+        assert np.all(ub[:, off] == np.inf)
+
+    def test_rows_match_dense_oracle(self):
+        # Every row, coefficient, right-hand side and sense, in row order,
+        # against a dense matrix written out row by row.  The travel steps
+        # are asymmetric and range from 1 to 3, and vehicles are in transit,
+        # one of them landing past the horizon.
+        n, horizon = 4, 4
+        steps = horizon + 1
+        kappa = np.array([[0, 1, 2, 3],
+                          [2, 0, 1, 3],
+                          [3, 1, 0, 2],
+                          [1, 3, 2, 0]])
+        net = dataclasses.replace(line_network(n), kappa=kappa)
+        rng = np.random.default_rng(4)
+        state = FleetState(idle=np.array([2, 0, 1, 3]),
+                           arrivals=[(1, 1), (1, 3), (2, 2), (0, 4), (3, 6)])
+        demand = rng.integers(0, 3, size=(n, n, steps))
+        out = rng.integers(0, 2, size=(n, n))
+        idx = np.arange(n)
+        demand[idx, idx, :] = 0
+        out[idx, idx] = 0
+        prob = build_problem(net, state, out, demand, CostWeights.defaults(net, horizon))
+
+        def col(kind, i, j, k):
+            return ((kind * n + i) * n + j) * steps + k
+
+        rows, b, senses = [], [], []
+
+        def row(terms, rhs, sense):
+            r = np.zeros(4 * n * n * steps)
+            for kind, i, j, k, v in terms:
+                r[col(kind, i, j, k)] += v
+            rows.append(r)
+            b.append(rhs)
+            senses.append(sense)
+
+        for i in range(n):
+            for j in range(n):
+                row([(PICKUP, i, j, 0, 1), (CUSTOMER, i, j, 0, -1),
+                     (BACKLOG, i, j, 0, -1)], 0, "E")
+        for i in range(n):
+            for j in range(n):
+                for k in range(1, steps):
+                    row([(CUSTOMER, i, j, k, 1), (BACKLOG, i, j, k, 1),
+                         (BACKLOG, i, j, k - 1, -1), (PICKUP, i, j, k, -1)],
+                        demand[i, j, k], "E")
+        for i in range(n):
+            for k in range(steps):
+                terms = []
+                for j in range(n):
+                    if j == i:
+                        continue
+                    for sig in range(steps):
+                        if sig <= k:
+                            terms += [(REBALANCE, i, j, sig, 1), (CUSTOMER, i, j, sig, 1)]
+                        if sig + kappa[j, i] <= k:
+                            terms += [(REBALANCE, j, i, sig, -1), (CUSTOMER, j, i, sig, -1)]
+                landed = sum(1 for st, t in state.arrivals if st == i and t <= k)
+                row(terms, state.idle[i] + landed, "L")
+        for i in range(n):
+            for j in range(n):
+                row([(PICKUP, i, j, k, 1) for k in range(steps)], out[i, j], "E")
+
+        expected = np.array(rows)
+        assert prob.a.shape == expected.shape
+        assert np.array_equal(prob.a.toarray(), expected)
+        assert prob.a.nnz == np.count_nonzero(expected)
+        assert np.array_equal(prob.b, np.array(b, dtype=float))
+        assert prob.senses == senses
 
     def test_rejects_fractional_or_negative_demand(self):
         net = line_network(2)
@@ -227,11 +299,15 @@ class TestSolvePlans:
         assert plan.backlog.sum() > 0  # two requests must wait
 
     def test_verify_against_passes_for_solver_output(self):
+        # Asymmetric travel steps from 1 to 3, and vehicles in transit
+        # that land inside and past the horizon.
         rng = np.random.default_rng(8)
         for _ in range(10):
             n = int(rng.integers(2, 4))
-            horizon = int(rng.integers(2, 5))
-            net = line_network(n)
+            horizon = int(rng.integers(2, 6))
+            kappa = rng.integers(1, 4, size=(n, n))
+            np.fill_diagonal(kappa, 0)
+            net = dataclasses.replace(line_network(n), kappa=kappa)
             demand = zero_demand(n, horizon)
             mask = rng.random((n, n, horizon)) < 0.3
             demand[:, :, 1:][mask] = rng.integers(1, 3, size=int(mask.sum()))
@@ -239,7 +315,9 @@ class TestSolvePlans:
             demand[idx, idx, :] = 0
             out = rng.integers(0, 2, size=(n, n))
             out[idx, idx] = 0
-            state = FleetState(idle=rng.integers(1, 4, size=n))
+            arrivals = [(int(rng.integers(0, n)), int(rng.integers(1, horizon + 2)))
+                        for _ in range(int(rng.integers(1, 4)))]
+            state = FleetState(idle=rng.integers(0, 3, size=n), arrivals=arrivals)
             plan = solve_rebalance(net, state, out, demand)
             plan.verify_against(net, state, out, demand)  # must not raise
 
@@ -252,7 +330,7 @@ class TestSolvePlans:
         plan = solve_rebalance(net, state, out, demand)
         plan.verify_against(net, state, out, demand)
         plan.rebalance[0, 1, 0] += 5  # more moves than vehicles
-        with pytest.raises(SolverError, match="availability"):
+        with pytest.raises(SolverError, match="availability at step 0"):
             plan.verify_against(net, state, out, demand)
 
     def test_verify_against_catches_unserved_outstanding(self):
