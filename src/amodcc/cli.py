@@ -201,6 +201,9 @@ def cmd_train(args) -> int:
                 if bank.models[i][j].gp is None)
     print(f"trained {n * n - const} flow models ({const} constant) on "
           f"{int(grid.counts.sum())} trips over {args.window_days} days")
+    kept = [m for row in bank.models for m in row if m.gp is not None]
+    print(f"{sum(m.gp.converged for m in kept)} of {len(kept)} kept fits converged; "
+          f"the wide start won on {sum(m.start == 'wide' for m in kept)} flows")
     print(f"bank written to {args.out}")
     return 0
 

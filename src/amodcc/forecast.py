@@ -23,11 +23,11 @@ from .gp import (
     RBFKernel,
     TrainConfig,
     TrainedGP,
-    gram_matrix,
+    posteriors,
     predict_batch,
-    train,
+    train,  # noqa: F401  (perfbench/tracing.py counts calls through this name)
+    train_many,
 )
-from scipy.linalg import cho_solve
 
 HOUR = 3600.0
 
@@ -60,12 +60,21 @@ def bank_train_config() -> TrainConfig:
                        freeze=("b.period",))
 
 
+# The two starts of every flow fit, in the order ties are broken.
+STARTS = ("local", "wide")
+
+# Flows finalized on the full window per batch: bounds how many losing
+# starts' full-size factorizations are held at once.
+FINALIZE_FLOWS = 16
+
+
 @dataclass
 class FlowModel:
     """Forecaster for one origin-destination pair."""
 
     center: float
     gp: TrainedGP | None = None   # None: constant model, zero spread
+    start: str | None = None      # the start in STARTS whose fit was kept
 
     def predict(self, t_hours: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ts = np.asarray(t_hours, dtype=float).ravel()
@@ -118,9 +127,14 @@ def train_bank(
     The likelihood surface is multi-modal: started locally, the fit can
     settle on a short-envelope mode that never looks a full day back.
     Each flow therefore trains from both the local and the wide-envelope
-    start and keeps whichever likelihood wins.  Hyperparameters are fitted
-    on a series thinned to about ``fit_points`` samples (the sweep is
-    cubic in length); the kept posterior is rebuilt on the full window.
+    start and keeps whichever likelihood wins (the local one on a tie).
+    Hyperparameters are fitted on a series thinned to about
+    ``fit_points`` samples (the sweep is cubic in length); the kept
+    posterior is rebuilt on the full window.
+
+    Every flow and start shares one time grid, so all fits run as one
+    batch (:func:`train_many`); ``n_jobs > 1`` splits the flows into that
+    many batches on threads.  A fit's result does not depend on its batch.
     """
     counts = np.asarray(counts)
     if counts.ndim != 3 or counts.shape[0] != counts.shape[1]:
@@ -134,35 +148,41 @@ def train_bank(
     if fit_points < 8:
         raise InvalidInputError(f"fit_points must be >= 8, got {fit_points}")
     stride = max(1, -(-t_hours.size // fit_points))
-    finalize = TrainConfig(max_iters=0)
 
-    def fit(ij: tuple[int, int]) -> FlowModel:
-        i, j = ij
-        y = counts[i, j].astype(float)
-        center = float(y.mean())
-        var = float(y.var())
-        if var == 0.0:
-            return FlowModel(center=center)
-        resid = y - center
-        sub = GPTrainingSet(t_hours[::stride], resid[::stride],
-                            noise_var=0.1 * var)
-        best = None
-        for init in (default_kernel(var), wide_kernel(var)):
-            fitted = train(sub, init, cfg)
-            full = GPTrainingSet(t_hours, resid, noise_var=fitted.noise_var)
-            gp = train(full, fitted.kernel, finalize)
-            if best is None or gp.lml > best.lml:
-                best = gp
-        return FlowModel(center=center, gp=best)
+    series = counts.astype(float)
+    models = [[FlowModel(center=float(series[i, j].mean())) for j in range(n)]
+              for i in range(n)]
+    flows = [(i, j) for i in range(n) for j in range(n) if float(series[i, j].var()) != 0.0]
 
-    pairs = [(i, j) for i in range(n) for j in range(n)]
+    def resid(i: int, j: int) -> np.ndarray:
+        return series[i, j] - models[i][j].center
+
+    def fit(group: list[tuple[int, int]]) -> None:
+        subs, inits = [], []
+        for i, j in group:
+            var = float(series[i, j].var())
+            sub = GPTrainingSet(t_hours[::stride], resid(i, j)[::stride], noise_var=0.1 * var)
+            subs += [sub, sub]
+            inits += [default_kernel(var), wide_kernel(var)]
+        fitted = train_many(subs, inits, cfg)
+        for k in range(0, len(group), FINALIZE_FLOWS):
+            part = group[k:k + FINALIZE_FLOWS]
+            hyper = fitted[2 * k:2 * (k + len(part))]
+            full = [GPTrainingSet(t_hours, resid(i, j), noise_var=h.noise_var)
+                    for (i, j), h in zip([ij for ij in part for _ in STARTS], hyper)]
+            final = train_many(full, [h.kernel for h in hyper], TrainConfig(max_iters=0))
+            for m, (i, j) in enumerate(part):
+                pick = 1 if final[2 * m + 1].lml > final[2 * m].lml else 0
+                gp, h = final[2 * m + pick], hyper[2 * m + pick]
+                gp.converged, gp.n_iters = h.converged, h.n_iters
+                models[i][j].gp, models[i][j].start = gp, STARTS[pick]
+
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            fitted = list(pool.map(fit, pairs))
+            list(pool.map(fit, [flows[k::n_jobs] for k in range(n_jobs)]))
     else:
-        fitted = [fit(p) for p in pairs]
+        fit(flows)
 
-    models = [[fitted[i * n + j] for j in range(n)] for i in range(n)]
     return ForecastBank(
         models=models,
         interval_seconds=interval_seconds,
@@ -281,8 +301,30 @@ def _build_kernel(fields: dict[str, str], lineno: int, path: str) -> Kernel:
                                  output_scale=float(fields["output_scale"]))
     except (KeyError, ValueError) as exc:
         raise InvalidInputError(
-            f"{path}: bad kernel block ending at line {lineno}: {exc}") from exc
-    raise InvalidInputError(f"{path}: unknown kernel kind {kind!r} near line {lineno}")
+            f"{path}: bad kernel in the flow block at line {lineno}: {exc}") from exc
+    raise InvalidInputError(
+        f"{path}: unknown kernel kind {kind!r} in the flow block at line {lineno}")
+
+
+def _flow_spec(spec: dict[str, str], path: str) -> tuple[float, Kernel | None, float]:
+    """Center, kernel and noise of a flow block (kernel None: constant)."""
+    line = int(spec["_line"])
+    try:
+        center = float(spec["center"])
+        if spec["_kind"] == "const":
+            return center, None, 0.0
+        noise = float(spec["noise_var"])
+    except (KeyError, ValueError) as exc:
+        raise InvalidInputError(
+            f"{path}: bad flow block at line {line}: missing or malformed {exc}") from exc
+    kernel = _build_kernel(spec, line, path)
+    try:
+        kernel.validate()
+        if not (np.isfinite(center) and noise > 0 and np.isfinite(noise)):
+            raise InvalidInputError(f"center {center} or noise_var {noise} out of range")
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: bad flow block at line {line}: {exc}") from exc
+    return center, kernel, noise
 
 
 def load_bank(path: str, counts: np.ndarray, t_hours: np.ndarray) -> ForecastBank:
@@ -307,12 +349,14 @@ def load_bank(path: str, counts: np.ndarray, t_hours: np.ndarray) -> ForecastBan
             key = parts[0]
             try:
                 if key == "flow":
-                    current = {"_kind": parts[3]}
+                    if parts[3] not in ("const", "gp"):
+                        raise ValueError(f"unknown flow kind {parts[3]!r}")
+                    current = {"_kind": parts[3], "_line": str(lineno)}
                     flows[(int(parts[1]), int(parts[2]))] = current
                 elif key == "end":
                     current = None
                 elif current is not None:
-                    current[key] = parts[1] if key != "kernel" else parts[1]
+                    current[key] = parts[1]
                 elif key == "stations":
                     header["stations"] = int(parts[1])
                 elif key == "interval_seconds":
@@ -345,28 +389,13 @@ def load_bank(path: str, counts: np.ndarray, t_hours: np.ndarray) -> ForecastBan
     if sorted(flows) != [(i, j) for i in range(n) for j in range(n)]:
         raise InvalidInputError(f"{path}: expected one flow block per station pair")
 
-    models: list[list[FlowModel]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            spec = flows[(i, j)]
-            center = float(spec["center"])
-            if spec["_kind"] == "const":
-                row.append(FlowModel(center=center))
-                continue
-            kernel = _build_kernel(spec, 0, path)
-            kernel.validate()
-            noise = float(spec["noise_var"])
-            y = counts[i, j].astype(float) - center
-            _, L, jitter = gram_matrix(kernel, t_hours, noise)
-            alpha = cho_solve((L, True), y)
-            lml = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L)))
-                        - 0.5 * len(y) * np.log(2.0 * np.pi))
-            row.append(FlowModel(center=center, gp=TrainedGP(
-                kernel=kernel, t=t_hours.copy(), y=y, noise_var=noise,
-                L=L, alpha=alpha, jitter=jitter, lml=lml, lml_trace=[lml],
-                converged=True, n_iters=0)))
-        models.append(row)
+    specs = {ij: _flow_spec(spec, path) for ij, spec in flows.items()}
+    fitted = [ij for ij in sorted(specs) if specs[ij][1] is not None]
+    data = [GPTrainingSet(t_hours, counts[i, j].astype(float) - specs[(i, j)][0],
+                          noise_var=specs[(i, j)][2]) for i, j in fitted]
+    gps = dict(zip(fitted, posteriors(data, [specs[ij][1] for ij in fitted])))
+    models = [[FlowModel(center=specs[(i, j)][0], gp=gps.get((i, j))) for j in range(n)]
+              for i in range(n)]
     return ForecastBank(
         models=models,
         interval_seconds=float(header["interval_seconds"]),

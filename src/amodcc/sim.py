@@ -280,6 +280,7 @@ class _Run:
         self.n_requests = len(live)
         # 0 pending, 1 waiting, 2 assigned, 3 aboard, 4 served
         self.req_status = np.zeros(self.n_requests, dtype=np.int8)
+        self.status_counts = [self.n_requests, 0, 0, 0, 0]   # kept by _set_status
         self.next_request = 0
         self.waiting: list[int] = []
 
@@ -315,6 +316,11 @@ class _Run:
 
     # --- per-tick phases ---------------------------------------------------
 
+    def _set_status(self, rid: int, status: int) -> None:
+        self.status_counts[self.req_status[rid]] -= 1
+        self.status_counts[status] += 1
+        self.req_status[rid] = status
+
     def _complete_legs(self, now: float) -> None:
         due = [v for v in self.vehicles
                if v.leg != "idle" and v.busy_until <= now]
@@ -324,7 +330,7 @@ class _Run:
                 self.vehicle_m[v.vid, 2] += v.leg_m
                 rid = v.request
                 self.waits.append(v.busy_until - self.req_times[rid])
-                self.req_status[rid] = 3
+                self._set_status(rid, 3)
                 o_xy = self.req_o_xy[rid]
                 d_xy = self.req_d_xy[rid]
                 i, j = int(self.req_o_st[rid]), int(self.req_d_st[rid])
@@ -336,7 +342,7 @@ class _Run:
             elif v.leg == "customer":
                 self.vehicle_m[v.vid, 0] += v.leg_m
                 rid = v.request
-                self.req_status[rid] = 4
+                self._set_status(rid, 4)
                 self.served += 1
                 v.xy = self.req_d_xy[rid].copy()
                 v.station = int(self.req_d_st[rid])
@@ -351,7 +357,7 @@ class _Run:
     def _admit(self, now: float) -> None:
         while (self.next_request < self.n_requests
                and self.req_times[self.next_request] <= now):
-            self.req_status[self.next_request] = 1
+            self._set_status(self.next_request, 1)
             self.waiting.append(self.next_request)
             self.next_request += 1
 
@@ -370,7 +376,7 @@ class _Run:
         v.dest_station = j
         v.dest_xy = d_xy
         v.leg_m = approach
-        self.req_status[rid] = 2
+        self._set_status(rid, 2)
 
     def _dispatch(self, now: float) -> None:
         if not self.waiting:
@@ -510,7 +516,7 @@ class _Run:
             now=now,
             leg_counts=legs,
             admitted=self.next_request,
-            status_counts=np.bincount(self.req_status, minlength=5),
+            status_counts=np.array(self.status_counts),
             vehicle_m=self.vehicle_m.copy(),
         )
 

@@ -52,6 +52,7 @@ def test_train_then_simulate_with_bank(city, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "bank written" in out
+    assert "kept fits converged; the wide start won on" in out
     assert "stations 3" in (root / "bank.json").read_text()
 
     rc = main(["simulate", "--network", net, "--trips", trips,
@@ -137,6 +138,35 @@ def test_exit_codes(city, tmp_path, capsys):
         main(["simulate", "--config", str(cfg), "--benchmark", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_bad_bank_files_exit_2(city, tmp_path, capsys):
+    # A bad value inside a flow block is invalid input (exit code 2), and
+    # the message names the line where that flow block starts.
+    root, trips, net = city
+    good = tmp_path / "bank.txt"
+    assert main(["train", "--network", net, "--trips", trips,
+                 "--train-end", "21600", "--window-days", "0.25",
+                 "--gp-max-iters", "0", "--out", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    flow = next(k for k, ln in enumerate(lines) if ln.startswith("flow") and ln.endswith("gp"))
+    simulate = ["simulate", "--network", net, "--trips", trips,
+                "--start", "21600", "--end", "43200", "--fleet", "5",
+                "--controller", "ccmpc", "--horizon", "4",
+                "--window-days", "0.25", "--bank"]
+    for key, value in (("center", "abc"), ("center", None), ("noise_var", "1e"),
+                       ("noise_var", None), ("a.lengthscale", "x"), ("noise_var", "-1")):
+        edited = list(lines)
+        at = next(k for k in range(flow, len(lines)) if lines[k].split()[0] == key)
+        if value is None:
+            del edited[at]
+        else:
+            edited[at] = f"{key} {value}"
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(edited) + "\n")
+        capsys.readouterr()
+        assert main(simulate + [str(bad)]) == 2, (key, value)
+        assert f"flow block at line {flow + 1}" in capsys.readouterr().err, (key, value)
 
 
 class _Captured(Exception):

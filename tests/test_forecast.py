@@ -6,14 +6,18 @@ pattern, not revert to the series mean.  Persistence is checked by
 round-tripping hyperparameters and rebuilding the posterior.
 """
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from amodcc.errors import InvalidInputError
-from amodcc.forecast import (ForecastBank, bank_train_config, default_kernel,
+from amodcc.forecast import (STARTS, ForecastBank, bank_train_config, default_kernel,
                              forecast_demand, load_bank, save_bank,
                              train_bank, wide_kernel)
 from amodcc.gp import GPTrainingSet, TrainConfig, train
+from amodcc.sim import DemandGrid, benchmark_scenario
 
 INTERVAL = 900.0
 DAYS = 5
@@ -125,6 +129,93 @@ def test_freeze_pins_named_parameters():
     assert gp.kernel.first.lengthscale != 96.0   # unfrozen ones moved
     with pytest.raises(InvalidInputError, match="freeze unknown"):
         train(data, wide_kernel(1.0), TrainConfig(freeze=("b.periods",)))
+
+
+def same_model(a, b):
+    """Bit-identical flow models."""
+    assert (a.center, a.start) == (b.center, b.start)
+    assert (a.gp is None) == (b.gp is None)
+    if a.gp is not None:
+        assert a.gp.kernel == b.gp.kernel and a.gp.noise_var == b.gp.noise_var
+        assert (a.gp.lml, a.gp.jitter, a.gp.converged, a.gp.n_iters) == \
+            (b.gp.lml, b.gp.jitter, b.gp.converged, b.gp.n_iters)
+        assert np.array_equal(a.gp.L, b.gp.L) and np.array_equal(a.gp.alpha, b.gp.alpha)
+
+
+def test_bank_does_not_depend_on_its_batches():
+    # Three stations over two days: every flow busy, some with a daily
+    # bump.  Threads split the flows into batches (three threads: more
+    # than this machine class's two cores); a flow trained on its own must
+    # come out exactly as it does inside the whole bank.
+    rng = np.random.default_rng(8)
+    m = 2 * 96
+    t = (np.arange(m) + 0.5) * INTERVAL / 3600.0 - 48.0
+    bump = ((t % 24.0) >= 8.0) & ((t % 24.0) < 11.0)
+    counts = rng.poisson(np.where(bump, 4.0, 1.0) * rng.uniform(0.3, 1.5, (3, 3, 1)))
+    kw = dict(interval_seconds=INTERVAL, series_origin=ORIGIN,
+              window=(ORIGIN - 2 * 86_400.0, ORIGIN), trained_at=ORIGIN,
+              cfg=dataclasses.replace(bank_train_config(), max_iters=6), fit_points=48)
+    one = train_bank(counts, t, n_jobs=1, **kw)
+    split = [train_bank(counts, t, n_jobs=jobs, **kw) for jobs in (2, 3)]
+    lone = np.zeros_like(counts)
+    lone[2, 1] = counts[2, 1]
+    alone = train_bank(lone, t, **kw)
+    for i in range(3):
+        for j in range(3):
+            assert one.models[i][j].gp is not None
+            for bank in split:
+                same_model(one.models[i][j], bank.models[i][j])
+    same_model(one.models[2][1], alone.models[2][1])
+
+
+def test_bank_reports_the_kept_fits_diagnostics(planted_bank):
+    # The kept model carries its hyperparameter fit's own convergence flag
+    # and iteration count, and names the start it came from.
+    counts, t = planted_counts(), hour_axis()
+    assert planted_bank.models[0][1].start == "wide"
+    for i, j in ((0, 1), (1, 0)):
+        model = planted_bank.models[i][j]
+        assert model.start in STARTS
+        y = counts[i, j].astype(float)
+        var = float(y.var())
+        sub = GPTrainingSet(t[::2], (y - y.mean())[::2], noise_var=0.1 * var)
+        init = default_kernel(var) if model.start == "local" else wide_kernel(var)
+        fit = train(sub, init, bank_train_config())
+        assert model.gp.n_iters == fit.n_iters > 0
+        assert model.gp.converged == fit.converged
+
+
+PINNED = Path(__file__).parent / "data" / "bank_seed0_3day.txt"
+
+
+@pytest.mark.slow
+def test_bank_matches_the_pinned_seed0_fits():
+    # The seed-0 benchmark bank on a 3-day window, as the per-flow trainer
+    # fitted it (saved hyperparameters): the batched trainer must land on
+    # the same fits, and the likelihoods rebuilt from the file must match.
+    sc = benchmark_scenario(0, history_days=3.0, sim_days=0.25)
+    dt = sc.network.step_seconds
+    start = sc.sim_start - 3 * 86_400.0
+    grid = DemandGrid(sc.trips, sc.network, start, dt, int(round(3 * 86_400.0 / dt)))
+    t = grid.midpoint_hours(sc.sim_start)
+    bank = train_bank(grid.counts, t, dt, series_origin=sc.sim_start,
+                      window=(start, sc.sim_start), trained_at=sc.sim_start)
+    pinned = load_bank(str(PINNED), grid.counts, t)
+    fitted = 0
+    for row, pinned_row in zip(bank.models, pinned.models):
+        for a, b in zip(row, pinned_row):
+            assert a.center == b.center
+            assert (a.gp is None) == (b.gp is None)
+            if a.gp is None:
+                continue
+            fitted += 1
+            ka, kb = a.gp.kernel, b.gp.kernel
+            got = [ka.first.lengthscale, ka.second.lengthscale, ka.second.period,
+                   ka.output_scale, a.gp.noise_var, a.gp.lml]
+            want = [kb.first.lengthscale, kb.second.lengthscale, kb.second.period,
+                    kb.output_scale, b.gp.noise_var, b.gp.lml]
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert fitted == 100
 
 
 # --- persistence ----------------------------------------------------------------

@@ -13,7 +13,7 @@ from amodcc.demand import DemandFlow, TripTable, synth_demand
 from amodcc.errors import InvalidInputError
 from amodcc.forecast import train_bank
 from amodcc.network import StationNetwork
-from amodcc.sim import (DemandGrid, RunConfig, Scenario, benchmark_flows,
+from amodcc.sim import (DemandGrid, RunConfig, Scenario, _Run, benchmark_flows,
                         benchmark_network, benchmark_scenario,
                         initial_placement, run_simulation)
 
@@ -268,3 +268,19 @@ def test_benchmark_scenario_window():
     live = sc.trips.window(sc.sim_start, sc.sim_end)
     assert len(hist) > 0 and len(live) > 0
     assert len(hist) + len(live) == len(sc.trips)
+
+
+@pytest.mark.parametrize("controller", ["gbm", "fixed"])
+def test_status_counts_track_request_statuses(controller):
+    # The snapshot's counts are kept at each status write, not recounted.
+    sc = conservation_scenario()
+    run = _Run(sc, RunConfig(controller=controller, horizon=4, train_window_days=1.0))
+    seen = []
+
+    def check(s):
+        assert np.array_equal(s.status_counts, np.bincount(run.req_status, minlength=5))
+        seen.append(s.status_counts)
+
+    run.execute(on_tick=check)
+    assert len(seen) == 721
+    assert seen[-1][4] > 0 and seen[0][0] > 0
