@@ -52,6 +52,7 @@ from .ilp import IlpProblem, IlpSolution, SolverConfig, solve_ilp
 from .mpc import (
     CostWeights,
     RebalancePlan,
+    RebalanceProgram,
     build_problem,
     quantile_demand,
     solve_rebalance,
@@ -92,7 +93,7 @@ __all__ = [
     "load_bank", "save_bank", "train_bank",
     "assign_pickups", "distance_cost_matrix", "hungarian",
     "IlpProblem", "IlpSolution", "SolverConfig", "solve_ilp",
-    "CostWeights", "RebalancePlan", "build_problem", "quantile_demand",
+    "CostWeights", "RebalancePlan", "RebalanceProgram", "build_problem", "quantile_demand",
     "solve_rebalance",
     "DemandFlow", "TripTable", "ingest_trips", "synth_demand",
     "DemandGrid", "RunConfig", "Scenario", "SimMetrics",

@@ -86,10 +86,17 @@ class FlowModel:
 
 @dataclass
 class ForecastTensor:
-    """Posterior mean/std per (origin, destination, horizon step)."""
+    """Posterior mean/std per (origin, destination, distinct query time).
 
-    mean: np.ndarray   # (N, N, K)
-    std: np.ndarray    # (N, N, K)
+    ``slots[..., k]`` is the column that holds horizon step k of each
+    control instant.  For a single instant the query times are distinct
+    and increasing, so ``slots`` is ``arange(T+1)`` and the columns are
+    the horizon steps themselves.
+    """
+
+    mean: np.ndarray   # (N, N, Q)
+    std: np.ndarray    # (N, N, Q)
+    slots: np.ndarray  # (T+1,) for one instant, (I, T+1) for I instants
 
 
 @dataclass
@@ -193,27 +200,36 @@ def train_bank(
 
 
 def forecast_demand(
-    bank: ForecastBank, t0_epoch: float, horizon: int, step_seconds: float
+    bank: ForecastBank, t0_epoch, horizon: int, step_seconds: float
 ) -> ForecastTensor:
-    """Forecast tensor over the control horizon.
+    """Forecast over the control horizon of one or more control instants.
 
-    Slot k of the tensor stands for requests appearing during
+    Slot k of an instant at t0 stands for requests appearing during
     ``(t0 + (k-1) dt, t0 + k dt]``, matching the planner's convention that
     step-1 demand is what lands before the next control instant.  Each
-    flow model is queried at the interval midpoint; slot 0 (the interval
+    flow model is queried at the interval midpoints; slot 0 (the interval
     that just ended) is filled but ignored by the planner.
+
+    ``t0_epoch`` may be a scalar or an array of instants.  Instants share
+    most of their query times, so every flow is predicted once at the
+    distinct times, in one batched query; ``slots`` maps each instant's
+    horizon back onto them.
     """
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
+    if not step_seconds > 0:
+        raise InvalidInputError(f"step_seconds must be positive, got {step_seconds}")
     n = bank.n_stations
-    q_hours = (t0_epoch - bank.series_origin
+    t0 = np.asarray(t0_epoch, dtype=float)
+    q_hours = (t0[..., None] - bank.series_origin
                + (np.arange(horizon + 1) - 0.5) * step_seconds) / HOUR
-    mean = np.zeros((n, n, horizon + 1))
-    std = np.zeros((n, n, horizon + 1))
+    distinct, slots = np.unique(q_hours, return_inverse=True)
+    mean = np.zeros((n, n, distinct.size))
+    std = np.zeros((n, n, distinct.size))
     for i in range(n):
         for j in range(n):
-            mean[i, j], std[i, j] = bank.models[i][j].predict(q_hours)
-    return ForecastTensor(mean=mean, std=std)
+            mean[i, j], std[i, j] = bank.models[i][j].predict(distinct)
+    return ForecastTensor(mean=mean, std=std, slots=slots.reshape(q_hours.shape))
 
 
 # --- persistence ---------------------------------------------------------------

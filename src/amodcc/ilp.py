@@ -11,8 +11,10 @@ returning an incumbent, so no plan depends on the speed of the machine.
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -21,6 +23,28 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from .errors import InfeasibleError, InvalidInputError, NumericalError, SolverError
 
 _INT_TOL = 1e-6      # an LP value this close to an integer counts as integral
+
+
+class _RowSplit(NamedTuple):
+    """The rows in the <=/= form HiGHS wants; >= rows are negated."""
+
+    sense: np.ndarray            # the senses as an array
+    ub_rows: np.ndarray          # rows of A_ub: the "L" rows, then the "G" rows
+    ub_sign: np.ndarray          # +1 for an "L" row, -1 for a "G" row
+    a_ub: sparse.csr_matrix | None
+    eq_rows: np.ndarray
+    a_eq: sparse.csr_matrix | None
+
+
+def _split_rows(a: sparse.csr_matrix, senses: list[str]) -> _RowSplit:
+    sense = np.asarray(senses)
+    le, ge, eq = (np.flatnonzero(sense == s) for s in ("L", "G", "E"))
+    a_ub = None
+    if le.size or ge.size:
+        a_ub = sparse.vstack([a[le], -a[ge]], format="csr") if ge.size else a[le]
+    return _RowSplit(sense=sense, ub_rows=np.concatenate([le, ge]),
+                     ub_sign=np.repeat([1.0, -1.0], [le.size, ge.size]), a_ub=a_ub,
+                     eq_rows=eq, a_eq=a[eq] if eq.size else None)
 
 
 @dataclass
@@ -33,6 +57,7 @@ class IlpProblem:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    split: _RowSplit = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
@@ -51,6 +76,20 @@ class IlpProblem:
             raise InvalidInputError("bound vectors must match the variable count")
         if not np.all(np.isfinite(self.lb)):
             raise InvalidInputError("lower bounds must be finite")
+        self.split = _split_rows(self.a, self.senses)
+
+    def with_rhs(self, b: np.ndarray) -> "IlpProblem":
+        """The same program with another right-hand side.
+
+        Everything else, the row split included, is shared, not copied.
+        """
+        b = np.asarray(b, dtype=float)
+        if b.shape != self.b.shape:
+            raise InvalidInputError(
+                f"right-hand side is {b.shape}, expected {self.b.shape}")
+        out = copy.copy(self)
+        out.b = b
+        return out
 
     @property
     def n_vars(self) -> int:
@@ -71,24 +110,9 @@ class IlpSolution:
     wall_seconds: float
 
 
-def _split_rows(prob: IlpProblem):
-    """Precompute the <=/= split HiGHS wants; >= rows are negated."""
-    senses = np.asarray(prob.senses)
-    le, ge, eq = (np.flatnonzero(senses == s) for s in ("L", "G", "E"))
-    a_ub = None
-    b_ub = None
-    if le.size or ge.size:
-        a_ub = sparse.vstack(
-            [prob.a[le], -prob.a[ge]], format="csr") if ge.size else prob.a[le]
-        b_ub = np.concatenate([prob.b[le], -prob.b[ge]])
-    a_eq = prob.a[eq] if eq.size else None
-    b_eq = prob.b[eq] if eq.size else None
-    return a_ub, b_ub, a_eq, b_eq
-
-
 def _check_rows(prob: IlpProblem, x: np.ndarray, tol: float = 1e-6) -> bool:
     r = prob.a @ x - prob.b
-    senses = np.asarray(prob.senses)
+    senses = prob.split.sense
     violated = (((senses == "E") & (np.abs(r) > tol)) | ((senses == "L") & (r > tol))
                 | ((senses == "G") & (r < -tol)))
     return bool(not violated.any() and np.all(x >= prob.lb - tol)
@@ -96,8 +120,10 @@ def _check_rows(prob: IlpProblem, x: np.ndarray, tol: float = 1e-6) -> bool:
 
 
 def _solve_root(prob: IlpProblem) -> np.ndarray:
-    a_ub, b_ub, a_eq, b_eq = _split_rows(prob)
-    res = linprog(prob.c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+    split = prob.split
+    b_ub = prob.b[split.ub_rows] * split.ub_sign if split.a_ub is not None else None
+    b_eq = prob.b[split.eq_rows] if split.a_eq is not None else None
+    res = linprog(prob.c, A_ub=split.a_ub, b_ub=b_ub, A_eq=split.a_eq, b_eq=b_eq,
                   bounds=np.column_stack([prob.lb, prob.ub]), method="highs")
     if res.status == 2:
         raise InfeasibleError("no integer-feasible point")
@@ -109,7 +135,7 @@ def _solve_root(prob: IlpProblem) -> np.ndarray:
 
 
 def _solve_milp(prob: IlpProblem, time_limit_s: float) -> tuple[np.ndarray, int]:
-    senses = np.asarray(prob.senses)
+    senses = prob.split.sense
     lo = np.where(senses == "L", -np.inf, prob.b)
     hi = np.where(senses == "G", np.inf, prob.b)
     res = milp(c=prob.c, constraints=LinearConstraint(prob.a, lo, hi),

@@ -8,6 +8,10 @@ movement is free; the objective trades rebalancing distance against
 backlog and late-pickup penalties.  Only the first rebalancing step is
 ever executed; the rest of the plan exists to price the future.
 
+The rows, costs and bounds depend only on the network, the horizon and
+the weights, so :func:`build_problem` assembles them once per run; each
+control instant supplies only the right-hand side.
+
 Demand uncertainty enters through the right-hand side only: the service
 rows require enough capacity for the forecast's ``1 - epsilon`` quantile,
 so risk appetite is one scalar.  At ``epsilon = 0.5`` the quantile
@@ -101,36 +105,18 @@ class CostWeights:
         return reb, backlog, pickup
 
 
-def build_problem(
-    network: StationNetwork,
-    state: FleetState,
-    outstanding: np.ndarray,
-    demand: np.ndarray,
-    weights: CostWeights,
-) -> IlpProblem:
-    """Assemble the integer program for one control instant.
+def build_problem(network: StationNetwork, horizon: int,
+                  weights: CostWeights) -> "RebalanceProgram":
+    """Assemble the integer program of a network, horizon and weights.
 
-    ``demand[i, j, k]`` is the integer request count the plan must cover
-    in horizon step k >= 1 (slice k = 0 is ignored; requests already
-    waiting enter through ``outstanding`` instead).
+    Everything but the right-hand side is fixed here, so one program
+    serves every control instant of a run; each instant supplies its
+    fleet state, waiting requests and demand through
+    :meth:`RebalanceProgram.rhs`.
     """
+    if horizon < 1:
+        raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
     n = network.n_stations
-    demand = np.asarray(demand)
-    if demand.ndim != 3 or demand.shape[:2] != (n, n) or demand.shape[2] < 2:
-        raise InvalidInputError(
-            f"demand must be (N, N, T+1) with T >= 1, got {demand.shape}")
-    if np.any(demand < 0) or np.any(demand != np.floor(demand)):
-        raise InvalidInputError("demand must contain non-negative integers")
-    if np.any(np.diagonal(demand[:, :, 1:]) != 0):
-        raise InvalidInputError("demand diagonal must be zero")
-    outstanding = np.asarray(outstanding)
-    if outstanding.shape != (n, n):
-        raise InvalidInputError(f"outstanding must be (N, N), got {outstanding.shape}")
-    if np.any(outstanding < 0) or np.any(np.diag(outstanding) != 0):
-        raise InvalidInputError("outstanding must be non-negative, zero diagonal")
-    if state.idle.shape != (n,):
-        raise InvalidInputError("fleet state does not match the network size")
-    horizon = demand.shape[2] - 1
     steps = horizon + 1
     reb_w, backlog_w, pickup_w = weights.expanded(n, horizon)
     x = columns(n, horizon)
@@ -175,10 +161,6 @@ def build_problem(
     n_rows = first.size + queue.size + avail.size + done.size
     a = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                           shape=(n_rows, x.size)).tocsr()
-
-    stock = state.idle[:, None] + np.cumsum(state.arrival_counts(horizon), axis=1)
-    b = np.concatenate([np.zeros(first.size), demand[:, :, 1:].ravel(),
-                        stock.ravel(), outstanding.ravel()], dtype=float)
     senses = ["E"] * (first.size + queue.size) + ["L"] * avail.size + ["E"] * done.size
 
     c = np.zeros(x.size)
@@ -190,7 +172,72 @@ def build_problem(
     ub = np.full(x.size, np.inf)
     ub[moves[:, diag, diag]] = 0.0
 
-    return IlpProblem(c=c, a=a, senses=senses, b=b, lb=np.zeros(x.size), ub=ub)
+    base = IlpProblem(c=c, a=a, senses=senses, b=np.zeros(n_rows),
+                      lb=np.zeros(x.size), ub=ub)
+    return RebalanceProgram(network=network, horizon=horizon, base=base)
+
+
+@dataclass
+class RebalanceProgram:
+    """One run's integer program: everything but the right-hand side.
+
+    ``base`` holds the rows, senses, costs and bounds (and, through
+    :class:`IlpProblem`, their split for the LP backend) with a zero
+    right-hand side; :meth:`problem` pairs it with one instant's.
+    """
+
+    network: StationNetwork
+    horizon: int
+    base: IlpProblem
+
+    @property
+    def a(self) -> sparse.csr_matrix:
+        """The row matrix every instant shares."""
+        return self.base.a
+
+    def rhs(self, state: FleetState, outstanding: np.ndarray,
+            demand: np.ndarray) -> np.ndarray:
+        """Right-hand side of one control instant, in row order.
+
+        ``demand[i, j, k]`` is the integer request count the plan must
+        cover in horizon step k >= 1 (slice k = 0 is ignored; requests
+        already waiting enter through ``outstanding`` instead).
+        """
+        n = self.network.n_stations
+        demand = np.asarray(demand)
+        if demand.shape != (n, n, self.horizon + 1):
+            raise InvalidInputError(
+                f"demand must be (N, N, T+1) = {(n, n, self.horizon + 1)}, "
+                f"got {demand.shape}")
+        if np.any(demand < 0) or np.any(demand != np.floor(demand)):
+            raise InvalidInputError("demand must contain non-negative integers")
+        if np.any(np.diagonal(demand[:, :, 1:]) != 0):
+            raise InvalidInputError("demand diagonal must be zero")
+        outstanding = np.asarray(outstanding)
+        if outstanding.shape != (n, n):
+            raise InvalidInputError(f"outstanding must be (N, N), got {outstanding.shape}")
+        if np.any(outstanding < 0) or np.any(np.diag(outstanding) != 0):
+            raise InvalidInputError("outstanding must be non-negative, zero diagonal")
+        if state.idle.shape != (n,):
+            raise InvalidInputError("fleet state does not match the network size")
+        stock = state.idle[:, None] + np.cumsum(state.arrival_counts(self.horizon), axis=1)
+        return np.concatenate([np.zeros(n * n), demand[:, :, 1:].ravel(),
+                               stock.ravel(), outstanding.ravel()], dtype=float)
+
+    def problem(self, state: FleetState, outstanding: np.ndarray,
+                demand: np.ndarray) -> IlpProblem:
+        """The full integer program of one control instant."""
+        return self.base.with_rhs(self.rhs(state, outstanding, demand))
+
+    def solve(self, state: FleetState, outstanding: np.ndarray, demand: np.ndarray,
+              cfg: SolverConfig | None = None) -> "RebalancePlan":
+        """Solve one control instant and read the plan tensors off the optimum."""
+        sol: IlpSolution = solve_ilp(self.problem(state, outstanding, demand), cfg)
+        x = np.round(sol.x).astype(np.int64)[columns(self.network.n_stations, self.horizon)]
+        return RebalancePlan(rebalance=x[REBALANCE], customer=x[CUSTOMER],
+                             backlog=x[BACKLOG], pickup=x[PICKUP],
+                             objective=sol.objective, status=sol.status,
+                             nodes=sol.nodes, wall_seconds=sol.wall_seconds)
 
 
 @dataclass
@@ -268,10 +315,4 @@ def solve_rebalance(
     """Build and solve one control instant's integer program."""
     horizon = np.asarray(demand).shape[2] - 1
     weights = weights or CostWeights.defaults(network, horizon)
-    prob = build_problem(network, state, outstanding, demand, weights)
-    sol: IlpSolution = solve_ilp(prob, cfg)
-    tensors = np.round(sol.x).astype(np.int64)[columns(network.n_stations, horizon)]
-    return RebalancePlan(rebalance=tensors[REBALANCE], customer=tensors[CUSTOMER],
-                         backlog=tensors[BACKLOG], pickup=tensors[PICKUP],
-                         objective=sol.objective, status=sol.status,
-                         nodes=sol.nodes, wall_seconds=sol.wall_seconds)
+    return build_problem(network, horizon, weights).solve(state, outstanding, demand, cfg)

@@ -21,6 +21,7 @@ movement); ``gbm`` matches any vehicle to any request.
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -33,7 +34,8 @@ from .errors import InvalidInputError
 from .forecast import ForecastBank, bank_train_config, forecast_demand, train_bank
 from .gp import TrainConfig
 from .ilp import SolverConfig
-from .mpc import CostWeights, quantile_demand, solve_rebalance
+from . import mpc  # build_problem is looked up at call time (perfbench/tracing.py wraps it)
+from .mpc import CostWeights, quantile_demand
 from .network import (
     FleetState,
     StationNetwork,
@@ -93,6 +95,16 @@ class DemandGrid:
         o_st = assign_stations(network.centroids, trips.origins[keep])
         d_st = assign_stations(network.centroids, trips.dests[keep])
         np.add.at(self.counts, (o_st, d_st, m[keep]), 1)
+
+    def head(self, n_intervals: int) -> "DemandGrid":
+        """The first ``n_intervals`` intervals; the counts are a view."""
+        if not 0 <= n_intervals <= self.n_intervals:
+            raise InvalidInputError(
+                f"cannot take {n_intervals} of {self.n_intervals} intervals")
+        out = copy.copy(self)
+        out.n_intervals = int(n_intervals)
+        out.counts = self.counts[:, :, :n_intervals]
+        return out
 
     def midpoint_hours(self, ref_epoch: float) -> np.ndarray:
         """Interval midpoints as hours relative to ``ref_epoch``."""
@@ -296,7 +308,13 @@ class _Run:
         self.weights = CostWeights.defaults(
             net, cfg.horizon, backlog_cost=cfg.backlog_cost,
             pickup_delay_slope=cfg.pickup_delay_slope)
+        # The rows, costs and bounds are the same at every control instant.
+        self.program = (mpc.build_problem(net, cfg.horizon, self.weights)
+                        if cfg.controller != "gbm" else None)
         self.bank = bank
+        # (first control tick, slots per instant, quantile demand) of the
+        # current bank; built when the run first plans with it.
+        self.table: tuple[int, np.ndarray, np.ndarray] | None = None
         self.waits: list[float] = []
         self.served = 0
         self.vehicle_m = np.zeros((scenario.fleet_size, 3))
@@ -305,14 +323,8 @@ class _Run:
         self.clamped = 0
 
     def _history_grid_or_none(self) -> DemandGrid | None:
-        if self.grid.counts[:, :, :self.window_intervals].sum() == 0:
-            return None
-        hist = DemandGrid.__new__(DemandGrid)
-        hist.origin = self.grid.origin
-        hist.interval_seconds = self.grid.interval_seconds
-        hist.n_intervals = self.window_intervals
-        hist.counts = self.grid.counts[:, :, :self.window_intervals]
-        return hist
+        hist = self.grid.head(self.window_intervals)
+        return hist if hist.counts.sum() > 0 else None
 
     # --- per-tick phases ---------------------------------------------------
 
@@ -428,15 +440,30 @@ class _Run:
             cfg=self.cfg.gp_train or bank_train_config(),
             n_jobs=self.cfg.gp_jobs,
         )
+        self.table = None
 
-    def _demand_tensor(self, k_tick: int, now: float) -> np.ndarray:
+    def _demand_table(self, k_tick: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """Quantile demand of the current bank at every instant it plans.
+
+        The instants run from ``k_tick`` to the next retrain or the end of
+        the run.  Each flow is predicted once per distinct query time, and
+        the quantile is taken once; a control step only indexes the table.
+        """
+        end = min(self.n_ticks, (k_tick // self.gp_ticks + 1) * self.gp_ticks)
+        ticks = np.arange(k_tick, end, self.mpc_ticks)
+        fc = forecast_demand(self.bank, self.sc.sim_start + ticks * self.tick,
+                             self.cfg.horizon, self.net.step_seconds)
+        return k_tick, fc.slots, quantile_demand(fc.mean, fc.std, self.cfg.epsilon)
+
+    def _demand_tensor(self, k_tick: int) -> np.ndarray:
         n = self.net.n_stations
         steps = self.cfg.horizon + 1
         kind = self.cfg.controller
         if kind == "ccmpc":
-            fc = forecast_demand(self.bank, now, self.cfg.horizon,
-                                 self.net.step_seconds)
-            return quantile_demand(fc.mean, fc.std, self.cfg.epsilon)
+            if self.table is None:
+                self.table = self._demand_table(k_tick)
+            first, slots, table = self.table
+            return table[:, :, slots[(k_tick - first) // self.mpc_ticks]]
         demand = np.zeros((n, n, steps), dtype=np.int64)
         if kind == "fixed":
             prev = self._interval_index(k_tick) - 1
@@ -474,9 +501,8 @@ class _Run:
     def _control(self, now: float, k_tick: int) -> None:
         state = self._fleet_state(now)
         outstanding = self._outstanding()
-        demand = self._demand_tensor(k_tick, now)
-        plan = solve_rebalance(self.net, state, outstanding, demand,
-                               weights=self.weights, cfg=self.cfg.solver)
+        demand = self._demand_tensor(k_tick)
+        plan = self.program.solve(state, outstanding, demand, self.cfg.solver)
         self.solver_wall.append(plan.wall_seconds)
         self.solver_nodes.append(plan.nodes)
         if self.cfg.check_invariants:

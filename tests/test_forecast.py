@@ -16,7 +16,9 @@ from amodcc.errors import InvalidInputError
 from amodcc.forecast import (STARTS, ForecastBank, bank_train_config, default_kernel,
                              forecast_demand, load_bank, save_bank,
                              train_bank, wide_kernel)
+from amodcc import forecast
 from amodcc.gp import GPTrainingSet, TrainConfig, train
+from amodcc.mpc import quantile_demand
 from amodcc.sim import DemandGrid, benchmark_scenario
 
 INTERVAL = 900.0
@@ -91,6 +93,7 @@ def test_forecast_axis_matches_flow_queries(planted_bank):
     dt = 600.0
     fc = forecast_demand(planted_bank, t0, 3, dt)
     assert fc.mean.shape == (2, 2, 4) and fc.std.shape == (2, 2, 4)
+    assert fc.slots.tolist() == [0, 1, 2, 3]
     q = (t0 - ORIGIN + (np.arange(4) - 0.5) * dt) / 3600.0
     for i in range(2):
         for j in range(2):
@@ -99,6 +102,42 @@ def test_forecast_axis_matches_flow_queries(planted_bank):
             assert fc.std[i, j] == pytest.approx(std, abs=1e-12)
     with pytest.raises(InvalidInputError, match="horizon"):
         forecast_demand(planted_bank, t0, 0, dt)
+    with pytest.raises(InvalidInputError, match="step_seconds"):
+        forecast_demand(planted_bank, t0, 3, 0.0)
+
+
+@pytest.mark.parametrize("cadence, distinct", [(INTERVAL, 96 + 4), (300.0, 288 + 12)])
+def test_instants_share_one_query_per_flow(planted_bank, cadence, distinct, monkeypatch):
+    # A day of control instants, on the step grid or three per step: each
+    # fitted flow is predicted once, at the distinct query times, and each
+    # instant's columns equal its own per-instant query to 1e-12, with the
+    # very same quantile demand.
+    calls = []
+    predict_batch = forecast.predict_batch
+
+    def counted(gp, t):
+        calls.append(len(t))
+        return predict_batch(gp, t)
+
+    monkeypatch.setattr(forecast, "predict_batch", counted)
+    t0 = ORIGIN + np.arange(0.0, 86_400.0, cadence)
+    horizon = 4
+    fc = forecast_demand(planted_bank, t0, horizon, INTERVAL)
+    assert calls == [distinct, distinct]        # the two fitted flows
+    assert fc.mean.shape == fc.std.shape == (2, 2, distinct)
+    assert fc.slots.shape == (t0.size, horizon + 1)
+    for eps in (0.05, 0.35, 0.5, 0.8):
+        table = quantile_demand(fc.mean, fc.std, eps)
+        for t, row in zip(t0, fc.slots):
+            q = (t - ORIGIN + (np.arange(horizon + 1) - 0.5) * INTERVAL) / 3600.0
+            mean = np.zeros((2, 2, horizon + 1))
+            std = np.zeros((2, 2, horizon + 1))
+            for i in range(2):
+                for j in range(2):
+                    mean[i, j], std[i, j] = planted_bank.models[i][j].predict(q)
+            assert np.max(np.abs(fc.mean[:, :, row] - mean)) <= 1e-12
+            assert np.max(np.abs(fc.std[:, :, row] - std)) <= 1e-12
+            assert np.array_equal(table[:, :, row], quantile_demand(mean, std, eps))
 
 
 def test_training_escapes_the_short_envelope_mode(planted_bank):

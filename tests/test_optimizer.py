@@ -37,6 +37,13 @@ def zero_demand(n, horizon):
     return np.zeros((n, n, horizon + 1), dtype=int)
 
 
+def instant_problem(net, state, out, demand, weights=None):
+    """One control instant's full program, from a program built for it."""
+    horizon = demand.shape[2] - 1
+    weights = weights or CostWeights.defaults(net, horizon)
+    return build_problem(net, horizon, weights).problem(state, out, demand)
+
+
 class TestQuantileDemand:
     def test_zero_std_is_ceiled_mean(self):
         mean = np.array([[0.0, 2.3], [1.0, 0.0]])
@@ -117,9 +124,8 @@ class TestBuildProblem:
         n, horizon = 10, 12
         net = line_network(n, spacing_m=2000.0)
         state = FleetState(idle=np.full(n, 3))
-        prob = build_problem(net, state, np.zeros((n, n), dtype=int),
-                             zero_demand(n, horizon),
-                             CostWeights.defaults(net, horizon))
+        prob = instant_problem(net, state, np.zeros((n, n), dtype=int),
+                               zero_demand(n, horizon))
         assert prob.n_vars == 4 * n * n * (horizon + 1) == 5200
 
     def test_index_map_matches_plan_reshape(self):
@@ -137,8 +143,8 @@ class TestBuildProblem:
         # build_problem lays its costs out in the same order.
         net = line_network(n)
         w = CostWeights.defaults(net, horizon)
-        prob = build_problem(net, FleetState(idle=np.ones(n, dtype=int)),
-                             np.zeros((n, n), dtype=int), zero_demand(n, horizon), w)
+        prob = instant_problem(net, FleetState(idle=np.ones(n, dtype=int)),
+                               np.zeros((n, n), dtype=int), zero_demand(n, horizon), w)
         cost = prob.c[cols]
         reb, backlog, pickup = w.expanded(n, horizon)
         assert np.array_equal(cost[REBALANCE], reb)
@@ -149,9 +155,8 @@ class TestBuildProblem:
     def test_diagonal_moves_fixed_to_zero(self):
         n, horizon = 3, 2
         net = line_network(n)
-        prob = build_problem(net, FleetState(idle=np.ones(n, dtype=int)),
-                             np.zeros((n, n), dtype=int), zero_demand(n, horizon),
-                             CostWeights.defaults(net, horizon))
+        prob = instant_problem(net, FleetState(idle=np.ones(n, dtype=int)),
+                               np.zeros((n, n), dtype=int), zero_demand(n, horizon))
         ub = prob.ub[columns(n, horizon)]
         for i in range(n):
             for kind in (REBALANCE, CUSTOMER):
@@ -179,7 +184,7 @@ class TestBuildProblem:
         idx = np.arange(n)
         demand[idx, idx, :] = 0
         out[idx, idx] = 0
-        prob = build_problem(net, state, out, demand, CostWeights.defaults(net, horizon))
+        prob = instant_problem(net, state, out, demand)
 
         def col(kind, i, j, k):
             return ((kind * n + i) * n + j) * steps + k
@@ -231,21 +236,63 @@ class TestBuildProblem:
     def test_rejects_fractional_or_negative_demand(self):
         net = line_network(2)
         state = FleetState(idle=np.ones(2, dtype=int))
-        w = CostWeights.defaults(net, 2)
+        program = build_problem(net, 2, CostWeights.defaults(net, 2))
         bad = zero_demand(2, 2).astype(float)
         bad[0, 1, 1] = 0.5
         with pytest.raises(InvalidInputError):
-            build_problem(net, state, np.zeros((2, 2), dtype=int), bad, w)
+            program.rhs(state, np.zeros((2, 2), dtype=int), bad)
         bad[0, 1, 1] = -1.0
         with pytest.raises(InvalidInputError):
-            build_problem(net, state, np.zeros((2, 2), dtype=int), bad, w)
+            program.rhs(state, np.zeros((2, 2), dtype=int), bad)
+        with pytest.raises(InvalidInputError, match="T\\+1"):
+            program.rhs(state, np.zeros((2, 2), dtype=int), zero_demand(2, 3))
 
     def test_rejects_nonzero_outstanding_diagonal(self):
         net = line_network(2)
         out = np.array([[1, 0], [0, 0]])
+        program = build_problem(net, 2, CostWeights.defaults(net, 2))
         with pytest.raises(InvalidInputError):
-            build_problem(net, FleetState(idle=np.ones(2, dtype=int)), out,
-                          zero_demand(2, 2), CostWeights.defaults(net, 2))
+            program.rhs(FleetState(idle=np.ones(2, dtype=int)), out, zero_demand(2, 2))
+        with pytest.raises(InvalidInputError, match="horizon"):
+            build_problem(net, 0, CostWeights.defaults(net, 0))
+
+    def test_one_program_serves_every_instant(self):
+        # The run builds its program once and pairs it with each instant's
+        # right-hand side; that must be bit for bit the program built for
+        # the instant alone.  In-transit vehicles, outstanding requests and
+        # demand change between instants; nothing else may.
+        n, horizon = 4, 5
+        kappa = np.array([[0, 1, 2, 3],
+                          [2, 0, 1, 3],
+                          [3, 1, 0, 2],
+                          [1, 3, 2, 0]])
+        net = dataclasses.replace(line_network(n), kappa=kappa)
+        w = CostWeights.defaults(net, horizon)
+        program = build_problem(net, horizon, w)
+        rng = np.random.default_rng(12)
+        idx = np.arange(n)
+        for _ in range(6):
+            demand = rng.integers(0, 3, size=(n, n, horizon + 1))
+            out = rng.integers(0, 3, size=(n, n))
+            demand[idx, idx, :] = 0
+            out[idx, idx] = 0
+            arrivals = [(int(rng.integers(0, n)), int(rng.integers(1, horizon + 3)))
+                        for _ in range(int(rng.integers(0, 5)))]
+            state = FleetState(idle=rng.integers(0, 4, size=n), arrivals=arrivals)
+            reused = program.problem(state, out, demand)
+            fresh = instant_problem(net, state, out, demand, w)
+            for name in ("c", "lb", "ub", "b"):
+                got, want = getattr(reused, name), getattr(fresh, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert reused.senses == fresh.senses
+            assert (reused.a != fresh.a).nnz == 0
+            assert np.array_equal(reused.a.indptr, fresh.a.indptr)
+            assert np.array_equal(reused.a.indices, fresh.a.indices)
+            assert np.array_equal(reused.a.data, fresh.a.data)
+            assert np.array_equal(reused.b, program.rhs(state, out, demand))
+            # The base program is untouched by its instants.
+            assert np.all(program.base.b == 0.0)
+            assert solve_ilp(reused).objective == solve_ilp(fresh).objective
 
 
 class TestSolvePlans:
@@ -358,7 +405,7 @@ class TestSolvePlans:
             state = FleetState(idle=rng.integers(0, 3, size=n),
                                arrivals=[(int(rng.integers(0, n)), 1)])
             weights = CostWeights.defaults(net, horizon)
-            prob = build_problem(net, state, out, demand, weights)
+            prob = instant_problem(net, state, out, demand, weights)
             ours = solve_ilp(prob)
             senses = np.asarray(prob.senses)
             theirs = milp(c=prob.c,
@@ -400,8 +447,9 @@ class TestSolvePlans:
         state = FleetState(idle=np.full(n, 2))
         w = CostWeights.defaults(net, horizon)
         out = np.zeros((n, n), dtype=int)
-        pa = build_problem(net, state, out, via_quantile, w)
-        pb = build_problem(net, state, out, deterministic, w)
+        program = build_problem(net, horizon, w)
+        pa = program.problem(state, out, via_quantile)
+        pb = program.problem(state, out, deterministic)
         assert np.array_equal(pa.c, pb.c)
         assert (pa.a != pb.a).nnz == 0
         assert np.array_equal(pa.b, pb.b)

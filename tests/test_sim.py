@@ -9,9 +9,11 @@ synthetic workload with per-tick invariant assertions.
 import numpy as np
 import pytest
 
+from amodcc import sim
 from amodcc.demand import DemandFlow, TripTable, synth_demand
 from amodcc.errors import InvalidInputError
-from amodcc.forecast import train_bank
+from amodcc.forecast import forecast_demand, train_bank
+from amodcc.mpc import quantile_demand
 from amodcc.network import StationNetwork
 from amodcc.sim import (DemandGrid, RunConfig, Scenario, _Run, benchmark_flows,
                         benchmark_network, benchmark_scenario,
@@ -242,6 +244,91 @@ def test_every_tick_conserves_fleet_and_requests(controller):
         assert m.rebalance_m == 0.0
     else:
         assert len(m.solver_wall) > 0
+
+
+# --- forecast tables -----------------------------------------------------------
+
+
+def table_scenario():
+    """The conservation city on a 900 s step: 6 live hours after a day."""
+    sc = conservation_scenario()
+    net = StationNetwork.from_centroids(sc.network.centroids, speed_mps=10.0,
+                                        step_seconds=900.0)
+    return Scenario(network=net, trips=sc.trips, sim_start=sc.sim_start,
+                    sim_end=sc.sim_end, fleet_size=sc.fleet_size)
+
+
+@pytest.mark.parametrize("mpc_seconds, gp_seconds, banks", [
+    (None, 86_400.0, 1),      # one instant per model step
+    (300.0, 86_400.0, 1),     # three instants per step, off the step grid
+    (None, 7_200.0, 3),       # retrains at 2 h and 4 h
+])
+def test_runs_plan_from_one_table_per_bank(mpc_seconds, gp_seconds, banks, monkeypatch):
+    # The run forecasts once per bank, over every instant that bank plans.
+    # At each instant the table's columns equal that instant's own
+    # per-flow queries to 1e-12, and the demand it plans on is the very
+    # quantile demand of those queries.
+    sc = table_scenario()
+    cfg = RunConfig(controller="ccmpc", horizon=4, train_window_days=1.0,
+                    mpc_seconds=mpc_seconds, gp_seconds=gp_seconds)
+    tables = []
+
+    def recorded(bank, t0, horizon, step_seconds):
+        fc = forecast_demand(bank, t0, horizon, step_seconds)
+        tables.append((bank, np.asarray(t0), fc))
+        return fc
+
+    monkeypatch.setattr(sim, "forecast_demand", recorded)
+    run = _Run(sc, cfg)
+    planned = []
+    demand_tensor = run._demand_tensor
+
+    def record_demand(k_tick):
+        demand = demand_tensor(k_tick)
+        planned.append((k_tick, run.bank, demand))
+        return demand
+
+    run._demand_tensor = record_demand
+    run.execute()
+
+    dt = sc.network.step_seconds
+    every = int(round((mpc_seconds or dt) / cfg.dispatch_seconds))
+    assert [k for k, _, _ in planned] == list(range(0, run.n_ticks, every))
+    assert len(tables) == len({id(b) for _, b, _ in planned}) == banks
+    instants = np.concatenate([t0 for _, t0, _ in tables])
+    assert np.array_equal(instants, sc.sim_start + np.array([k for k, _, _ in planned])
+                          * cfg.dispatch_seconds)
+    at = {}
+    for bank, t0, fc in tables:
+        for t, row in zip(t0, fc.slots):
+            at[t] = (bank, fc.mean[:, :, row], fc.std[:, :, row])
+    n = sc.network.n_stations
+    for k, bank, demand in planned:
+        now = sc.sim_start + k * cfg.dispatch_seconds
+        table_bank, mean, std = at[now]
+        assert table_bank is bank
+        q = (now - bank.series_origin + (np.arange(cfg.horizon + 1) - 0.5) * dt) / 3600.0
+        ref_mean = np.zeros((n, n, cfg.horizon + 1))
+        ref_std = np.zeros((n, n, cfg.horizon + 1))
+        for i in range(n):
+            for j in range(n):
+                ref_mean[i, j], ref_std[i, j] = bank.models[i][j].predict(q)
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-12
+        assert np.max(np.abs(std - ref_std)) <= 1e-12
+        assert np.array_equal(demand, quantile_demand(ref_mean, ref_std, cfg.epsilon))
+
+
+def test_run_with_a_mid_run_retrain_repeats_exactly():
+    sc = table_scenario()
+    cfg = RunConfig(controller="ccmpc", horizon=4, train_window_days=1.0,
+                    gp_seconds=7_200.0)
+    a, b = run_simulation(sc, cfg), run_simulation(sc, cfg)
+    assert len(a.solver_nodes) == 24
+    assert a.solver_nodes == b.solver_nodes
+    assert np.array_equal(a.waits, b.waits)
+    assert np.array_equal(a.vehicle_m, b.vehicle_m)
+    assert (a.served, a.assigned_end, a.waiting_end, a.clamped) == \
+        (b.served, b.assigned_end, b.waiting_end, b.clamped)
 
 
 # --- benchmark workload ---------------------------------------------------------
