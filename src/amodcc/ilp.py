@@ -1,50 +1,100 @@
 """Integer linear programs: root LP on HiGHS, HiGHS MILP when it is fractional.
 
 Problems are all-integer minimizations over bounded-below variables.  Every
-solve starts with the LP relaxation on SciPy's HiGHS backend; when that
-optimum is integral, which is the common case for the rebalancing programs,
-its vertex is the plan.  Otherwise one ``scipy.optimize.milp`` call proves
-the integer optimum with a zero relative gap.  The time limit is only a
-safety stop: a MILP that reaches it raises :class:`SolverError` rather than
+solve starts with the LP relaxation: each :class:`IlpProblem` builds one
+HiGHS model of its rows, costs and bounds through SciPy's HiGHS bindings
+(``scipy.optimize._highspy``), and a solve writes only its right-hand side
+into that model and runs HiGHS dual simplex after presolve.  Row order and
+options are those of SciPy's ``method="highs"`` LP front end, so among tied
+optima the root vertex is the one that front end returns.  When that optimum
+is integral, which is the common case for the rebalancing programs, its
+vertex is the plan.  Otherwise one ``scipy.optimize.milp`` call proves the
+integer optimum with a zero relative gap.  The time limit is only a safety
+stop: a MILP that reaches it raises :class:`SolverError` rather than
 returning an incumbent, so no plan depends on the speed of the machine.
 """
 
 from __future__ import annotations
 
 import copy
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import InfeasibleError, InvalidInputError, NumericalError, SolverError
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # SciPy before 1.15 has no pybind11 HiGHS module
+    raise ImportError(
+        "amodcc needs scipy>=1.15: its root LP runs on "
+        "scipy.optimize._highspy._core") from exc
 
 _INT_TOL = 1e-6      # an LP value this close to an integer counts as integral
 
 
+def _lp_options():
+    """SciPy's ``method="highs"`` LP options: presolve, dual simplex, no output."""
+    opts = _highs.HighsOptions()
+    opts.presolve = "on"
+    opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.output_flag = False
+    opts.log_to_console = False
+    return opts
+
+
+_LP_OPTIONS = _lp_options()
+
+
+def _finite(v: np.ndarray) -> np.ndarray:
+    """``v`` with infinite entries replaced by HiGHS's own infinity."""
+    return np.where(np.isinf(v), np.copysign(_highs.kHighsInf, v), v)
+
+
 class _RowSplit(NamedTuple):
-    """The rows in the <=/= form HiGHS wants; >= rows are negated."""
+    """The rows in SciPy's LP order: "L" rows, negated "G" rows, "E" rows.
+
+    ``model`` is the LP relaxation in that order; only its row bounds
+    change between solves, written under ``lock``.
+    """
 
     sense: np.ndarray            # the senses as an array
-    ub_rows: np.ndarray          # rows of A_ub: the "L" rows, then the "G" rows
-    ub_sign: np.ndarray          # +1 for an "L" row, -1 for a "G" row
-    a_ub: sparse.csr_matrix | None
-    eq_rows: np.ndarray
-    a_eq: sparse.csr_matrix | None
+    order: np.ndarray            # row ids in the model's row order
+    sign: np.ndarray             # -1 for a "G" row, +1 otherwise
+    n_ub: int                    # the first n_ub model rows have no lower bound
+    model: _highs.HighsLp
+    lock: threading.Lock
 
 
-def _split_rows(a: sparse.csr_matrix, senses: list[str]) -> _RowSplit:
-    sense = np.asarray(senses)
+def _split_rows(prob: IlpProblem) -> _RowSplit:
+    sense = np.asarray(prob.senses)
     le, ge, eq = (np.flatnonzero(sense == s) for s in ("L", "G", "E"))
-    a_ub = None
-    if le.size or ge.size:
-        a_ub = sparse.vstack([a[le], -a[ge]], format="csr") if ge.size else a[le]
-    return _RowSplit(sense=sense, ub_rows=np.concatenate([le, ge]),
-                     ub_sign=np.repeat([1.0, -1.0], [le.size, ge.size]), a_ub=a_ub,
-                     eq_rows=eq, a_eq=a[eq] if eq.size else None)
+    a = sparse.csc_array(sparse.vstack([prob.a[le], -prob.a[ge], prob.a[eq]], format="coo"))
+    n_rows, n_cols = a.shape
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    lp.col_cost_ = prob.c
+    lp.col_lower_ = _finite(prob.lb)
+    lp.col_upper_ = _finite(prob.ub)
+    return _RowSplit(sense=sense, order=np.concatenate([le, ge, eq]),
+                     sign=np.repeat([1.0, -1.0, 1.0], [le.size, ge.size, eq.size]),
+                     n_ub=le.size + ge.size, model=lp, lock=threading.Lock())
+
+
+def _check_rhs(b: np.ndarray) -> None:
+    if not np.all(np.isfinite(b)):
+        raise InvalidInputError("right-hand side must be finite")
 
 
 @dataclass
@@ -76,17 +126,24 @@ class IlpProblem:
             raise InvalidInputError("bound vectors must match the variable count")
         if not np.all(np.isfinite(self.lb)):
             raise InvalidInputError("lower bounds must be finite")
-        self.split = _split_rows(self.a, self.senses)
+        if np.any(np.isnan(self.ub)):
+            raise InvalidInputError("upper bounds must not be NaN")
+        if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.a.data))):
+            raise InvalidInputError("costs and row coefficients must be finite")
+        _check_rhs(self.b)
+        self.split = _split_rows(self)
 
     def with_rhs(self, b: np.ndarray) -> "IlpProblem":
         """The same program with another right-hand side.
 
-        Everything else, the row split included, is shared, not copied.
+        Everything else, the row split and its HiGHS model included, is
+        shared, not copied.
         """
         b = np.asarray(b, dtype=float)
         if b.shape != self.b.shape:
             raise InvalidInputError(
                 f"right-hand side is {b.shape}, expected {self.b.shape}")
+        _check_rhs(b)
         out = copy.copy(self)
         out.b = b
         return out
@@ -121,17 +178,26 @@ def _check_rows(prob: IlpProblem, x: np.ndarray, tol: float = 1e-6) -> bool:
 
 def _solve_root(prob: IlpProblem) -> np.ndarray:
     split = prob.split
-    b_ub = prob.b[split.ub_rows] * split.ub_sign if split.a_ub is not None else None
-    b_eq = prob.b[split.eq_rows] if split.a_eq is not None else None
-    res = linprog(prob.c, A_ub=split.a_ub, b_ub=b_ub, A_eq=split.a_eq, b_eq=b_eq,
-                  bounds=np.column_stack([prob.lb, prob.ub]), method="highs")
-    if res.status == 2:
+    upper = prob.b[split.order] * split.sign
+    lower = upper.copy()
+    lower[:split.n_ub] = -_highs.kHighsInf
+    highs = _highs._Highs()
+    highs.passOptions(_LP_OPTIONS)
+    with split.lock:
+        split.model.row_lower_ = lower
+        split.model.row_upper_ = upper
+        loaded = highs.passModel(split.model)
+    if loaded == _highs.HighsStatus.kError:
+        raise NumericalError("LP backend rejected the model")
+    highs.run()
+    status = highs.getModelStatus()
+    if status == _highs.HighsModelStatus.kInfeasible:
         raise InfeasibleError("no integer-feasible point")
-    if res.status == 3:
+    if status == _highs.HighsModelStatus.kUnbounded:
         raise SolverError("LP relaxation is unbounded")
-    if res.status != 0:
-        raise NumericalError(f"LP backend failed: {res.message}")
-    return np.asarray(res.x, dtype=float)
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise NumericalError(f"LP backend failed: {highs.modelStatusToString(status)}")
+    return np.array(highs.getSolution().col_value)
 
 
 def _solve_milp(prob: IlpProblem, time_limit_s: float) -> tuple[np.ndarray, int]:

@@ -182,8 +182,9 @@ class RebalanceProgram:
     """One run's integer program: everything but the right-hand side.
 
     ``base`` holds the rows, senses, costs and bounds (and, through
-    :class:`IlpProblem`, their split for the LP backend) with a zero
-    right-hand side; :meth:`problem` pairs it with one instant's.
+    :class:`IlpProblem`, their row split and HiGHS model for the root LP)
+    with a zero right-hand side; :meth:`problem` pairs it with one
+    instant's.
     """
 
     network: StationNetwork

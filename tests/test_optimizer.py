@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from amodcc.errors import InvalidInputError, SolverError
@@ -42,6 +44,32 @@ def instant_problem(net, state, out, demand, weights=None):
     horizon = demand.shape[2] - 1
     weights = weights or CostWeights.defaults(net, horizon)
     return build_problem(net, horizon, weights).problem(state, out, demand)
+
+
+@st.composite
+def small_instants(draw):
+    """A 3-4 station network with asymmetric travel steps from 1 to 3, and
+    one instant on it: vehicles in transit landing inside and past the
+    horizon, waiting requests and demand."""
+    n = draw(st.integers(3, 4))
+    horizon = draw(st.integers(2, 5))
+
+    def ints(lo, hi, shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=size,
+                                      max_size=size))).reshape(shape)
+
+    idx = np.arange(n)
+    kappa = ints(1, 3, (n, n))
+    kappa[idx, idx] = 0
+    demand = ints(0, 2, (n, n, horizon + 1))
+    demand[idx, idx, :] = 0
+    out = ints(0, 2, (n, n))
+    out[idx, idx] = 0
+    arrivals = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, horizon + 3)),
+                             max_size=4))
+    state = FleetState(idle=ints(0, 3, (n,)), arrivals=arrivals)
+    return dataclasses.replace(line_network(n), kappa=kappa), state, out, demand
 
 
 class TestQuantileDemand:
@@ -454,3 +482,28 @@ class TestSolvePlans:
         assert (pa.a != pb.a).nnz == 0
         assert np.array_equal(pa.b, pb.b)
         assert pa.senses == pb.senses
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(instant=small_instants(), data=st.data())
+def test_solved_plans_verify_and_a_moved_unit_does_not(instant, data):
+    net, state, out, demand = instant
+    n, horizon = net.n_stations, demand.shape[2] - 1
+    program = build_problem(net, horizon, CostWeights.defaults(net, horizon))
+    plan = program.solve(state, out, demand)
+    plan.verify_against(net, state, out, demand)
+    x = np.zeros(program.base.n_vars)
+    x[columns(n, horizon)] = np.stack([plan.rebalance, plan.customer, plan.backlog, plan.pickup])
+    assert plan.objective == float(program.base.c @ x)
+
+    # Every unit of service, backlog or pickup sits in equality rows, so
+    # moving one to another step breaks the plan.
+    positive = [(name, *idx) for name in ("customer", "backlog", "pickup")
+                for idx in zip(*np.nonzero(getattr(plan, name)))]
+    name, i, j, k = data.draw(st.sampled_from(positive)) if positive else ("pickup", 0, 1, 0)
+    to = data.draw(st.sampled_from([s for s in range(horizon + 1) if s != k]))
+    moved = getattr(plan, name)
+    moved[i, j, k] -= 1
+    moved[i, j, to] += 1
+    with pytest.raises(SolverError):
+        plan.verify_against(net, state, out, demand)
