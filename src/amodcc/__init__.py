@@ -12,7 +12,6 @@ from .errors import (
 from .network import (
     FleetState,
     StationNetwork,
-    assign_station,
     assign_stations,
     build_travel_matrices,
     kmeans_partition,
@@ -22,18 +21,14 @@ from .network import (
     save_network,
 )
 from .gp import (
-    Forecast,
     GPTrainingSet,
-    PeriodicKernel,
-    ProductKernel,
-    RBFKernel,
+    LocallyPeriodicKernel,
     TrainConfig,
     TrainedGP,
     gaussian_quantile,
     kernel_matrix,
     log_marginal_likelihood,
     lml_gradient,
-    predict,
     predict_batch,
     standard_normal_quantile,
     train,
@@ -47,7 +42,7 @@ from .forecast import (
     save_bank,
     train_bank,
 )
-from .dispatch import assign_pickups, distance_cost_matrix, hungarian
+from .dispatch import assign_pickups, distance_cost_matrix
 from .ilp import IlpProblem, IlpSolution, SolverConfig, solve_ilp
 from .mpc import (
     CostWeights,
@@ -81,17 +76,14 @@ __version__ = "0.1.0"
 __all__ = [
     "InfeasibleError", "InvalidInputError", "NoSolutionError",
     "NumericalError", "SolverError",
-    "FleetState", "StationNetwork", "assign_station",
-    "assign_stations", "build_travel_matrices", "kmeans_partition",
-    "load_network", "outstanding_matrix", "project_lonlat", "save_network",
-    "Forecast", "GPTrainingSet", "PeriodicKernel", "ProductKernel",
-    "RBFKernel", "TrainConfig", "TrainedGP", "gaussian_quantile",
-    "kernel_matrix", "log_marginal_likelihood",
-    "lml_gradient", "predict", "predict_batch", "standard_normal_quantile",
-    "train",
+    "FleetState", "StationNetwork", "assign_stations", "build_travel_matrices",
+    "kmeans_partition", "load_network", "outstanding_matrix", "project_lonlat", "save_network",
+    "GPTrainingSet", "LocallyPeriodicKernel", "TrainConfig", "TrainedGP",
+    "gaussian_quantile", "kernel_matrix", "log_marginal_likelihood",
+    "lml_gradient", "predict_batch", "standard_normal_quantile", "train",
     "FlowModel", "ForecastBank", "ForecastTensor", "forecast_demand",
     "load_bank", "save_bank", "train_bank",
-    "assign_pickups", "distance_cost_matrix", "hungarian",
+    "assign_pickups", "distance_cost_matrix",
     "IlpProblem", "IlpSolution", "SolverConfig", "solve_ilp",
     "CostWeights", "RebalancePlan", "RebalanceProgram", "build_problem", "quantile_demand",
     "solve_rebalance",

@@ -1,84 +1,17 @@
 """Vehicle-to-request matching.
 
-Assignment is solved exactly with a shortest-augmenting-path Hungarian
-method on potentials, O(n^2 m) for an n x m cost matrix with n <= m.
-Rectangular inputs are handled directly (the wider side stays unmatched);
-ties are broken toward the lowest column index, so results are
-deterministic for equal-cost alternatives.
+Assignment is solved exactly by SciPy's ``linear_sum_assignment`` (a
+shortest-augmenting-path method; Crouse, IEEE TAES 2016).  Rectangular
+inputs match the shorter side completely and leave the rest of the wider
+side unmatched.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
-
-
-def hungarian(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
-    """Minimum-cost assignment for a dense cost matrix.
-
-    Returns ``(pairs, total)`` where ``pairs`` maps every row (or column,
-    whichever side is smaller) to a distinct partner, sorted by row index.
-    """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise InvalidInputError(f"cost must be a matrix, got shape {cost.shape}")
-    if cost.size == 0:
-        return [], 0.0
-    if not np.all(np.isfinite(cost)):
-        raise InvalidInputError("cost matrix must be finite")
-
-    transposed = cost.shape[0] > cost.shape[1]
-    work = cost.T if transposed else cost
-    n, m = work.shape
-
-    # Potentials and matching are 1-based; column 0 is the virtual root.
-    u = np.zeros(n + 1)
-    v = np.zeros(m + 1)
-    p = np.zeros(m + 1, dtype=int)      # p[j]: row matched to column j
-    way = np.zeros(m + 1, dtype=int)
-
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(m + 1, np.inf)
-        used = np.zeros(m + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            cur = work[i0 - 1] - u[i0] - v[1:]
-            free = ~used[1:]
-            better = free & (cur < minv[1:])
-            if np.any(better):
-                idx = np.flatnonzero(better) + 1
-                minv[idx] = cur[idx - 1]
-                way[idx] = j0
-            free_idx = np.flatnonzero(free) + 1
-            j1 = free_idx[np.argmin(minv[free_idx])]
-            delta = minv[j1]
-            used_idx = np.flatnonzero(used)
-            u[p[used_idx]] += delta
-            v[used_idx] -= delta
-            minv[free_idx] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-
-    pairs = []
-    total = 0.0
-    for j in range(1, m + 1):
-        if p[j] != 0:
-            r, c = p[j] - 1, j - 1
-            if transposed:
-                r, c = c, r
-            pairs.append((r, c))
-            total += float(cost[r, c])
-    pairs.sort()
-    return pairs, total
 
 
 def distance_cost_matrix(a_xy: np.ndarray, b_xy: np.ndarray) -> np.ndarray:
@@ -94,12 +27,13 @@ def assign_pickups(
 ) -> list[tuple[int, int]]:
     """Match vehicles to requests by minimum total pickup distance.
 
-    Returns (vehicle index, request index) pairs; the shorter side is
-    matched completely.
+    Returns (vehicle index, request index) pairs sorted by vehicle; the
+    shorter side is matched completely.
     """
-    v = np.asarray(vehicle_xy, dtype=float).reshape(-1, 2)
-    r = np.asarray(request_xy, dtype=float).reshape(-1, 2)
-    if len(v) == 0 or len(r) == 0:
+    cost = distance_cost_matrix(vehicle_xy, request_xy)
+    if cost.size == 0:
         return []
-    pairs, _ = hungarian(distance_cost_matrix(v, r))
-    return pairs
+    if not np.all(np.isfinite(cost)):
+        raise InvalidInputError("pickup distances must be finite")
+    rows, cols = linear_sum_assignment(cost)
+    return list(zip(rows.tolist(), cols.tolist()))

@@ -17,10 +17,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .gp import (
     GPTrainingSet,
-    Kernel,
-    PeriodicKernel,
-    ProductKernel,
-    RBFKernel,
+    LocallyPeriodicKernel,
     TrainConfig,
     TrainedGP,
     posteriors,
@@ -32,23 +29,17 @@ from .gp import (
 HOUR = 3600.0
 
 
-def default_kernel(variance: float) -> ProductKernel:
+def default_kernel(variance: float) -> LocallyPeriodicKernel:
     """Locally periodic kernel: 3 h lengthscales, 24 h period, given scale."""
-    return ProductKernel(
-        first=RBFKernel(lengthscale=3.0),
-        second=PeriodicKernel(lengthscale=3.0, period=24.0),
-        output_scale=variance,
-    )
+    return LocallyPeriodicKernel(lengthscale=3.0, periodic_lengthscale=3.0, period=24.0,
+                                 output_scale=variance)
 
 
-def wide_kernel(variance: float) -> ProductKernel:
-    """Wide-envelope start: a multi-day RBF factor so the daily pattern
+def wide_kernel(variance: float) -> LocallyPeriodicKernel:
+    """Wide-envelope start: a multi-day envelope so the daily pattern
     correlates across the whole window instead of just the recent hours."""
-    return ProductKernel(
-        first=RBFKernel(lengthscale=96.0),
-        second=PeriodicKernel(lengthscale=1.0, period=24.0),
-        output_scale=variance,
-    )
+    return LocallyPeriodicKernel(lengthscale=96.0, periodic_lengthscale=1.0, period=24.0,
+                                 output_scale=variance)
 
 
 def bank_train_config() -> TrainConfig:
@@ -235,31 +226,19 @@ def forecast_demand(
 # --- persistence ---------------------------------------------------------------
 
 
-def _kernel_lines(kernel: Kernel) -> list[str]:
-    if isinstance(kernel, RBFKernel):
-        return ["kernel rbf",
-                f"lengthscale {kernel.lengthscale!r}",
-                f"output_scale {kernel.output_scale!r}"]
-    if isinstance(kernel, PeriodicKernel):
-        return ["kernel periodic",
-                f"lengthscale {kernel.lengthscale!r}",
-                f"period {kernel.period!r}",
-                f"output_scale {kernel.output_scale!r}"]
-    if isinstance(kernel, ProductKernel):
-        lines = ["kernel product"]
-        for tag, child in (("a", kernel.first), ("b", kernel.second)):
-            if isinstance(child, RBFKernel):
-                lines.append(f"{tag}.kind rbf")
-                lines.append(f"{tag}.lengthscale {child.lengthscale!r}")
-            elif isinstance(child, PeriodicKernel):
-                lines.append(f"{tag}.kind periodic")
-                lines.append(f"{tag}.lengthscale {child.lengthscale!r}")
-                lines.append(f"{tag}.period {child.period!r}")
-            else:
-                raise InvalidInputError("unsupported child kernel")
-        lines.append(f"output_scale {kernel.output_scale!r}")
-        return lines
-    raise InvalidInputError(f"unsupported kernel type {type(kernel).__name__}")
+# Bank format v1 writes the kernel as a product of an RBF (``a``) and a
+# periodic (``b``) factor; a flow block must name exactly these kinds.
+_KERNEL_KINDS = {"kernel": "product", "a.kind": "rbf", "b.kind": "periodic"}
+
+
+def _kernel_lines(kernel: LocallyPeriodicKernel) -> list[str]:
+    return ["kernel product",
+            "a.kind rbf",
+            f"a.lengthscale {kernel.lengthscale!r}",
+            "b.kind periodic",
+            f"b.lengthscale {kernel.periodic_lengthscale!r}",
+            f"b.period {kernel.period!r}",
+            f"output_scale {kernel.output_scale!r}"]
 
 
 def save_bank(path: str, bank: ForecastBank) -> None:
@@ -291,55 +270,30 @@ def save_bank(path: str, bank: ForecastBank) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _build_kernel(fields: dict[str, str], lineno: int, path: str) -> Kernel:
-    kind = fields.get("kernel")
-    try:
-        if kind == "rbf":
-            return RBFKernel(lengthscale=float(fields["lengthscale"]),
-                             output_scale=float(fields["output_scale"]))
-        if kind == "periodic":
-            return PeriodicKernel(lengthscale=float(fields["lengthscale"]),
-                                  period=float(fields["period"]),
-                                  output_scale=float(fields["output_scale"]))
-        if kind == "product":
-            children = {}
-            for tag in ("a", "b"):
-                ckind = fields[f"{tag}.kind"]
-                if ckind == "rbf":
-                    children[tag] = RBFKernel(lengthscale=float(fields[f"{tag}.lengthscale"]))
-                elif ckind == "periodic":
-                    children[tag] = PeriodicKernel(
-                        lengthscale=float(fields[f"{tag}.lengthscale"]),
-                        period=float(fields[f"{tag}.period"]))
-                else:
-                    raise KeyError(f"{tag}.kind {ckind!r}")
-            return ProductKernel(first=children["a"], second=children["b"],
-                                 output_scale=float(fields["output_scale"]))
-    except (KeyError, ValueError) as exc:
-        raise InvalidInputError(
-            f"{path}: bad kernel in the flow block at line {lineno}: {exc}") from exc
-    raise InvalidInputError(
-        f"{path}: unknown kernel kind {kind!r} in the flow block at line {lineno}")
-
-
-def _flow_spec(spec: dict[str, str], path: str) -> tuple[float, Kernel | None, float]:
+def _flow_spec(spec: dict[str, str],
+               path: str) -> tuple[float, LocallyPeriodicKernel | None, float]:
     """Center, kernel and noise of a flow block (kernel None: constant)."""
-    line = int(spec["_line"])
     try:
         center = float(spec["center"])
         if spec["_kind"] == "const":
             return center, None, 0.0
         noise = float(spec["noise_var"])
-    except (KeyError, ValueError) as exc:
-        raise InvalidInputError(
-            f"{path}: bad flow block at line {line}: missing or malformed {exc}") from exc
-    kernel = _build_kernel(spec, line, path)
-    try:
-        kernel.validate()
+        for key, kind in _KERNEL_KINDS.items():
+            if spec.get(key) != kind:
+                raise InvalidInputError(
+                    f"{key} {spec.get(key)!r}, expected {kind!r} (bank format v1)")
+        kernel = LocallyPeriodicKernel(lengthscale=float(spec["a.lengthscale"]),
+                                       periodic_lengthscale=float(spec["b.lengthscale"]),
+                                       period=float(spec["b.period"]),
+                                       output_scale=float(spec["output_scale"]))
         if not (np.isfinite(center) and noise > 0 and np.isfinite(noise)):
             raise InvalidInputError(f"center {center} or noise_var {noise} out of range")
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: bad flow block at line {line}: {exc}") from exc
+    except KeyError as exc:
+        raise InvalidInputError(
+            f"{path}: bad flow block at line {spec['_line']}: missing {exc}") from exc
+    except ValueError as exc:
+        raise InvalidInputError(
+            f"{path}: bad flow block at line {spec['_line']}: {exc}") from exc
     return center, kernel, noise
 
 

@@ -21,164 +21,78 @@ from .errors import InvalidInputError, NumericalError
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-# --- kernels -----------------------------------------------------------------
+# --- kernel ------------------------------------------------------------------
+
+# Log-parameter names in gradient order.  ``a`` is the RBF envelope and
+# ``b`` the periodic factor; ``TrainConfig.freeze`` and the bank file use
+# these names.
+PARAM_NAMES = ("a.lengthscale", "b.lengthscale", "b.period", "output_scale")
 
 
 @dataclass(frozen=True)
-class RBFKernel:
-    """Squared-exponential kernel s2 * exp(-dt^2 / (2 l^2))."""
+class LocallyPeriodicKernel:
+    """An RBF envelope times a periodic factor, with one output scale:
+
+        s2 * exp(-dt^2 / (2 l^2)) * exp(-2 sin^2(pi dt / p) / lp^2)
+
+    with ``l`` the envelope's lengthscale, ``lp`` the periodic lengthscale
+    and ``p`` the period, all in hours.
+    """
 
     lengthscale: float
-    output_scale: float = 1.0
-
-    def validate(self, top: bool = True) -> None:
-        if not (self.lengthscale > 0 and np.isfinite(self.lengthscale)):
-            raise InvalidInputError(f"RBF lengthscale must be > 0, got {self.lengthscale}")
-        if not (self.output_scale >= 0 and np.isfinite(self.output_scale)):
-            raise InvalidInputError(f"output_scale must be >= 0, got {self.output_scale}")
-        if not top and self.output_scale != 1.0:
-            raise InvalidInputError("child kernels must have output_scale 1.0")
-
-    def value(self, dt: np.ndarray) -> np.ndarray:
-        return self.output_scale * np.exp(-(dt * dt) / (2.0 * self.lengthscale**2))
-
-    def diag_value(self) -> float:
-        return self.output_scale
-
-    # Hyperparameter order: lengthscale, then output_scale (top level only).
-    def shape_log_params(self) -> list[float]:
-        return [math.log(self.lengthscale)]
-
-    def shape_param_names(self) -> list[str]:
-        return ["lengthscale"]
-
-    def with_shape_log_params(self, vals: list[float]) -> "RBFKernel":
-        return replace(self, lengthscale=math.exp(vals[0]))
-
-    def shape_grads(self, dt: np.ndarray, value: np.ndarray) -> list[np.ndarray]:
-        # d k / d log l = k * dt^2 / l^2
-        return [value * (dt * dt) / self.lengthscale**2]
-
-
-@dataclass(frozen=True)
-class PeriodicKernel:
-    """Periodic kernel s2 * exp(-2 sin^2(pi dt / p) / l^2)."""
-
-    lengthscale: float
+    periodic_lengthscale: float
     period: float
     output_scale: float = 1.0
 
-    def validate(self, top: bool = True) -> None:
-        if not (self.lengthscale > 0 and np.isfinite(self.lengthscale)):
-            raise InvalidInputError(f"periodic lengthscale must be > 0, got {self.lengthscale}")
-        if not (self.period > 0 and np.isfinite(self.period)):
-            raise InvalidInputError(f"period must be > 0, got {self.period}")
+    def __post_init__(self):
+        for name in ("lengthscale", "periodic_lengthscale", "period"):
+            v = getattr(self, name)
+            if not (v > 0 and np.isfinite(v)):
+                raise InvalidInputError(f"{name} must be > 0, got {v}")
         if not (self.output_scale >= 0 and np.isfinite(self.output_scale)):
             raise InvalidInputError(f"output_scale must be >= 0, got {self.output_scale}")
-        if not top and self.output_scale != 1.0:
-            raise InvalidInputError("child kernels must have output_scale 1.0")
+
+    def _factors(self, dt: np.ndarray):
+        envelope = np.exp(-(dt * dt) / (2.0 * self.lengthscale**2))
+        u = np.pi * dt / self.period
+        s = np.sin(u)
+        return envelope, np.exp(-2.0 * s * s / self.periodic_lengthscale**2), u, s
 
     def value(self, dt: np.ndarray) -> np.ndarray:
-        s = np.sin(np.pi * dt / self.period)
-        return self.output_scale * np.exp(-2.0 * s * s / self.lengthscale**2)
+        envelope, periodic, _, _ = self._factors(dt)
+        return self.output_scale * envelope * periodic
 
     def diag_value(self) -> float:
         return self.output_scale
 
-    def shape_log_params(self) -> list[float]:
-        return [math.log(self.lengthscale), math.log(self.period)]
+    def log_params(self) -> list[float]:
+        """Trainable parameters in :data:`PARAM_NAMES` order, in log space."""
+        if self.output_scale <= 0:
+            raise InvalidInputError("output_scale must be > 0 to train in log space")
+        return [math.log(self.lengthscale), math.log(self.periodic_lengthscale),
+                math.log(self.period), math.log(self.output_scale)]
 
-    def shape_param_names(self) -> list[str]:
-        return ["lengthscale", "period"]
+    def with_log_params(self, vals) -> "LocallyPeriodicKernel":
+        return replace(self, lengthscale=math.exp(vals[0]),
+                       periodic_lengthscale=math.exp(vals[1]),
+                       period=math.exp(vals[2]), output_scale=math.exp(vals[3]))
 
-    def with_shape_log_params(self, vals: list[float]) -> "PeriodicKernel":
-        return replace(self, lengthscale=math.exp(vals[0]), period=math.exp(vals[1]))
-
-    def shape_grads(self, dt: np.ndarray, value: np.ndarray) -> list[np.ndarray]:
-        u = np.pi * dt / self.period
-        s = np.sin(u)
-        # d k / d log l = k * 4 sin^2(u) / l^2
-        g_l = value * 4.0 * s * s / self.lengthscale**2
-        # d k / d log p = k * (2 pi dt / (l^2 p)) * sin(2u)
-        g_p = value * (2.0 * np.pi * dt / (self.lengthscale**2 * self.period)) * np.sin(2.0 * u)
-        return [g_l, g_p]
-
-
-@dataclass(frozen=True)
-class ProductKernel:
-    """Product of two kernels with a single top-level output scale.
-
-    Children carry shape parameters only; their output scales are pinned
-    to 1 so the overall scale stays identifiable.
-    """
-
-    first: "Kernel"
-    second: "Kernel"
-    output_scale: float = 1.0
-
-    def validate(self, top: bool = True) -> None:
-        if not (self.output_scale >= 0 and np.isfinite(self.output_scale)):
-            raise InvalidInputError(f"output_scale must be >= 0, got {self.output_scale}")
-        if not top and self.output_scale != 1.0:
-            raise InvalidInputError("child kernels must have output_scale 1.0")
-        if isinstance(self.first, ProductKernel) or isinstance(self.second, ProductKernel):
-            raise InvalidInputError("nested product kernels are not supported")
-        self.first.validate(top=False)
-        self.second.validate(top=False)
-
-    def value(self, dt: np.ndarray) -> np.ndarray:
-        return self.output_scale * self.first.value(dt) * self.second.value(dt)
-
-    def diag_value(self) -> float:
-        return self.output_scale * self.first.diag_value() * self.second.diag_value()
-
-    def shape_log_params(self) -> list[float]:
-        return self.first.shape_log_params() + self.second.shape_log_params()
-
-    def shape_param_names(self) -> list[str]:
-        return (["a." + n for n in self.first.shape_param_names()]
-                + ["b." + n for n in self.second.shape_param_names()])
-
-    def with_shape_log_params(self, vals: list[float]) -> "ProductKernel":
-        na = len(self.first.shape_log_params())
-        return replace(
-            self,
-            first=self.first.with_shape_log_params(vals[:na]),
-            second=self.second.with_shape_log_params(vals[na:]),
-        )
-
-    def shape_grads(self, dt: np.ndarray, value: np.ndarray) -> list[np.ndarray]:
-        va = self.first.value(dt)
-        vb = self.second.value(dt)
-        grads = [self.output_scale * g * vb for g in self.first.shape_grads(dt, va)]
-        grads += [self.output_scale * va * g for g in self.second.shape_grads(dt, vb)]
-        return grads
+    def grads(self, dt: np.ndarray) -> list[np.ndarray]:
+        """Derivatives of :meth:`value` over the three shape log parameters."""
+        envelope, periodic, u, s = self._factors(dt)
+        scaled = self.output_scale * envelope
+        lp2 = self.periodic_lengthscale**2
+        # d/d log l = k dt^2 / l^2
+        g_l = self.output_scale * (envelope * (dt * dt) / self.lengthscale**2) * periodic
+        # d/d log lp = k 4 sin^2(u) / lp^2
+        g_lp = scaled * (periodic * 4.0 * s * s / lp2)
+        # d/d log p = k (2 pi dt / (lp^2 p)) sin(2u)
+        g_p = scaled * (periodic * (2.0 * np.pi * dt / (lp2 * self.period)) * np.sin(2.0 * u))
+        return [g_l, g_lp, g_p]
 
 
-Kernel = RBFKernel | PeriodicKernel | ProductKernel
-
-
-def _kernel_log_params(kernel: Kernel) -> np.ndarray:
-    """Trainable kernel parameters: shape parameters, then log output scale."""
-    if kernel.output_scale <= 0:
-        raise InvalidInputError("output_scale must be > 0 to train in log space")
-    return np.array(kernel.shape_log_params() + [math.log(kernel.output_scale)])
-
-
-def _kernel_with_log_params(kernel: Kernel, vals: np.ndarray) -> Kernel:
-    shaped = kernel.with_shape_log_params(list(vals[:-1]))
-    return replace(shaped, output_scale=math.exp(vals[-1]))
-
-
-def kernel_param_names(kernel: Kernel, include_noise: bool = True) -> list[str]:
-    """Names aligned with the gradient/parameter vector ordering."""
-    names = kernel.shape_param_names() + ["output_scale"]
-    if include_noise:
-        names.append("noise_var")
-    return names
-
-
-def kernel_matrix(kernel: Kernel, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+def kernel_matrix(kernel: LocallyPeriodicKernel, ta: np.ndarray,
+                  tb: np.ndarray) -> np.ndarray:
     dt = np.subtract.outer(np.asarray(ta, float), np.asarray(tb, float))
     return kernel.value(dt)
 
@@ -216,8 +130,8 @@ class GPTrainingSet:
 class _Gaps:
     """The distinct gaps |t_i - t_j| of one input vector.
 
-    Every kernel here is stationary, so a gram matrix over ``t`` is its
-    kernel evaluated once per gap and gathered through ``index``; on a
+    The kernel is stationary, so a gram matrix over ``t`` is the kernel
+    evaluated once per gap and gathered through ``index``; on a
     regular grid that is n kernel values instead of n^2.
     """
 
@@ -273,7 +187,7 @@ def _cholesky(stack: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return L
 
 
-def _factor(gaps: _Gaps, kernels: list[Kernel], noise: np.ndarray):
+def _factor(gaps: _Gaps, kernels: list[LocallyPeriodicKernel], noise: np.ndarray):
     """Noise-augmented gram matrices of a stack of fits and their factors.
 
     Returns ``(K, L, jitter, ok)``.  Per fit, jitter starts at ``1e-6 *
@@ -355,7 +269,7 @@ def _gradients(gaps: _Gaps, candidates: list, factors: list,
         s[0] += inv_tr                                  # gap 0 holds the diagonal
         tr = float(alpha @ alpha) - inv_tr              # trace of W
         value = kern.value(gaps.values)
-        comps = [g @ s for g in kern.shape_grads(gaps.values, value)]
+        comps = [g @ s for g in kern.grads(gaps.values)]
         # The stabilizing jitter tracks the gram trace, so it moves with the
         # scale parameters; fold its derivative in or finite differences of
         # the implemented likelihood disagree at the 1e-5 level.
@@ -375,7 +289,7 @@ def _shared_gaps(data: list[GPTrainingSet]) -> _Gaps:
     return gaps
 
 
-def _one(kernel: Kernel, t: np.ndarray, noise_var: float):
+def _one(kernel: LocallyPeriodicKernel, t: np.ndarray, noise_var: float):
     """Factor a single fit through the batch code; raise if it fails."""
     gaps = _Gaps.of(t)
     K, L, jitter, ok = _factor(gaps, [kernel], np.array([float(noise_var)]))
@@ -386,7 +300,7 @@ def _one(kernel: Kernel, t: np.ndarray, noise_var: float):
 
 
 def gram_matrix(
-    kernel: Kernel, t: np.ndarray, noise_var: float
+    kernel: LocallyPeriodicKernel, t: np.ndarray, noise_var: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Noise-augmented gram matrix and its lower Cholesky factor.
 
@@ -402,18 +316,16 @@ def gram_matrix(
 # --- log marginal likelihood and gradient ------------------------------------
 
 
-def log_marginal_likelihood(data: GPTrainingSet, kernel: Kernel) -> float:
+def log_marginal_likelihood(data: GPTrainingSet, kernel: LocallyPeriodicKernel) -> float:
     """Exact LML: -1/2 y' K^-1 y - 1/2 log|K| - n/2 log(2 pi)."""
-    kernel.validate()
     _, _, L, _ = _one(kernel, data.t, data.noise_var)
     return _solve(L, data.y)[0]
 
 
 def lml_gradient(
-    data: GPTrainingSet, kernel: Kernel, include_noise: bool = True
+    data: GPTrainingSet, kernel: LocallyPeriodicKernel, include_noise: bool = True
 ) -> np.ndarray:
     """Gradient of the LML over log hyperparameters (see :func:`_gradients`)."""
-    kernel.validate()
     gaps, _, L, jitter = _one(kernel, data.t, data.noise_var)
     lml, alpha = _solve(L, data.y)
     return _gradients(gaps, [(kernel, data.noise_var)], [(lml, L, alpha, jitter)],
@@ -443,7 +355,7 @@ class TrainConfig:
 class TrainedGP:
     """A fitted zero-mean GP: kernel, noise, and cached factorization."""
 
-    kernel: Kernel
+    kernel: LocallyPeriodicKernel
     t: np.ndarray
     y: np.ndarray
     noise_var: float
@@ -459,15 +371,15 @@ class TrainedGP:
 class _Fit:
     """One fit's search state while its batch advances in lockstep."""
 
-    def __init__(self, data: GPTrainingSet, init: Kernel, cfg: TrainConfig):
-        init.validate()
+    def __init__(self, data: GPTrainingSet, init: LocallyPeriodicKernel, cfg: TrainConfig):
         self.data = data
         self.init = init
         self.train_noise = cfg.train_noise
-        theta = _kernel_log_params(init)
+        theta = np.array(init.log_params())
+        names = list(PARAM_NAMES)
         if cfg.train_noise:
             theta = np.append(theta, math.log(data.noise_var))
-        names = kernel_param_names(init, include_noise=cfg.train_noise)
+            names.append("noise_var")
         unknown = set(cfg.freeze) - set(names)
         if unknown:
             raise InvalidInputError(f"cannot freeze unknown parameters {sorted(unknown)}")
@@ -487,11 +399,8 @@ class _Fit:
         """``(kernel, noise)`` at ``theta``, or None where the parameters
         over/underflow exp() or are invalid: a rejected step."""
         try:
-            if self.train_noise:
-                kern, noise = _kernel_with_log_params(self.init, theta[:-1]), math.exp(theta[-1])
-            else:
-                kern, noise = _kernel_with_log_params(self.init, theta), self.data.noise_var
-            kern.validate()
+            kern = self.init.with_log_params(theta)
+            noise = math.exp(theta[-1]) if self.train_noise else self.data.noise_var
         except (OverflowError, InvalidInputError):
             return None
         return (kern, noise) if noise > 0 and math.isfinite(noise) else None
@@ -511,7 +420,7 @@ class _Fit:
                          n_iters=self.iters)
 
 
-def train_many(data: list[GPTrainingSet], inits: list[Kernel],
+def train_many(data: list[GPTrainingSet], inits: list[LocallyPeriodicKernel],
                cfg: TrainConfig | None = None) -> list[TrainedGP]:
     """Fit a batch of GPs that share their inputs ``t``, in lockstep.
 
@@ -573,7 +482,8 @@ def train_many(data: list[GPTrainingSet], inits: list[Kernel],
     return [f.result() for f in fits]
 
 
-def posteriors(data: list[GPTrainingSet], kernels: list[Kernel]) -> list[TrainedGP]:
+def posteriors(data: list[GPTrainingSet],
+               kernels: list[LocallyPeriodicKernel]) -> list[TrainedGP]:
     """Exact posteriors at given hyperparameters for fits that share ``t``.
 
     Nothing is searched: the kernels and noise variances are used as
@@ -600,20 +510,13 @@ def posteriors(data: list[GPTrainingSet], kernels: list[Kernel]) -> list[Trained
     return out
 
 
-def train(data: GPTrainingSet, init: Kernel, cfg: TrainConfig | None = None) -> TrainedGP:
+def train(data: GPTrainingSet, init: LocallyPeriodicKernel,
+          cfg: TrainConfig | None = None) -> TrainedGP:
     """Fit one GP's hyperparameters: a batch of one for :func:`train_many`."""
     return train_many([data], [init], cfg)[0]
 
 
 # --- prediction ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Forecast:
-    """Posterior mean and standard deviation at a single query time."""
-
-    mean: float
-    std: float
 
 
 def predict_batch(gp: TrainedGP, t_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -629,12 +532,6 @@ def predict_batch(gp: TrainedGP, t_star: np.ndarray) -> tuple[np.ndarray, np.nda
     var = gp.kernel.diag_value() + gp.noise_var - np.sum(v * v, axis=0)
     var = np.maximum(var, 0.0)
     return mean, np.sqrt(var)
-
-
-def predict(gp: TrainedGP, t_star: float) -> Forecast:
-    """Posterior at one query time (see :func:`predict_batch`)."""
-    mean, std = predict_batch(gp, np.array([t_star]))
-    return Forecast(mean=float(mean[0]), std=float(std[0]))
 
 
 # --- Gaussian quantile ----------------------------------------------------------

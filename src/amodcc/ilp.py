@@ -81,9 +81,10 @@ def _split_rows(prob: IlpProblem) -> _RowSplit:
     lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
     lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
+    # Lists, not arrays: the bindings copy a list faster than they walk an array.
+    lp.a_matrix_.start_ = a.indptr.tolist()
+    lp.a_matrix_.index_ = a.indices.tolist()
+    lp.a_matrix_.value_ = a.data.tolist()
     lp.col_cost_ = prob.c
     lp.col_lower_ = _finite(prob.lb)
     lp.col_upper_ = _finite(prob.ub)

@@ -29,10 +29,6 @@ def project_lonlat(lon, lat, lon0: float, lat0: float):
     return x, y
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def kmeans_partition(
     points: np.ndarray,
     n_stations: int,
@@ -112,16 +108,18 @@ def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-def assign_station(centroids: np.ndarray, point) -> int:
-    """Index of the nearest centroid; ties go to the lowest index."""
-    p = np.asarray(point, dtype=float)
-    d2 = np.sum((np.asarray(centroids, dtype=float) - p) ** 2, axis=1)
-    return int(np.argmin(d2))
-
-
 def assign_stations(centroids: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`assign_station` over an (M, 2) array."""
+    """Index of the nearest centroid to each of (M, 2) points; ties go to
+    the lowest index."""
     return _nearest(np.asarray(points, dtype=float), np.asarray(centroids, dtype=float))
+
+
+def _kappa(time: np.ndarray, step_seconds: float) -> np.ndarray:
+    """Whole model steps per trip: ``max(1, round(time / step_seconds))``
+    off the diagonal, rounding halves up, and 0 on it."""
+    kappa = np.maximum(1, np.floor(time / step_seconds + 0.5)).astype(int)
+    np.fill_diagonal(kappa, 0)
+    return kappa
 
 
 def build_travel_matrices(
@@ -142,13 +140,7 @@ def build_travel_matrices(
     c = np.asarray(centroids, dtype=float)
     dist = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
     time = dist / speed_mps
-    n = c.shape[0]
-    kappa = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                kappa[i, j] = max(1, _round_half_up(time[i, j] / step_seconds))
-    return time, dist, kappa
+    return time, dist, _kappa(time, step_seconds)
 
 
 @dataclass
@@ -369,11 +361,7 @@ def load_network(path: str) -> StationNetwork:
             time[i, j] = v
         for (i, j), v in dist_entries.items():
             dist[i, j] = v
-        kappa = np.zeros((n, n), dtype=int)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    kappa[i, j] = max(1, _round_half_up(time[i, j] / step_seconds))
+        kappa = _kappa(time, step_seconds)
 
     return StationNetwork(
         centroids=cent,

@@ -155,7 +155,8 @@ def test_bad_bank_files_exit_2(city, tmp_path, capsys):
                 "--controller", "ccmpc", "--horizon", "4",
                 "--window-days", "0.25", "--bank"]
     for key, value in (("center", "abc"), ("center", None), ("noise_var", "1e"),
-                       ("noise_var", None), ("a.lengthscale", "x"), ("noise_var", "-1")):
+                       ("noise_var", None), ("a.lengthscale", "x"), ("noise_var", "-1"),
+                       ("kernel", "rbf"), ("a.kind", "periodic"), ("b.kind", "rbf")):
         edited = list(lines)
         at = next(k for k in range(flow, len(lines)) if lines[k].split()[0] == key)
         if value is None:

@@ -1,12 +1,13 @@
-"""Minimum-cost assignment against brute-force permutation oracles."""
+"""Minimum-cost pickup matching against brute-force permutation oracles."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amodcc.dispatch import assign_pickups, distance_cost_matrix, hungarian
+from amodcc.dispatch import assign_pickups, distance_cost_matrix
 from amodcc.errors import InvalidInputError
 
 
@@ -21,70 +22,89 @@ def brute_min_cost(cost):
                for perm in itertools.permutations(range(n), m))
 
 
+def matched_total(vehicles, requests):
+    pairs = assign_pickups(vehicles, requests)
+    cost = distance_cost_matrix(vehicles, requests)
+    return pairs, sum(cost[v, r] for v, r in pairs)
+
+
 class TestHungarian:
+    """The exact matching behind ``assign_pickups``."""
+
     def test_one_by_one(self):
-        pairs, total = hungarian([[5.0]])
+        pairs, total = matched_total([[0.0, 0.0]], [[3.0, 4.0]])
         assert pairs == [(0, 0)] and total == 5.0
 
     def test_two_by_two(self):
-        pairs, total = hungarian([[1.0, 2.0], [2.0, 1.0]])
+        pairs, total = matched_total([[0.0, 0.0], [10.0, 0.0]], [[0.0, 1.0], [10.0, 1.0]])
         assert pairs == [(0, 0), (1, 1)] and total == 2.0
 
     def test_empty(self):
-        assert hungarian(np.zeros((0, 3))) == ([], 0.0)
-        assert hungarian(np.zeros((3, 0))) == ([], 0.0)
+        assert assign_pickups(np.zeros((0, 2)), np.zeros((3, 2))) == []
+        assert assign_pickups(np.zeros((3, 2)), np.zeros((0, 2))) == []
+        assert assign_pickups(np.zeros((0, 2)), np.zeros((0, 2))) == []
 
     def test_square_matches_brute_force(self):
+        # Integer coordinates on a small grid: many equal distances.
         rng = np.random.default_rng(0)
         for trial in range(120):
             n = int(rng.integers(2, 7))
-            cost = rng.integers(0, 50, size=(n, n)).astype(float)
-            pairs, total = hungarian(cost)
+            vehicles = rng.integers(0, 8, size=(n, 2)).astype(float)
+            requests = rng.integers(0, 8, size=(n, 2)).astype(float)
+            cost = distance_cost_matrix(vehicles, requests)
+            pairs, total = matched_total(vehicles, requests)
             assert total == pytest.approx(brute_min_cost(cost))
             rows = [r for r, _ in pairs]
             cols = [c for _, c in pairs]
-            assert sorted(rows) == list(range(n))
+            assert rows == list(range(n))
             assert len(set(cols)) == n
-            assert total == pytest.approx(sum(cost[r, c] for r, c in pairs))
 
     def test_rectangular_matches_brute_force(self):
         rng = np.random.default_rng(1)
         for trial in range(60):
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, 6))
-            cost = rng.uniform(0, 100, size=(n, m))
-            pairs, total = hungarian(cost)
+            vehicles = rng.uniform(0, 100, size=(n, 2))
+            requests = rng.uniform(0, 100, size=(m, 2))
+            pairs, total = matched_total(vehicles, requests)
             assert len(pairs) == min(n, m)
-            assert total == pytest.approx(brute_min_cost(cost))
+            assert total == pytest.approx(
+                brute_min_cost(distance_cost_matrix(vehicles, requests)))
 
     def test_wide_and_tall_agree_by_transpose(self):
         rng = np.random.default_rng(2)
-        cost = rng.uniform(0, 10, size=(3, 7))
-        _, wide = hungarian(cost)
-        _, tall = hungarian(cost.T)
+        vehicles = rng.uniform(0, 10, size=(3, 2))
+        requests = rng.uniform(0, 10, size=(7, 2))
+        _, wide = matched_total(vehicles, requests)
+        _, tall = matched_total(requests, vehicles)
         assert wide == pytest.approx(tall)
 
     def test_tie_breaking_is_deterministic(self):
-        # All-equal costs: every matching is optimal; the identity wins.
-        pairs, total = hungarian(np.ones((4, 4)))
+        # All vehicles at one point and all requests at another: every
+        # matching is optimal; the identity wins.
+        pairs, total = matched_total(np.zeros((4, 2)), np.ones((4, 2)))
         assert pairs == [(0, 0), (1, 1), (2, 2), (3, 3)]
-        assert total == 4.0
+        assert total == pytest.approx(4.0 * np.sqrt(2.0))
 
     def test_duplicate_runs_identical(self):
         rng = np.random.default_rng(3)
-        cost = rng.integers(0, 5, size=(6, 6)).astype(float)
-        assert hungarian(cost) == hungarian(cost.copy())
+        vehicles = rng.integers(0, 3, size=(6, 2)).astype(float)
+        requests = rng.integers(0, 3, size=(6, 2)).astype(float)
+        assert assign_pickups(vehicles, requests) == \
+            assign_pickups(vehicles.copy(), requests.copy())
 
     def test_rejects_nan_and_bad_shape(self):
         with pytest.raises(InvalidInputError):
-            hungarian([[1.0, float("nan")], [2.0, 3.0]])
-        with pytest.raises(InvalidInputError):
-            hungarian(np.zeros(4))
+            assign_pickups([[0.0, float("nan")], [2.0, 3.0]], [[1.0, 1.0]])
+        with pytest.raises(ValueError):
+            assign_pickups(np.zeros(3), np.zeros((1, 2)))
 
     def test_large_instance_runs_fast(self):
         rng = np.random.default_rng(4)
-        cost = rng.uniform(0, 1e4, size=(120, 150))
-        pairs, total = hungarian(cost)
+        vehicles = rng.uniform(0, 1e4, size=(120, 2))
+        requests = rng.uniform(0, 1e4, size=(150, 2))
+        cost = distance_cost_matrix(vehicles, requests)
+        pairs, total = matched_total(vehicles, requests)
         assert len(pairs) == 120
         # sanity: optimal total is no worse than greedy row-by-row
         taken = set()
@@ -95,6 +115,30 @@ class TestHungarian:
             taken.add(j)
             greedy += cost[i, j]
         assert total <= greedy + 1e-9
+
+
+# Vehicles are drawn from a few sites, so several often share coordinates.
+_points = st.tuples(st.integers(0, 20), st.integers(0, 20))
+
+
+@st.composite
+def fleets_and_requests(draw):
+    sites = draw(st.lists(_points, min_size=1, max_size=3))
+    vehicles = draw(st.lists(st.sampled_from(sites), min_size=1, max_size=6))
+    requests = draw(st.lists(_points, min_size=1, max_size=6))
+    return np.array(vehicles, dtype=float), np.array(requests, dtype=float)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(instance=fleets_and_requests())
+def test_matching_is_complete_and_optimal(instance):
+    vehicles, requests = instance
+    pairs, total = matched_total(vehicles, requests)
+    assert len(pairs) == min(len(vehicles), len(requests))
+    assert len({v for v, _ in pairs}) == len(pairs)
+    assert len({r for _, r in pairs}) == len(pairs)
+    best = brute_min_cost(distance_cost_matrix(vehicles, requests))
+    assert abs(total - best) <= 1e-9 * max(1.0, best)
 
 
 class TestPickupAssignment:

@@ -144,8 +144,8 @@ def test_training_escapes_the_short_envelope_mode(planted_bank):
     # Started only locally the fit settles on a mode that forgets the
     # daily pattern; the kept candidate must carry a multi-day envelope.
     gp = planted_bank.models[0][1].gp
-    assert gp.kernel.first.lengthscale > 24.0
-    assert gp.kernel.second.period == pytest.approx(24.0)
+    assert gp.kernel.lengthscale > 24.0
+    assert gp.kernel.period == pytest.approx(24.0)
 
     counts = planted_counts()
     t = hour_axis()
@@ -163,9 +163,9 @@ def test_freeze_pins_named_parameters():
     cfg = TrainConfig(max_iters=5, freeze=("b.period", "noise_var"))
     gp = train(data, wide_kernel(1.0), cfg)
     # Values survive the log-space round trip, so only up to an ulp.
-    assert gp.kernel.second.period == pytest.approx(24.0, rel=1e-12)
+    assert gp.kernel.period == pytest.approx(24.0, rel=1e-12)
     assert gp.noise_var == pytest.approx(0.1, rel=1e-12)
-    assert gp.kernel.first.lengthscale != 96.0   # unfrozen ones moved
+    assert gp.kernel.lengthscale != 96.0   # unfrozen ones moved
     with pytest.raises(InvalidInputError, match="freeze unknown"):
         train(data, wide_kernel(1.0), TrainConfig(freeze=("b.periods",)))
 
@@ -227,19 +227,25 @@ def test_bank_reports_the_kept_fits_diagnostics(planted_bank):
 PINNED = Path(__file__).parent / "data" / "bank_seed0_3day.txt"
 
 
+def seed0_3day_history():
+    """Counts and hour axis of the pinned bank's seed-0 3-day window."""
+    sc = benchmark_scenario(0, history_days=3.0, sim_days=0.25)
+    dt = sc.network.step_seconds
+    start = sc.sim_start - 3 * 86_400.0
+    grid = DemandGrid(sc.trips, sc.network, start, dt, int(round(3 * 86_400.0 / dt)))
+    return sc, grid.counts, grid.midpoint_hours(sc.sim_start)
+
+
 @pytest.mark.slow
 def test_bank_matches_the_pinned_seed0_fits():
     # The seed-0 benchmark bank on a 3-day window, as the per-flow trainer
     # fitted it (saved hyperparameters): the batched trainer must land on
     # the same fits, and the likelihoods rebuilt from the file must match.
-    sc = benchmark_scenario(0, history_days=3.0, sim_days=0.25)
-    dt = sc.network.step_seconds
+    sc, counts, t = seed0_3day_history()
     start = sc.sim_start - 3 * 86_400.0
-    grid = DemandGrid(sc.trips, sc.network, start, dt, int(round(3 * 86_400.0 / dt)))
-    t = grid.midpoint_hours(sc.sim_start)
-    bank = train_bank(grid.counts, t, dt, series_origin=sc.sim_start,
+    bank = train_bank(counts, t, sc.network.step_seconds, series_origin=sc.sim_start,
                       window=(start, sc.sim_start), trained_at=sc.sim_start)
-    pinned = load_bank(str(PINNED), grid.counts, t)
+    pinned = load_bank(str(PINNED), counts, t)
     fitted = 0
     for row, pinned_row in zip(bank.models, pinned.models):
         for a, b in zip(row, pinned_row):
@@ -249,15 +255,25 @@ def test_bank_matches_the_pinned_seed0_fits():
                 continue
             fitted += 1
             ka, kb = a.gp.kernel, b.gp.kernel
-            got = [ka.first.lengthscale, ka.second.lengthscale, ka.second.period,
+            got = [ka.lengthscale, ka.periodic_lengthscale, ka.period,
                    ka.output_scale, a.gp.noise_var, a.gp.lml]
-            want = [kb.first.lengthscale, kb.second.lengthscale, kb.second.period,
+            want = [kb.lengthscale, kb.periodic_lengthscale, kb.period,
                     kb.output_scale, b.gp.noise_var, b.gp.lml]
             assert got == pytest.approx(want, rel=1e-9, abs=0.0)
     assert fitted == 100
 
 
 # --- persistence ----------------------------------------------------------------
+
+
+def test_pinned_bank_file_saves_back_byte_identical(tmp_path):
+    # Bank format v1 as written at the time the file was recorded: loading
+    # it and saving it again must reproduce it byte for byte.
+    _, counts, t = seed0_3day_history()
+    bank = load_bank(str(PINNED), counts, t)
+    out = tmp_path / "bank.txt"
+    save_bank(str(out), bank)
+    assert out.read_bytes() == PINNED.read_bytes()
 
 
 def test_save_load_round_trip(tmp_path, planted_bank):

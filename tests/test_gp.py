@@ -1,4 +1,4 @@
-"""Gaussian process regression: kernels, likelihood, training, prediction."""
+"""Gaussian process regression: the kernel, likelihood, training, prediction."""
 
 import math
 
@@ -7,19 +7,15 @@ import pytest
 
 from amodcc.errors import InvalidInputError, NumericalError
 from amodcc.gp import (
+    PARAM_NAMES,
     GPTrainingSet,
-    PeriodicKernel,
-    ProductKernel,
-    RBFKernel,
+    LocallyPeriodicKernel,
     TrainConfig,
-    _kernel_log_params,
-    _kernel_with_log_params,
     gaussian_quantile,
     gram_matrix,
     kernel_matrix,
     log_marginal_likelihood,
     lml_gradient,
-    predict,
     predict_batch,
     standard_normal_quantile,
     train,
@@ -35,33 +31,28 @@ def random_dataset(rng, n, noise_var=0.05):
     return GPTrainingSet(t, y, noise_var)
 
 
-def random_kernel(rng, kind):
-    if kind == 0:
-        return RBFKernel(lengthscale=rng.uniform(0.5, 5.0),
-                         output_scale=rng.uniform(0.3, 2.0))
-    if kind == 1:
-        return PeriodicKernel(lengthscale=rng.uniform(0.5, 3.0),
-                              period=rng.uniform(6.0, 30.0),
-                              output_scale=rng.uniform(0.3, 2.0))
-    return ProductKernel(RBFKernel(lengthscale=rng.uniform(1.0, 8.0)),
-                         PeriodicKernel(lengthscale=rng.uniform(0.5, 3.0),
-                                        period=24.0),
-                         output_scale=rng.uniform(0.3, 2.0))
+def random_kernel(rng):
+    return LocallyPeriodicKernel(lengthscale=rng.uniform(1.0, 8.0),
+                                 periodic_lengthscale=rng.uniform(0.5, 3.0),
+                                 period=rng.uniform(6.0, 30.0),
+                                 output_scale=rng.uniform(0.3, 2.0))
+
+
+def smooth_kernel(lengthscale, output_scale=1.0):
+    """A kernel whose periodic factor is nearly flat over tens of hours."""
+    return LocallyPeriodicKernel(lengthscale=lengthscale, periodic_lengthscale=50.0,
+                                 period=1000.0, output_scale=output_scale)
 
 
 def fd_gradient(data, kernel, include_noise, h=1e-6):
     """Central finite differences of the LML over log parameters."""
-    shape = _kernel_log_params(kernel)
+    shape = kernel.log_params()
     theta = np.concatenate([shape, [math.log(data.noise_var)]]) \
         if include_noise else np.asarray(shape)
 
     def lml_at(vec):
-        if include_noise:
-            kern = _kernel_with_log_params(kernel, vec[:-1])
-            d = GPTrainingSet(data.t, data.y, math.exp(vec[-1]))
-        else:
-            kern = _kernel_with_log_params(kernel, vec)
-            d = data
+        kern = kernel.with_log_params(vec)
+        d = GPTrainingSet(data.t, data.y, math.exp(vec[-1])) if include_noise else data
         return log_marginal_likelihood(d, kern)
 
     out = np.empty(theta.shape[0])
@@ -74,42 +65,48 @@ def fd_gradient(data, kernel, include_noise, h=1e-6):
 
 
 class TestKernels:
-    def test_rbf_value(self):
-        k = RBFKernel(lengthscale=2.0, output_scale=3.0)
-        assert kernel_matrix(k, np.array([0.0]), np.array([4.0]))[0, 0] == \
-            pytest.approx(3.0 * math.exp(-16.0 / 8.0))
+    def test_value_matches_closed_form(self):
+        k = LocallyPeriodicKernel(lengthscale=2.0, periodic_lengthscale=1.5, period=24.0,
+                                  output_scale=3.0)
+        for dt in (0.0, 4.0, 24.0, 30.0):
+            want = 3.0 * math.exp(-dt * dt / 8.0) \
+                * math.exp(-2.0 * math.sin(math.pi * dt / 24.0) ** 2 / 1.5 ** 2)
+            got = kernel_matrix(k, np.array([0.0]), np.array([dt]))[0, 0]
+            assert got == pytest.approx(want, rel=1e-14)
+        # Under a wide envelope a full period apart is almost zero lag.
+        wide = LocallyPeriodicKernel(lengthscale=1e6, periodic_lengthscale=1.0,
+                                     period=24.0, output_scale=2.0)
+        v0, v24 = kernel_matrix(wide, np.array([0.0]), np.array([0.0, 24.0]))[0]
+        assert v0 == 2.0 and v24 == pytest.approx(v0, rel=1e-9)
 
-    def test_periodic_value(self):
-        k = PeriodicKernel(lengthscale=1.5, period=24.0, output_scale=2.0)
-        # A full period apart is identical to zero lag.
-        v0 = kernel_matrix(k, np.array([0.0]), np.array([0.0]))[0, 0]
-        v24 = kernel_matrix(k, np.array([0.0]), np.array([24.0]))[0, 0]
-        assert v24 == pytest.approx(v0)
-        assert v0 == pytest.approx(2.0)
-
-    def test_product_scale_lives_at_top(self):
-        k = ProductKernel(RBFKernel(lengthscale=2.0),
-                          PeriodicKernel(lengthscale=1.0, period=24.0),
-                          output_scale=5.0)
-        assert k.diag_value() == pytest.approx(5.0)
+    def test_diagonal_is_the_output_scale(self):
+        k = LocallyPeriodicKernel(lengthscale=2.0, periodic_lengthscale=1.0, period=24.0,
+                                  output_scale=5.0)
+        assert k.diag_value() == 5.0
+        assert kernel_matrix(k, np.array([7.0]), np.array([7.0]))[0, 0] == 5.0
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(InvalidInputError):
-            RBFKernel(lengthscale=-1.0).validate()
-        with pytest.raises(InvalidInputError):
-            PeriodicKernel(lengthscale=1.0, period=0.0).validate()
+        for bad in (dict(lengthscale=-1.0), dict(periodic_lengthscale=0.0),
+                    dict(period=0.0), dict(period=math.inf),
+                    dict(output_scale=-1.0), dict(output_scale=math.nan)):
+            kw = dict(lengthscale=1.0, periodic_lengthscale=1.0, period=24.0) | bad
+            with pytest.raises(InvalidInputError, match=next(iter(bad))):
+                LocallyPeriodicKernel(**kw)
+        with pytest.raises(InvalidInputError, match="log space"):
+            smooth_kernel(1.0, output_scale=0.0).log_params()
 
     def test_log_param_round_trip(self):
         rng = np.random.default_rng(0)
-        for kind in range(3):
-            k = random_kernel(rng, kind)
-            back = _kernel_with_log_params(k, _kernel_log_params(k))
-            assert np.allclose(_kernel_log_params(back), _kernel_log_params(k))
+        for _ in range(3):
+            k = random_kernel(rng)
+            back = k.with_log_params(k.log_params())
+            assert np.allclose(back.log_params(), k.log_params())
+        assert len(k.log_params()) == len(PARAM_NAMES)
 
 
 class TestLikelihood:
     def test_single_point_closed_form(self):
-        k = RBFKernel(lengthscale=1.0, output_scale=2.0)
+        k = smooth_kernel(1.0, 2.0)
         data = GPTrainingSet([3.0], [1.5], noise_var=0.5)
         var = 2.0 + 0.5
         # jitter is part of the implementation's matrix; fold it in
@@ -120,8 +117,8 @@ class TestLikelihood:
 
     def test_matches_dense_formula(self):
         rng = np.random.default_rng(4)
-        for kind in range(3):
-            k = random_kernel(rng, kind)
+        for _ in range(3):
+            k = random_kernel(rng)
             data = random_dataset(rng, 12)
             K, _, _ = gram_matrix(k, data.t, data.noise_var)
             sign, logdet = np.linalg.slogdet(K)
@@ -133,40 +130,40 @@ class TestLikelihood:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         for trial in range(12):
-            kind = trial % 3
-            k = random_kernel(rng, kind)
+            k = random_kernel(rng)
             data = random_dataset(rng, rng.integers(5, 20))
             for include_noise in (False, True):
                 got = lml_gradient(data, k, include_noise=include_noise)
                 want = fd_gradient(data, k, include_noise)
                 err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
-                assert err.max() < 1e-5, (kind, include_noise, got, want)
+                assert err.max() < 1e-5, (trial, include_noise, got, want)
 
 
 class TestGram:
     def test_jitter_escalates_on_rank_deficiency(self):
         # Duplicate inputs with near-zero noise make the kernel block
         # singular; the factorization must still come back.
-        k = RBFKernel(lengthscale=1.0, output_scale=1.0)
+        k = smooth_kernel(1.0, 1.0)
         t = np.array([1.0, 1.0, 1.0, 2.0])
         K, L, jitter = gram_matrix(k, t, noise_var=1e-300)
         assert np.all(np.isfinite(L))
         assert jitter > 0
 
     def test_jitter_failure_raises(self):
-        class Hostile(RBFKernel):
+        class Hostile(LocallyPeriodicKernel):
             def value(self, dt):
                 return np.full_like(dt, -1.0)
 
         with pytest.raises(NumericalError):
-            gram_matrix(Hostile(lengthscale=1.0), np.arange(4.0), 1e-300)
+            gram_matrix(Hostile(lengthscale=1.0, periodic_lengthscale=1.0, period=24.0),
+                        np.arange(4.0), 1e-300)
 
 
 class TestTraining:
     def test_training_never_worse_than_init(self):
         rng = np.random.default_rng(11)
         data = random_dataset(rng, 25)
-        init = RBFKernel(lengthscale=0.7, output_scale=0.5)
+        init = smooth_kernel(0.7, 0.5)
         before = log_marginal_likelihood(data, init)
         fit = train(data, init, TrainConfig(max_iters=25))
         assert fit.lml >= before - 1e-12
@@ -177,14 +174,14 @@ class TestTraining:
         t = np.sort(rng.uniform(0, 24, size=40))
         y = 2.0 * np.sin(t) + 0.05 * rng.normal(size=40)
         data = GPTrainingSet(t, y, 0.5)
-        init = RBFKernel(lengthscale=10.0, output_scale=0.1)
+        init = smooth_kernel(10.0, 0.1)
         fit = train(data, init, TrainConfig(max_iters=40))
         assert fit.lml > log_marginal_likelihood(data, init) + 1.0
 
     def test_zero_iterations_returns_init(self):
         rng = np.random.default_rng(1)
         data = random_dataset(rng, 10)
-        init = RBFKernel(lengthscale=2.0, output_scale=1.0)
+        init = smooth_kernel(2.0, 1.0)
         fit = train(data, init, TrainConfig(max_iters=0))
         assert fit.n_iters == 0
         assert fit.lml == pytest.approx(log_marginal_likelihood(data, init))
@@ -192,17 +189,17 @@ class TestTraining:
     def test_noise_can_be_frozen(self):
         rng = np.random.default_rng(3)
         data = random_dataset(rng, 15, noise_var=0.123)
-        fit = train(data, RBFKernel(lengthscale=1.0), TrainConfig(max_iters=10, train_noise=False))
+        fit = train(data, smooth_kernel(1.0), TrainConfig(max_iters=10, train_noise=False))
         assert fit.noise_var == pytest.approx(0.123)
 
 
 class TestBatch:
     def test_members_match_their_fits_alone(self):
-        # Smooth inputs leave the RBF gram almost singular; the second
+        # Smooth inputs leave the gram almost singular; the second
         # member takes 2e-5 of its scale off the diagonal, so its
         # factorization escalates the jitter twice while the first
         # member's never does.
-        class Indefinite(RBFKernel):
+        class Indefinite(LocallyPeriodicKernel):
             def value(self, dt):
                 return super().value(dt) - 2e-5 * self.output_scale * (dt == 0)
 
@@ -210,7 +207,8 @@ class TestBatch:
         t = np.arange(16.0) / 4.0
         data = [GPTrainingSet(t, np.sin(t) + 0.1 * rng.normal(size=t.size), 0.1),
                 GPTrainingSet(t, np.cos(t), 1e-12)]
-        inits = [RBFKernel(lengthscale=2.0), Indefinite(lengthscale=2.0)]
+        inits = [smooth_kernel(2.0),
+                 Indefinite(lengthscale=2.0, periodic_lengthscale=50.0, period=1000.0)]
         cfg = TrainConfig(max_iters=6)
         batch = train_many(data, inits, cfg)
         calm, hostile = batch
@@ -229,13 +227,13 @@ class TestBatch:
         a = GPTrainingSet([0.0, 1.0], [1.0, 0.0], 0.1)
         b = GPTrainingSet([0.0, 2.0], [1.0, 0.0], 0.1)
         with pytest.raises(InvalidInputError, match="share"):
-            train_many([a, b], [RBFKernel(1.0), RBFKernel(1.0)])
+            train_many([a, b], [smooth_kernel(1.0), smooth_kernel(1.0)])
 
 
 class TestPrediction:
     def test_matches_dense_posterior(self):
         rng = np.random.default_rng(21)
-        k = random_kernel(rng, 2)
+        k = random_kernel(rng)
         data = random_dataset(rng, 15)
         fit = train(data, k, TrainConfig(max_iters=5))
         K, _, jitter = gram_matrix(fit.kernel, fit.t, fit.noise_var)
@@ -254,18 +252,18 @@ class TestPrediction:
         t = np.linspace(0.0, 10.0, 8)
         y = np.cos(t)
         data = GPTrainingSet(t, y, noise_var=1e-8)
-        fit = train(data, RBFKernel(lengthscale=2.0, output_scale=1.0),
+        fit = train(data, smooth_kernel(2.0, 1.0),
                     TrainConfig(max_iters=0))
         mean, _ = predict_batch(fit, t)
         assert np.max(np.abs(mean - y)) < 1e-3
 
     def test_prior_reversion_far_from_data(self):
         data = GPTrainingSet([0.0, 1.0], [1.0, -1.0], noise_var=0.1)
-        k = RBFKernel(lengthscale=1.0, output_scale=2.0)
+        k = smooth_kernel(1.0, 2.0)
         fit = train(data, k, TrainConfig(max_iters=0))
-        f = predict(fit, 1_000.0)
-        assert f.mean == pytest.approx(0.0, abs=1e-9)
-        assert f.std ** 2 == pytest.approx(2.0 + 0.1, abs=1e-6)
+        mean, std = predict_batch(fit, np.array([1_000.0]))
+        assert mean[0] == pytest.approx(0.0, abs=1e-9)
+        assert std[0] ** 2 == pytest.approx(2.0 + 0.1, abs=1e-6)
 
     def test_variance_shrinks_with_more_data(self):
         # Posterior variance at a fixed point never increases as
@@ -275,14 +273,13 @@ class TestPrediction:
             n = int(rng.integers(3, 15))
             t = np.sort(rng.uniform(0.0, 20.0, size=n))
             y = rng.normal(size=n)
-            k = RBFKernel(lengthscale=float(rng.uniform(1.0, 4.0)),
-                          output_scale=1.0)
+            k = smooth_kernel(float(rng.uniform(1.0, 4.0)))
             t_star = float(rng.uniform(0.0, 20.0))
             prev = math.inf
             for m in range(1, n + 1):
                 data = GPTrainingSet(t[:m], y[:m], noise_var=0.25)
                 fit = train(data, k, TrainConfig(max_iters=0))
-                var = predict(fit, t_star).std ** 2
+                var = predict_batch(fit, np.array([t_star]))[1][0] ** 2
                 assert var <= prev + 1e-8
                 prev = var
 

@@ -10,7 +10,6 @@ from amodcc.network import (
     EARTH_RADIUS_M,
     FleetState,
     StationNetwork,
-    assign_station,
     assign_stations,
     build_travel_matrices,
     kmeans_partition,
@@ -123,7 +122,8 @@ class TestAssignment:
 
     def test_tie_goes_to_lowest_index(self):
         centroids = np.array([[0.0, 0.0], [2.0, 0.0]])
-        assert assign_station(centroids, (1.0, 0.0)) == 0
+        pts = np.array([[1.0, 0.0], [1.0, 5.0], [1.5, 0.0]])
+        assert assign_stations(centroids, pts).tolist() == [0, 0, 1]
 
 
 class TestTravelMatrices:
@@ -167,16 +167,22 @@ class TestStationNetwork:
         assert loaded.projection == net.projection
 
     def test_explicit_matrices_round_trip(self, tmp_path):
-        c = np.array([[0.0, 0.0], [3000.0, 0.0]])
+        c = np.array([[0.0, 0.0], [3000.0, 0.0], [6000.0, 0.0]])
         net = StationNetwork.from_centroids(c, 10.0, 900.0)
-        net.travel_time = np.array([[0.0, 700.0], [1300.0, 0.0]])
-        net.travel_distance = np.array([[0.0, 3500.0], [3900.0, 0.0]])
+        net.travel_time = np.array([[0.0, 700.0, 1350.0],
+                                    [1300.0, 0.0, 2250.0],
+                                    [100.0, 2249.0, 0.0]])
+        net.travel_distance = np.array([[0.0, 3500.0, 6500.0],
+                                        [3900.0, 0.0, 3100.0],
+                                        [6200.0, 3000.0, 0.0]])
         path = tmp_path / "net.txt"
         save_network(str(path), net)
         loaded = load_network(str(path))
         assert np.array_equal(loaded.travel_time, net.travel_time)
-        # kappa rebuilt from the effective times: 700/900 -> 1, 1300/900 -> 1
-        assert loaded.kappa[0, 1] == 1 and loaded.kappa[1, 0] == 1
+        # kappa rebuilt from the effective times, halves rounded up:
+        # 700/900 -> 1, 1350/900 = 1.5 -> 2, 1300/900 -> 1, 2250/900 = 2.5
+        # -> 3, 100/900 -> 1 (the floor), 2249/900 -> 2
+        assert loaded.kappa.tolist() == [[0, 1, 2], [1, 0, 3], [1, 2, 0]]
 
     def test_malformed_line_names_position(self, tmp_path):
         path = tmp_path / "bad.txt"
