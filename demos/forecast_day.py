@@ -37,7 +37,7 @@ bank = train_bank(hist, grid.midpoint_hours(sc.sim_start)[:480],
 print(f"trained {net.n_stations ** 2} flow models on "
       f"{int(hist.sum())} historical trips in {time.time() - t0:.0f}s\n")
 
-# The strongest flow is the morning commute; find it by history volume.
+# The strongest flow is one of the two commutes; find it by history volume.
 totals = hist.sum(axis=2)
 i, j = np.unravel_index(int(np.argmax(totals)), totals.shape)
 print(f"busiest flow: station {i} -> station {j} "
@@ -45,18 +45,18 @@ print(f"busiest flow: station {i} -> station {j} "
 
 live = grid.counts[i, j, 480:]
 hours = grid.midpoint_hours(sc.sim_start)[480:]
-mean, std = bank.forecast(hours)
+mean, std = bank.models[i][j].predict(hours)
 
 print("\n hour   predicted    realized   (one row per hour, day six)")
 for h in range(24):
     sel = slice(4 * h, 4 * h + 4)
-    mu = float(mean[i, j, sel].sum())
-    sd = float(np.sqrt((std[i, j, sel] ** 2).sum()))
+    mu = float(mean[sel].sum())
+    sd = float(np.sqrt((std[sel] ** 2).sum()))
     got = int(live[sel].sum())
     bar = "#" * int(round(mu / 2))
     print(f"  {h:02d}    {mu:6.1f} +-{sd:4.1f}   {got:5d}   {bar}")
 
-err = mean[i, j] - live
+err = mean - live
 print(f"\nper-interval RMS error on the unseen day: "
       f"{float(np.sqrt(np.mean(err ** 2))):.2f} trips")
-print("the envelope should hug the morning peak, not flatten it")
+print("the envelope should hug the commute peak, not flatten it")

@@ -5,7 +5,6 @@ rebalancing, and discrete-time simulation for mobility-on-demand systems.
 from .errors import (
     InfeasibleError,
     InvalidInputError,
-    NoSolutionError,
     NumericalError,
     SolverError,
 )
@@ -74,8 +73,7 @@ from .report import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "InfeasibleError", "InvalidInputError", "NoSolutionError",
-    "NumericalError", "SolverError",
+    "InfeasibleError", "InvalidInputError", "NumericalError", "SolverError",
     "FleetState", "StationNetwork", "assign_stations", "build_travel_matrices",
     "kmeans_partition", "load_network", "outstanding_matrix", "project_lonlat", "save_network",
     "GPTrainingSet", "LocallyPeriodicKernel", "TrainConfig", "TrainedGP",

@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, help="sim start, epoch seconds")
     p.add_argument("--end", type=float, help="sim end, epoch seconds")
     p.add_argument("--fleet", type=int, default=300)
-    p.add_argument("--bank", help="forecast bank JSON from `train`; "
+    p.add_argument("--bank", help="forecast bank file (plain text) from `train`; "
                    "without it ccmpc trains in-run")
     _add_run_options(p)
     p.add_argument("--metrics-out", help="write full metrics JSON here")

@@ -19,7 +19,3 @@ class SolverError(RuntimeError):
 
 class InfeasibleError(SolverError):
     """The optimization problem admits no feasible point."""
-
-
-class NoSolutionError(SolverError):
-    """The solver stopped (time limit) before finding any feasible point."""

@@ -8,6 +8,11 @@ executed; everything downstream of that decision (pickup legs, customer
 legs, rebalancing legs) plays out in continuous time against the
 network's travel matrices.
 
+The fleet is kept as arrays indexed by vehicle id.  A vehicle is idle
+or on one leg (a code into ``LEGS``): pickup to a request's origin,
+customer to its destination, or rebalancing between station centroids.
+Legs complete in (end time, id) order; idle vehicles go in id order.
+
 Controllers:
 
 * ``ccmpc``  - forecast-driven optimizer with a tunable risk level.
@@ -45,6 +50,8 @@ from .network import (
 from .demand import DAY, DemandFlow, TripTable, synth_demand
 
 CONTROLLERS = ("ccmpc", "fixed", "oracle", "gbm")
+LEGS = ("idle", "pickup", "customer", "rebalance")    # names of the leg codes
+IDLE, PICKUP, CUSTOMER, REBALANCE = range(len(LEGS))
 
 
 @dataclass
@@ -140,20 +147,6 @@ class RunConfig:
             raise InvalidInputError("horizon must be >= 1")
         if self.dispatch_seconds <= 0:
             raise InvalidInputError("dispatch_seconds must be positive")
-
-
-@dataclass
-class Vehicle:
-    vid: int
-    station: int
-    xy: np.ndarray
-    leg: str = "idle"                # idle | pickup | customer | rebalance
-    busy_until: float = 0.0
-    request: int = -1
-    dest_station: int = -1
-    dest_xy: np.ndarray | None = None
-    arrives_at: float = 0.0          # when the whole task chain ends
-    leg_m: float = 0.0               # distance credited at leg completion
 
 
 @dataclass
@@ -296,14 +289,22 @@ class _Run:
         self.next_request = 0
         self.waiting: list[int] = []
 
-        positions = (scenario.initial_positions
-                     if scenario.initial_positions is not None
-                     else initial_placement(
-                         net, scenario.fleet_size,
-                         self._history_grid_or_none()))
-        self.vehicles = [Vehicle(vid=v, station=int(s),
-                                 xy=net.centroids[int(s)].copy())
-                         for v, s in enumerate(positions)]
+        # The fleet, one entry per vehicle id.  ``dest`` and ``arrives_at``
+        # are where and when a busy vehicle's task chain ends; ``leg_m`` is
+        # the distance credited when its current leg completes.  The
+        # station array is a copy: the run must not move the scenario's fleet.
+        fleet = scenario.fleet_size
+        self.station = np.array(
+            scenario.initial_positions if scenario.initial_positions is not None
+            else initial_placement(net, fleet, self._history_grid_or_none()),
+            dtype=int)
+        self.xy = net.centroids[self.station]
+        self.leg = np.full(fleet, IDLE)
+        self.busy_until = np.zeros(fleet)
+        self.arrives_at = np.zeros(fleet)
+        self.request = np.full(fleet, -1)
+        self.dest = np.full(fleet, -1)
+        self.leg_m = np.zeros(fleet)
 
         self.weights = CostWeights.defaults(
             net, cfg.horizon, backlog_cost=cfg.backlog_cost,
@@ -334,37 +335,34 @@ class _Run:
         self.req_status[rid] = status
 
     def _complete_legs(self, now: float) -> None:
-        due = [v for v in self.vehicles
-               if v.leg != "idle" and v.busy_until <= now]
-        due.sort(key=lambda v: (v.busy_until, v.vid))
-        for v in due:
-            if v.leg == "pickup":
-                self.vehicle_m[v.vid, 2] += v.leg_m
-                rid = v.request
-                self.waits.append(v.busy_until - self.req_times[rid])
+        # Legs complete in (busy_until, id) order: ``due`` is in id order
+        # and the sort is stable.
+        due = np.flatnonzero((self.leg != IDLE) & (self.busy_until <= now))
+        for v in due[np.argsort(self.busy_until[due], kind="stable")]:
+            leg, rid = self.leg[v], self.request[v]
+            if leg == PICKUP:
+                self.vehicle_m[v, 2] += self.leg_m[v]
+                self.waits.append(self.busy_until[v] - self.req_times[rid])
                 self._set_status(rid, 3)
                 o_xy = self.req_o_xy[rid]
-                d_xy = self.req_d_xy[rid]
-                i, j = int(self.req_o_st[rid]), int(self.req_d_st[rid])
-                v.xy = o_xy.copy()
-                v.leg = "customer"
-                v.busy_until = v.arrives_at
-                v.leg_m = (self.net.travel_distance[i, j] if i != j
-                           else _euclid(o_xy, d_xy))
-            elif v.leg == "customer":
-                self.vehicle_m[v.vid, 0] += v.leg_m
-                rid = v.request
+                i, j = self.req_o_st[rid], self.req_d_st[rid]
+                self.xy[v] = o_xy
+                self.leg[v] = CUSTOMER
+                self.busy_until[v] = self.arrives_at[v]
+                self.leg_m[v] = (self.net.travel_distance[i, j] if i != j
+                                 else _euclid(o_xy, self.req_d_xy[rid]))
+            elif leg == CUSTOMER:
+                self.vehicle_m[v, 0] += self.leg_m[v]
                 self._set_status(rid, 4)
                 self.served += 1
-                v.xy = self.req_d_xy[rid].copy()
-                v.station = int(self.req_d_st[rid])
-                v.leg = "idle"
-                v.request = -1
-            elif v.leg == "rebalance":
-                self.vehicle_m[v.vid, 1] += v.leg_m
-                v.xy = self.net.centroids[v.dest_station].copy()
-                v.station = v.dest_station
-                v.leg = "idle"
+                self.xy[v] = self.req_d_xy[rid]
+                self.station[v] = self.req_d_st[rid]
+                self.leg[v] = IDLE
+            else:
+                self.vehicle_m[v, 1] += self.leg_m[v]
+                self.xy[v] = self.net.centroids[self.dest[v]]
+                self.station[v] = self.dest[v]
+                self.leg[v] = IDLE
 
     def _admit(self, now: float) -> None:
         while (self.next_request < self.n_requests
@@ -373,53 +371,39 @@ class _Run:
             self.waiting.append(self.next_request)
             self.next_request += 1
 
-    def _start_pickup(self, v: Vehicle, rid: int, now: float) -> None:
+    def _start_pickup(self, v: int, rid: int, now: float) -> None:
         o_xy = self.req_o_xy[rid]
-        d_xy = self.req_d_xy[rid]
-        i, j = int(self.req_o_st[rid]), int(self.req_d_st[rid])
-        approach = _euclid(v.xy, o_xy)
+        i, j = self.req_o_st[rid], self.req_d_st[rid]
+        approach = _euclid(self.xy[v], o_xy)
         pickup_end = now + approach / self.net.speed_mps
         ride = (self.net.travel_time[i, j] if i != j
-                else _euclid(o_xy, d_xy) / self.net.speed_mps)
-        v.leg = "pickup"
-        v.request = rid
-        v.busy_until = pickup_end
-        v.arrives_at = pickup_end + ride
-        v.dest_station = j
-        v.dest_xy = d_xy
-        v.leg_m = approach
+                else _euclid(o_xy, self.req_d_xy[rid]) / self.net.speed_mps)
+        self.leg[v] = PICKUP
+        self.request[v] = rid
+        self.busy_until[v] = pickup_end
+        self.arrives_at[v] = pickup_end + ride
+        self.dest[v] = j
+        self.leg_m[v] = approach
         self._set_status(rid, 2)
 
+    def _match(self, idle: np.ndarray, reqs: np.ndarray, now: float) -> None:
+        pairs = assign_pickups(self.xy[idle], self.req_o_xy[reqs])
+        for vi, ri in pairs:
+            self._start_pickup(idle[vi], reqs[ri], now)
+
     def _dispatch(self, now: float) -> None:
-        if not self.waiting:
+        idle = np.flatnonzero(self.leg == IDLE)
+        if not self.waiting or not len(idle):
             return
+        waiting = np.array(self.waiting)
         if self.cfg.controller == "gbm":
-            idle = [v for v in self.vehicles if v.leg == "idle"]
-            if not idle:
-                return
-            reqs = list(self.waiting)
-            pairs = assign_pickups(np.array([v.xy for v in idle]),
-                                   self.req_o_xy[reqs])
-            for vi, ri in pairs:
-                self._start_pickup(idle[vi], reqs[ri], now)
-            self.waiting = [r for r in self.waiting if self.req_status[r] == 1]
-            return
-        served_any = False
-        idle_by_station: dict[int, list[Vehicle]] = {}
-        for v in self.vehicles:
-            if v.leg == "idle":
-                idle_by_station.setdefault(v.station, []).append(v)
-        for st, group in sorted(idle_by_station.items()):
-            reqs = [r for r in self.waiting if self.req_o_st[r] == st]
-            if not reqs:
-                continue
-            pairs = assign_pickups(np.array([v.xy for v in group]),
-                                   self.req_o_xy[reqs])
-            for vi, ri in pairs:
-                self._start_pickup(group[vi], reqs[ri], now)
-                served_any = True
-        if served_any:
-            self.waiting = [r for r in self.waiting if self.req_status[r] == 1]
+            self._match(idle, waiting, now)
+        else:
+            # Stations in ascending order, idle vehicles in id order.
+            idle_st, wait_st = self.station[idle], self.req_o_st[waiting]
+            for st in np.intersect1d(idle_st, wait_st):
+                self._match(idle[idle_st == st], waiting[wait_st == st], now)
+        self.waiting = waiting[self.req_status[waiting] == 1].tolist()
 
     def _interval_index(self, k_tick: int) -> int:
         """Grid interval containing tick ``k_tick`` of the live window."""
@@ -478,19 +462,13 @@ class _Run:
         return demand
 
     def _fleet_state(self, now: float) -> FleetState:
-        n = self.net.n_stations
-        idle = np.zeros(n, dtype=int)
-        arrivals: list[tuple[int, int]] = []
-        dt = self.net.step_seconds
-        for v in self.vehicles:
-            if v.leg == "idle":
-                idle[v.station] += 1
-            else:
-                landing = v.arrives_at if v.leg in ("pickup", "customer") \
-                    else v.busy_until
-                steps = max(1, math.ceil((landing - now) / dt))
-                arrivals.append((v.dest_station, steps))
-        return FleetState(idle=idle, arrivals=arrivals)
+        idle = self.leg == IDLE
+        busy = ~idle
+        steps = np.ceil((self.arrives_at[busy] - now) / self.net.step_seconds)
+        return FleetState(
+            idle=np.bincount(self.station[idle], minlength=self.net.n_stations),
+            arrivals=list(zip(self.dest[busy].tolist(),
+                              np.maximum(1, steps).astype(int).tolist())))
 
     def _outstanding(self) -> np.ndarray:
         pairs = [(int(self.req_o_st[r]), int(self.req_d_st[r]))
@@ -508,39 +486,30 @@ class _Run:
         if self.cfg.check_invariants:
             plan.verify_against(self.net, state, outstanding, demand)
 
-        first = plan.first_step
-        idle_by_station: dict[int, list[Vehicle]] = {}
-        for v in self.vehicles:
-            if v.leg == "idle":
-                idle_by_station.setdefault(v.station, []).append(v)
-        for i in range(self.net.n_stations):
-            pool = sorted(idle_by_station.get(i, []), key=lambda v: v.vid)
-            at = 0
-            for j in range(self.net.n_stations):
-                want = int(first[i, j])
-                if want == 0 or i == j:
-                    continue
-                take = min(want, len(pool) - at)
-                self.clamped += want - take
-                for _ in range(take):
-                    v = pool[at]
-                    at += 1
-                    v.leg = "rebalance"
-                    v.busy_until = now + self.net.travel_time[i, j]
-                    v.dest_station = j
-                    v.dest_xy = self.net.centroids[j]
-                    v.leg_m = float(self.net.travel_distance[i, j])
+        # Each station sends its idle vehicles, in id order, to the planned
+        # destinations in ascending order; trips past the pool are clamped.
+        n = self.net.n_stations
+        first = plan.first_step.copy()
+        np.fill_diagonal(first, 0)
+        idle = np.flatnonzero(self.leg == IDLE)
+        for i in range(n):
+            pool = idle[self.station[idle] == i]
+            dests = np.repeat(np.arange(n), first[i])
+            take = min(len(pool), len(dests))
+            self.clamped += len(dests) - take
+            v, j = pool[:take], dests[:take]
+            self.leg[v] = REBALANCE
+            self.busy_until[v] = self.arrives_at[v] = now + self.net.travel_time[i, j]
+            self.dest[v] = j
+            self.leg_m[v] = self.net.travel_distance[i, j]
 
     # --- main loop -----------------------------------------------------------
 
     def _snapshot(self, k: int, now: float) -> TickSnapshot:
-        legs = {"idle": 0, "pickup": 0, "customer": 0, "rebalance": 0}
-        for v in self.vehicles:
-            legs[v.leg] += 1
         return TickSnapshot(
             tick=k,
             now=now,
-            leg_counts=legs,
+            leg_counts=dict(zip(LEGS, np.bincount(self.leg, minlength=4).tolist())),
             admitted=self.next_request,
             status_counts=np.array(self.status_counts),
             vehicle_m=self.vehicle_m.copy(),

@@ -199,21 +199,47 @@ def test_runs_are_deterministic():
     assert a.served == b.served
 
 
+def test_runs_from_explicit_positions_repeat_and_leave_them_alone():
+    # A run keeps its own copy of the fleet's stations: moving vehicles
+    # must not move the scenario's (or the caller's) initial positions.
+    flows = [DemandFlow(origin=A, dest=B, spread=400.0,
+                        profile=[(0.0, 24.0, 30.0)]),
+             DemandFlow(origin=B, dest=A, spread=400.0,
+                        profile=[(0.0, 24.0, 5.0)])]
+    trips = synth_demand(flows, 0.0, 0.25, seed=11)
+    positions = np.array([0, 0, 0, 0, 1, 1])
+    sc = Scenario(network=two_station_net(), trips=trips, sim_start=0.0,
+                  sim_end=6 * 3600.0, fleet_size=6,
+                  initial_positions=positions)
+    a = run_simulation(sc, RunConfig(controller="fixed"))
+    b = run_simulation(sc, RunConfig(controller="fixed"))
+    assert np.array_equal(a.waits, b.waits)
+    assert np.array_equal(a.vehicle_m, b.vehicle_m)
+    assert a.served == b.served
+    assert np.array_equal(positions, [0, 0, 0, 0, 1, 1])
+    assert np.array_equal(sc.initial_positions, [0, 0, 0, 0, 1, 1])
+
+
 # --- conservation sweep ---------------------------------------------------------
 
 
-def conservation_scenario():
+def three_station_scenario(seed, history_days, live_hours, trip_days,
+                           step=300.0):
     pts = np.array([[0.0, 0.0], [4000.0, 0.0], [2000.0, 3000.0]])
-    net = StationNetwork.from_centroids(pts, speed_mps=10.0,
-                                        step_seconds=300.0)
+    net = StationNetwork.from_centroids(pts, speed_mps=10.0, step_seconds=step)
     flows = [DemandFlow(origin=(0.0, 0.0), dest=(4000.0, 0.0), spread=600.0,
                         profile=[(0.0, 24.0, 40.0)]),
              DemandFlow(origin=(2000.0, 3000.0), dest=(0.0, 0.0), spread=600.0,
                         profile=[(2.0, 5.0, 60.0)])]
-    trips = synth_demand(flows, 0.0, 2.0, seed=23)
-    day = 86_400.0
-    return Scenario(network=net, trips=trips, sim_start=day,
-                    sim_end=day + 6 * 3600.0, fleet_size=10)
+    trips = synth_demand(flows, 0.0, trip_days, seed=seed)
+    start = history_days * 86_400.0
+    return Scenario(network=net, trips=trips, sim_start=start,
+                    sim_end=start + live_hours * 3600.0, fleet_size=10)
+
+
+def conservation_scenario():
+    return three_station_scenario(23, history_days=1.0, live_hours=6.0,
+                                  trip_days=2.0)
 
 
 @pytest.mark.parametrize("controller", ["gbm", "fixed", "oracle", "ccmpc"])
@@ -251,11 +277,8 @@ def test_every_tick_conserves_fleet_and_requests(controller):
 
 def table_scenario():
     """The conservation city on a 900 s step: 6 live hours after a day."""
-    sc = conservation_scenario()
-    net = StationNetwork.from_centroids(sc.network.centroids, speed_mps=10.0,
-                                        step_seconds=900.0)
-    return Scenario(network=net, trips=sc.trips, sim_start=sc.sim_start,
-                    sim_end=sc.sim_end, fleet_size=sc.fleet_size)
+    return three_station_scenario(23, history_days=1.0, live_hours=6.0,
+                                  trip_days=2.0, step=900.0)
 
 
 @pytest.mark.parametrize("mpc_seconds, gp_seconds, banks", [
@@ -329,6 +352,41 @@ def test_run_with_a_mid_run_retrain_repeats_exactly():
     assert np.array_equal(a.vehicle_m, b.vehicle_m)
     assert (a.served, a.assigned_end, a.waiting_end, a.clamped) == \
         (b.served, b.assigned_end, b.waiting_end, b.clamped)
+
+
+# --- risk sweep -----------------------------------------------------------------
+
+
+def sweep_scenario(seed):
+    return three_station_scenario(seed, history_days=2.0, live_hours=3.0,
+                                  trip_days=2.125, step=900.0)
+
+
+def test_sweep_shares_one_bank_per_seed(monkeypatch):
+    banks = []
+
+    def counted(*args, **kwargs):
+        banks.append(train_bank(*args, **kwargs))
+        return banks[-1]
+
+    monkeypatch.setattr(sim, "train_bank", counted)
+    cfg = RunConfig(horizon=4, train_window_days=2.0)
+    rows = sim.sweep_epsilon([1, 2], [0.2, 0.5], cfg=cfg,
+                             make_scenario=sweep_scenario)
+    assert len(banks) == 2
+    assert [(m.seed, m.epsilon) for m in rows] == \
+        [(1, 0.2), (1, 0.5), (2, 0.2), (2, 0.5)]
+    for m in rows:
+        bank = banks[[1, 2].index(m.seed)]
+        ref = run_simulation(sweep_scenario(m.seed),
+                             RunConfig(horizon=4, train_window_days=2.0,
+                                       epsilon=m.epsilon),
+                             bank=bank)
+        assert np.array_equal(m.waits, ref.waits)
+        assert np.array_equal(m.vehicle_m, ref.vehicle_m)
+        assert (m.served, m.assigned_end, m.waiting_end, m.clamped) == \
+            (ref.served, ref.assigned_end, ref.waiting_end, ref.clamped)
+        assert m.solver_nodes == ref.solver_nodes
 
 
 # --- benchmark workload ---------------------------------------------------------
