@@ -2,6 +2,17 @@
 rebalancing, and discrete-time simulation for mobility-on-demand systems.
 """
 
+import os
+
+# One BLAS thread unless the caller set a count.  The forecast bank trains
+# one process per core, and BLAS's default of one thread per core in each
+# would oversubscribe the machine; it also moves the fits' last bits.  This
+# takes effect only where amodcc loads before NumPy, as the ``amodcc``
+# command does.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .errors import (
     InfeasibleError,
     InvalidInputError,

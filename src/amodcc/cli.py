@@ -22,7 +22,7 @@ import numpy as np
 
 from .demand import DAY, ingest_trips
 from .errors import InvalidInputError, NumericalError, SolverError
-from .forecast import bank_train_config, load_bank, save_bank, train_bank
+from .forecast import bank_train_config, load_bank, save_bank, train_bank, usable_cores
 from .ilp import SolverConfig
 from .network import StationNetwork, kmeans_partition, load_network, save_network
 from .report import (
@@ -100,6 +100,13 @@ def _comma_list(cast):
     return parse
 
 
+def _add_gp_jobs(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--gp-jobs", type=int, default=usable_cores(),
+                   help="worker processes that train the forecast bank "
+                        "(default: the usable cores, here %(default)s); "
+                        "1 trains in-process; the bank does not depend on it")
+
+
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--controller", default="ccmpc",
                    choices=("ccmpc", "fixed", "oracle", "gbm"))
@@ -119,7 +126,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="safety stop per MILP solve; reaching it fails the "
                         "run with exit code 3")
     p.add_argument("--gp-max-iters", type=int, default=None)
-    p.add_argument("--gp-jobs", type=int, default=1)
+    _add_gp_jobs(p)
     p.add_argument("--no-verify-plans", action="store_true",
                    help="skip integer re-verification of each plan")
 
@@ -291,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="window end, epoch seconds (default: last whole step)")
     p.add_argument("--window-days", type=float, default=5.0)
     p.add_argument("--gp-max-iters", type=int, default=None)
-    p.add_argument("--gp-jobs", type=int, default=1)
+    _add_gp_jobs(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

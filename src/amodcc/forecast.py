@@ -3,14 +3,18 @@
 Each flow's count series is centered by its training mean and modeled by a
 zero-mean GP with a locally periodic kernel (RBF x Periodic, 24 h period).
 Flows with constant history get a constant fallback model with zero
-predictive spread.  Flow fits are independent, so the bank can train them
-concurrently.
+predictive spread.  Flow fits are independent, so the bank can train them in
+worker processes (one per usable core in runs and on the command line)
+with bit-identical results.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +31,14 @@ from .gp import (
 )
 
 HOUR = 3600.0
+
+
+def usable_cores() -> int:
+    """CPU cores this process may run on: the default bank worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def default_kernel(variance: float) -> LocallyPeriodicKernel:
@@ -105,6 +117,37 @@ class ForecastBank:
         return len(self.models)
 
 
+def _fit_flows(rows: list[np.ndarray], t_hours: np.ndarray, stride: int,
+               cfg: TrainConfig) -> list[tuple[TrainedGP, str]]:
+    """Fit the flows with count series ``rows`` as one batch.
+
+    Returns each flow's kept posterior on the full window and the start in
+    :data:`STARTS` it came from.  Module level, so a worker process can
+    run it.
+    """
+    resids = [y - float(y.mean()) for y in rows]
+    subs, inits = [], []
+    for y, r in zip(rows, resids):
+        var = float(y.var())
+        sub = GPTrainingSet(t_hours[::stride], r[::stride], noise_var=0.1 * var)
+        subs += [sub, sub]
+        inits += [default_kernel(var), wide_kernel(var)]
+    fitted = train_many(subs, inits, cfg)
+    kept = []
+    for k in range(0, len(rows), FINALIZE_FLOWS):
+        part = resids[k:k + FINALIZE_FLOWS]
+        hyper = fitted[2 * k:2 * (k + len(part))]
+        full = [GPTrainingSet(t_hours, r, noise_var=h.noise_var)
+                for r, h in zip([r for r in part for _ in STARTS], hyper)]
+        final = train_many(full, [h.kernel for h in hyper], TrainConfig(max_iters=0))
+        for m in range(len(part)):
+            pick = 1 if final[2 * m + 1].lml > final[2 * m].lml else 0
+            gp, h = final[2 * m + pick], hyper[2 * m + pick]
+            gp.converged, gp.n_iters = h.converged, h.n_iters
+            kept.append((gp, STARTS[pick]))
+    return kept
+
+
 def train_bank(
     counts: np.ndarray,
     t_hours: np.ndarray,
@@ -131,8 +174,12 @@ def train_bank(
     posterior is rebuilt on the full window.
 
     Every flow and start shares one time grid, so all fits run as one
-    batch (:func:`train_many`); ``n_jobs > 1`` splits the flows into that
-    many batches on threads.  A fit's result does not depend on its batch.
+    batch (:func:`train_many`).  ``n_jobs > 1`` deals the flows round-robin
+    into that many batches and fits each in a forked worker process; with
+    ``n_jobs=1``, or where ``fork`` does not exist, the batches train in
+    this process.  A fit's result does not depend on its batch, so the
+    bank is bit-identical for every ``n_jobs``.  Errors raised in a worker
+    reach the caller with their own class.
     """
     counts = np.asarray(counts)
     if counts.ndim != 3 or counts.shape[0] != counts.shape[1]:
@@ -145,6 +192,8 @@ def train_bank(
 
     if fit_points < 8:
         raise InvalidInputError(f"fit_points must be >= 8, got {fit_points}")
+    if n_jobs < 1:
+        raise InvalidInputError(f"n_jobs must be >= 1, got {n_jobs}")
     stride = max(1, -(-t_hours.size // fit_points))
 
     series = counts.astype(float)
@@ -152,34 +201,20 @@ def train_bank(
               for i in range(n)]
     flows = [(i, j) for i in range(n) for j in range(n) if float(series[i, j].var()) != 0.0]
 
-    def resid(i: int, j: int) -> np.ndarray:
-        return series[i, j] - models[i][j].center
-
-    def fit(group: list[tuple[int, int]]) -> None:
-        subs, inits = [], []
-        for i, j in group:
-            var = float(series[i, j].var())
-            sub = GPTrainingSet(t_hours[::stride], resid(i, j)[::stride], noise_var=0.1 * var)
-            subs += [sub, sub]
-            inits += [default_kernel(var), wide_kernel(var)]
-        fitted = train_many(subs, inits, cfg)
-        for k in range(0, len(group), FINALIZE_FLOWS):
-            part = group[k:k + FINALIZE_FLOWS]
-            hyper = fitted[2 * k:2 * (k + len(part))]
-            full = [GPTrainingSet(t_hours, resid(i, j), noise_var=h.noise_var)
-                    for (i, j), h in zip([ij for ij in part for _ in STARTS], hyper)]
-            final = train_many(full, [h.kernel for h in hyper], TrainConfig(max_iters=0))
-            for m, (i, j) in enumerate(part):
-                pick = 1 if final[2 * m + 1].lml > final[2 * m].lml else 0
-                gp, h = final[2 * m + pick], hyper[2 * m + pick]
-                gp.converged, gp.n_iters = h.converged, h.n_iters
-                models[i][j].gp, models[i][j].start = gp, STARTS[pick]
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            list(pool.map(fit, [flows[k::n_jobs] for k in range(n_jobs)]))
+    groups = [flows[k::n_jobs] for k in range(min(n_jobs, len(flows)))]
+    batches = [[series[i, j] for i, j in group] for group in groups]
+    fit = partial(_fit_flows, t_hours=t_hours, stride=stride, cfg=cfg)
+    if len(groups) > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # fork: a spawned worker would import NumPy and SciPy again, which
+        # costs about as much as the split saves.
+        with ProcessPoolExecutor(len(groups),
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(fit, batches))
     else:
-        fit(flows)
+        results = [fit(batch) for batch in batches]
+    for group, kept in zip(groups, results):
+        for (i, j), (gp, start) in zip(group, kept):
+            models[i][j].gp, models[i][j].start = gp, start
 
     return ForecastBank(
         models=models,

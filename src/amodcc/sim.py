@@ -36,7 +36,8 @@ import numpy as np
 
 from .dispatch import assign_pickups
 from .errors import InvalidInputError
-from .forecast import ForecastBank, bank_train_config, forecast_demand, train_bank
+from .forecast import (ForecastBank, bank_train_config, forecast_demand, train_bank,
+                       usable_cores)
 from .gp import TrainConfig
 from .ilp import SolverConfig
 from . import mpc  # build_problem is looked up at call time (perfbench/tracing.py wraps it)
@@ -134,7 +135,7 @@ class RunConfig:
     pickup_delay_slope: float = 0.1
     solver: SolverConfig = field(default_factory=SolverConfig)
     gp_train: TrainConfig | None = None
-    gp_jobs: int = 1
+    gp_jobs: int = field(default_factory=usable_cores)   # bank worker processes
     check_invariants: bool = True
 
     def __post_init__(self):
@@ -147,6 +148,8 @@ class RunConfig:
             raise InvalidInputError("horizon must be >= 1")
         if self.dispatch_seconds <= 0:
             raise InvalidInputError("dispatch_seconds must be positive")
+        if self.gp_jobs < 1:
+            raise InvalidInputError(f"gp_jobs must be >= 1, got {self.gp_jobs}")
 
 
 @dataclass
@@ -662,9 +665,12 @@ def sweep_epsilon(
 
     Each seed's scenario and forecast bank are built once and shared by
     every epsilon, so rows differ only through the controller's risk
-    appetite.  Seeds can run in parallel processes.
+    appetite.  Seeds can run in parallel processes; each of those trains
+    its bank in-process, so the sweep runs at most ``n_jobs`` processes.
     """
     cfg = cfg or RunConfig()
+    if n_jobs > 1:
+        cfg = replace(cfg, gp_jobs=1)
     jobs = [(seed, list(epsilons), cfg, make_scenario) for seed in seeds]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:

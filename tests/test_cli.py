@@ -1,14 +1,23 @@
 """End-to-end command-line tests: pipeline round-trips and exit codes."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import amodcc
 from amodcc import cli
 from amodcc.cli import main
 from amodcc.forecast import bank_train_config
 from amodcc.network import load_network
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = str(Path(amodcc.__file__).resolve().parent.parent)
 
 
 def write_trips(path, n=400, seed=3, t1=43_200.0):
@@ -120,6 +129,15 @@ def test_exit_codes(city, tmp_path, capsys):
     assert main(["simulate", "--network", net, "--trips", trips,
                  "--start", "0", "--end", "100", "--fleet", "5",
                  "--epsilon", "1.5"]) == 2
+    # fewer than one bank worker, for a run or for `train`
+    assert main(["simulate", "--network", net, "--trips", trips,
+                 "--start", "0", "--end", "100", "--fleet", "5",
+                 "--gp-jobs", "0"]) == 2
+    assert "gp_jobs must be >= 1" in capsys.readouterr().err
+    assert main(["train", "--network", net, "--trips", trips,
+                 "--train-end", "21600", "--window-days", "0.25", "--gp-jobs", "0",
+                 "--out", str(tmp_path / "bank.txt")]) == 2
+    assert "n_jobs must be >= 1" in capsys.readouterr().err
     # 4: I/O failure
     assert main(["report", "--metrics", str(tmp_path / "missing.json")]) == 4
     assert main(["partition", "--trips", str(tmp_path / "nope.csv"),
@@ -138,6 +156,27 @@ def test_exit_codes(city, tmp_path, capsys):
         main(["simulate", "--config", str(cfg), "--benchmark", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_train_pins_blas_to_one_thread(city, tmp_path):
+    # `amodcc train` sets one BLAS thread unless the variables are already
+    # set, so removing them must not change the bank file.  Unpinned,
+    # OpenBLAS starts one thread per core and this bank's fits differ in
+    # their last bits.  On a 1-core machine both runs have one thread
+    # whatever the variables say, and the test proves nothing there.
+    root, trips, net = city
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+    banks = []
+    for pinned in (False, True):
+        out = tmp_path / f"bank_{pinned}.txt"
+        subprocess.run([sys.executable, "-m", "amodcc.cli", "train", "--network", net,
+                        "--trips", trips, "--train-end", "43200", "--window-days", "0.5",
+                        "--gp-max-iters", "3", "--out", str(out)],
+                       env={**env, **dict.fromkeys(BLAS_VARS if pinned else (), "1")},
+                       check=True, capture_output=True)
+        banks.append(out.read_bytes())
+    assert banks[0] == banks[1]
 
 
 def test_bad_bank_files_exit_2(city, tmp_path, capsys):

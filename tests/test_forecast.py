@@ -7,12 +7,14 @@ round-tripping hyperparameters and rebuilding the posterior.
 """
 
 import dataclasses
+import multiprocessing
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from amodcc.errors import InvalidInputError
+from amodcc.errors import InvalidInputError, NumericalError
 from amodcc.forecast import (STARTS, ForecastBank, bank_train_config, default_kernel,
                              forecast_demand, load_bank, save_bank,
                              train_bank, wide_kernel)
@@ -61,6 +63,9 @@ def test_bank_input_validation():
         train_bank(np.zeros((2, 2, 10)), np.arange(10), INTERVAL,
                    series_origin=0.0, window=(0.0, 1.0), trained_at=1.0,
                    fit_points=4)
+    with pytest.raises(InvalidInputError, match="n_jobs"):
+        train_bank(np.zeros((2, 2, 10)), np.arange(10), INTERVAL,
+                   series_origin=0.0, window=(0.0, 1.0), trained_at=1.0, n_jobs=0)
 
 
 def test_constant_flows_get_constant_models(planted_bank):
@@ -183,9 +188,9 @@ def same_model(a, b):
 
 def test_bank_does_not_depend_on_its_batches():
     # Three stations over two days: every flow busy, some with a daily
-    # bump.  Threads split the flows into batches (three threads: more
-    # than this machine class's two cores); a flow trained on its own must
-    # come out exactly as it does inside the whole bank.
+    # bump.  Worker processes train the flows in batches (three workers:
+    # more than this machine class's two cores); a flow trained on its own
+    # must come out exactly as it does inside the whole bank.
     rng = np.random.default_rng(8)
     m = 2 * 96
     t = (np.arange(m) + 0.5) * INTERVAL / 3600.0 - 48.0
@@ -205,6 +210,28 @@ def test_bank_does_not_depend_on_its_batches():
             for bank in split:
                 same_model(one.models[i][j], bank.models[i][j])
     same_model(one.models[2][1], alone.models[2][1])
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="workers need fork; without it the bank trains in-process")
+def test_worker_errors_keep_their_class():
+    # The 0 -> 1 series is so large that its gram matrix's jitter
+    # overflows, so its likelihood is not finite at the initialization.
+    # Its worker raises, and the caller sees InvalidInputError (exit code
+    # 2 on the command line), not a pool error.
+    m = 48
+    t = (np.arange(m) + 0.5) * 0.25
+    counts = np.ones((2, 2, m))
+    counts[0, 1, ::2] = 3.8e153
+    counts[1, 0] = np.random.default_rng(0).poisson(3.0, m)
+    with np.errstate(over="ignore"), \
+            pytest.raises(InvalidInputError, match="not finite at the initialization") as exc:
+        train_bank(counts, t, INTERVAL, ORIGIN, (ORIGIN - m * INTERVAL, ORIGIN), ORIGIN,
+                   n_jobs=2)
+    assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"   # raised in a worker
+    # NumericalError (exit code 3) crosses the process boundary the same way.
+    for cls in (InvalidInputError, NumericalError):
+        assert type(pickle.loads(pickle.dumps(cls("x")))) is cls
 
 
 def test_bank_reports_the_kept_fits_diagnostics(planted_bank):

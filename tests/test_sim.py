@@ -65,6 +65,8 @@ def test_run_config_validation():
         RunConfig(horizon=0)
     with pytest.raises(InvalidInputError, match="dispatch"):
         RunConfig(dispatch_seconds=0.0)
+    with pytest.raises(InvalidInputError, match="gp_jobs"):
+        RunConfig(gp_jobs=0)
 
 
 def test_cadences_must_divide_into_ticks():
@@ -357,6 +359,15 @@ def test_run_with_a_mid_run_retrain_repeats_exactly():
 # --- risk sweep -----------------------------------------------------------------
 
 
+def same_run(a, b):
+    """Two runs with the same service outcome and the same solves."""
+    assert np.array_equal(a.waits, b.waits)
+    assert np.array_equal(a.vehicle_m, b.vehicle_m)
+    assert (a.served, a.assigned_end, a.waiting_end, a.clamped) == \
+        (b.served, b.assigned_end, b.waiting_end, b.clamped)
+    assert a.solver_nodes == b.solver_nodes
+
+
 def sweep_scenario(seed):
     return three_station_scenario(seed, history_days=2.0, live_hours=3.0,
                                   trip_days=2.125, step=900.0)
@@ -382,11 +393,25 @@ def test_sweep_shares_one_bank_per_seed(monkeypatch):
                              RunConfig(horizon=4, train_window_days=2.0,
                                        epsilon=m.epsilon),
                              bank=bank)
-        assert np.array_equal(m.waits, ref.waits)
-        assert np.array_equal(m.vehicle_m, ref.vehicle_m)
-        assert (m.served, m.assigned_end, m.waiting_end, m.clamped) == \
-            (ref.served, ref.assigned_end, ref.waiting_end, ref.clamped)
-        assert m.solver_nodes == ref.solver_nodes
+        same_run(m, ref)
+
+
+def test_sweep_rows_do_not_depend_on_its_processes(monkeypatch):
+    cfg = RunConfig(horizon=4, train_window_days=2.0, gp_jobs=2)
+    serial = sim.sweep_epsilon([1, 2], [0.2, 0.5], cfg=cfg, make_scenario=sweep_scenario)
+
+    def in_process(*args, n_jobs, **kwargs):
+        # The forked seed workers inherit this patch: with the seeds on
+        # two processes, no seed may fan its bank out again.
+        assert n_jobs == 1
+        return train_bank(*args, n_jobs=n_jobs, **kwargs)
+
+    monkeypatch.setattr(sim, "train_bank", in_process)
+    split = sim.sweep_epsilon([1, 2], [0.2, 0.5], cfg=cfg, make_scenario=sweep_scenario,
+                              n_jobs=2)
+    assert [(m.seed, m.epsilon) for m in split] == [(m.seed, m.epsilon) for m in serial]
+    for a, b in zip(serial, split):
+        same_run(a, b)
 
 
 # --- benchmark workload ---------------------------------------------------------
