@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95])
     p.add_argument("--fleet", type=int, default=300)
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes across seeds")
+                   help="parallel worker processes across seeds, at most one per seed")
     _add_run_options(p)
     p.add_argument("--metrics-out")
     p.add_argument("--csv-out")

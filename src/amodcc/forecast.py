@@ -24,10 +24,8 @@ from .gp import (
     LocallyPeriodicKernel,
     TrainConfig,
     TrainedGP,
-    posteriors,
     predict_batch,
-    train,  # noqa: F401  (perfbench/tracing.py counts calls through this name)
-    train_many,
+    train,
 )
 
 HOUR = 3600.0
@@ -65,10 +63,6 @@ def bank_train_config() -> TrainConfig:
 
 # The two starts of every flow fit, in the order ties are broken.
 STARTS = ("local", "wide")
-
-# Flows finalized on the full window per batch: bounds how many losing
-# starts' full-size factorizations are held at once.
-FINALIZE_FLOWS = 16
 
 
 @dataclass
@@ -117,34 +111,34 @@ class ForecastBank:
         return len(self.models)
 
 
+def _posterior(t_hours: np.ndarray, resid: np.ndarray, kernel: LocallyPeriodicKernel,
+               noise_var: float) -> TrainedGP:
+    """Exact posterior at fixed hyperparameters: a fit allowed no step."""
+    return train(GPTrainingSet(t_hours, resid, noise_var), kernel, TrainConfig(max_iters=0))
+
+
 def _fit_flows(rows: list[np.ndarray], t_hours: np.ndarray, stride: int,
                cfg: TrainConfig) -> list[tuple[TrainedGP, str]]:
-    """Fit the flows with count series ``rows`` as one batch.
+    """Fit the flows with count series ``rows``, one after another.
 
-    Returns each flow's kept posterior on the full window and the start in
-    :data:`STARTS` it came from.  Module level, so a worker process can
-    run it.
+    Each start is fitted on the thinned series and its posterior rebuilt
+    on the full window; the flow keeps the one with the higher LML (the
+    local start on a tie).  Returns each flow's kept posterior and its
+    start in :data:`STARTS`.  Module level, so a worker process can run it.
     """
-    resids = [y - float(y.mean()) for y in rows]
-    subs, inits = [], []
-    for y, r in zip(rows, resids):
-        var = float(y.var())
-        sub = GPTrainingSet(t_hours[::stride], r[::stride], noise_var=0.1 * var)
-        subs += [sub, sub]
-        inits += [default_kernel(var), wide_kernel(var)]
-    fitted = train_many(subs, inits, cfg)
     kept = []
-    for k in range(0, len(rows), FINALIZE_FLOWS):
-        part = resids[k:k + FINALIZE_FLOWS]
-        hyper = fitted[2 * k:2 * (k + len(part))]
-        full = [GPTrainingSet(t_hours, r, noise_var=h.noise_var)
-                for r, h in zip([r for r in part for _ in STARTS], hyper)]
-        final = train_many(full, [h.kernel for h in hyper], TrainConfig(max_iters=0))
-        for m in range(len(part)):
-            pick = 1 if final[2 * m + 1].lml > final[2 * m].lml else 0
-            gp, h = final[2 * m + pick], hyper[2 * m + pick]
-            gp.converged, gp.n_iters = h.converged, h.n_iters
-            kept.append((gp, STARTS[pick]))
+    for y in rows:
+        resid = y - float(y.mean())
+        var = float(y.var())
+        sub = GPTrainingSet(t_hours[::stride], resid[::stride], noise_var=0.1 * var)
+        best = None
+        for start, init in zip(STARTS, (default_kernel(var), wide_kernel(var))):
+            fit = train(sub, init, cfg)
+            gp = _posterior(t_hours, resid, fit.kernel, fit.noise_var)
+            gp.converged, gp.n_iters = fit.converged, fit.n_iters
+            if best is None or gp.lml > best[0].lml:
+                best = (gp, start)
+        kept.append(best)
     return kept
 
 
@@ -173,13 +167,13 @@ def train_bank(
     ``fit_points`` samples (the sweep is cubic in length); the kept
     posterior is rebuilt on the full window.
 
-    Every flow and start shares one time grid, so all fits run as one
-    batch (:func:`train_many`).  ``n_jobs > 1`` deals the flows round-robin
-    into that many batches and fits each in a forked worker process; with
-    ``n_jobs=1``, or where ``fork`` does not exist, the batches train in
-    this process.  A fit's result does not depend on its batch, so the
-    bank is bit-identical for every ``n_jobs``.  Errors raised in a worker
-    reach the caller with their own class.
+    Each fit runs on its own (:func:`~amodcc.gp.train`).  ``n_jobs > 1``
+    deals the flows round-robin into that many batches and fits each in a
+    forked worker process; with ``n_jobs=1``, or where ``fork`` does not
+    exist, the batches train in this process.  A fit's result does not
+    depend on its batch, so the bank is bit-identical for every
+    ``n_jobs``.  Errors raised in a worker reach the caller with their own
+    class.
     """
     counts = np.asarray(counts)
     if counts.ndim != 3 or counts.shape[0] != counts.shape[1]:
@@ -305,13 +299,13 @@ def save_bank(path: str, bank: ForecastBank) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _flow_spec(spec: dict[str, str],
-               path: str) -> tuple[float, LocallyPeriodicKernel | None, float]:
-    """Center, kernel and noise of a flow block (kernel None: constant)."""
+def _flow_model(spec: dict[str, str], path: str, t_hours: np.ndarray,
+                series: np.ndarray) -> FlowModel:
+    """A flow block's model, its posterior rebuilt on the count ``series``."""
     try:
         center = float(spec["center"])
         if spec["_kind"] == "const":
-            return center, None, 0.0
+            return FlowModel(center=center)
         noise = float(spec["noise_var"])
         for key, kind in _KERNEL_KINDS.items():
             if spec.get(key) != kind:
@@ -323,21 +317,23 @@ def _flow_spec(spec: dict[str, str],
                                        output_scale=float(spec["output_scale"]))
         if not (np.isfinite(center) and noise > 0 and np.isfinite(noise)):
             raise InvalidInputError(f"center {center} or noise_var {noise} out of range")
+        return FlowModel(center=center, gp=_posterior(t_hours, series - center, kernel, noise))
     except KeyError as exc:
         raise InvalidInputError(
             f"{path}: bad flow block at line {spec['_line']}: missing {exc}") from exc
     except ValueError as exc:
         raise InvalidInputError(
             f"{path}: bad flow block at line {spec['_line']}: {exc}") from exc
-    return center, kernel, noise
 
 
 def load_bank(path: str, counts: np.ndarray, t_hours: np.ndarray) -> ForecastBank:
     """Rebuild a bank from a saved file plus the matching count history.
 
-    Hyperparameters are taken from the file verbatim (no re-optimization);
-    posteriors are refit against ``counts``/``t_hours``, which must cover
-    the same training window the file records.
+    Hyperparameters are taken from the file (no re-optimization), and each
+    posterior is rebuilt against ``counts``/``t_hours`` the way
+    :func:`train_bank` builds it, so the history must cover the same
+    training window the file records.  A flow block whose likelihood is
+    not finite is invalid input.
     """
     counts = np.asarray(counts)
     t_hours = np.asarray(t_hours, dtype=float).ravel()
@@ -394,13 +390,8 @@ def load_bank(path: str, counts: np.ndarray, t_hours: np.ndarray) -> ForecastBan
     if sorted(flows) != [(i, j) for i in range(n) for j in range(n)]:
         raise InvalidInputError(f"{path}: expected one flow block per station pair")
 
-    specs = {ij: _flow_spec(spec, path) for ij, spec in flows.items()}
-    fitted = [ij for ij in sorted(specs) if specs[ij][1] is not None]
-    data = [GPTrainingSet(t_hours, counts[i, j].astype(float) - specs[(i, j)][0],
-                          noise_var=specs[(i, j)][2]) for i, j in fitted]
-    gps = dict(zip(fitted, posteriors(data, [specs[ij][1] for ij in fitted])))
-    models = [[FlowModel(center=specs[(i, j)][0], gp=gps.get((i, j))) for j in range(n)]
-              for i in range(n)]
+    models = [[_flow_model(flows[(i, j)], path, t_hours, counts[i, j].astype(float))
+               for j in range(n)] for i in range(n)]
     return ForecastBank(
         models=models,
         interval_seconds=float(header["interval_seconds"]),

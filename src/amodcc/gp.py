@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -141,9 +143,9 @@ class _Gaps:
 
     @classmethod
     def of(cls, t: np.ndarray) -> "_Gaps":
-        t = np.asarray(t, dtype=float).ravel()
-        values, index = np.unique(np.abs(np.subtract.outer(t, t)), return_inverse=True)
-        return cls(t, values, index.reshape(t.shape[0], t.shape[0]))
+        """The gaps of ``t``, built once per grid: the last two grids are
+        kept, since a bank fits every flow on a thinned and a full grid."""
+        return _gaps_of(np.asarray(t, dtype=float).ravel().tobytes())
 
     @property
     def n(self) -> int:
@@ -154,71 +156,43 @@ class _Gaps:
         return np.bincount(self.index.ravel(), weights=m.ravel(), minlength=self.values.shape[0])
 
 
-# --- batched factorization -------------------------------------------------------
-
-# Working set of one (fits, n, n) stack; a batch is factored in pieces of
-# this size, so its peak memory does not grow with the number of fits.
-_CHUNK_BYTES = 16 << 20
-
-
-def _chunks(items: list, n: int) -> list[list]:
-    size = max(1, _CHUNK_BYTES // (8 * n * n))
-    return [items[k:k + size] for k in range(0, len(items), size)]
+@lru_cache(maxsize=2)
+def _gaps_of(key: bytes) -> _Gaps:
+    t = np.frombuffer(key)
+    values, index = np.unique(np.abs(np.subtract.outer(t, t)), return_inverse=True)
+    return _Gaps(t, values, index.reshape(t.shape[0], t.shape[0]))
 
 
-def _cholesky(stack: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of the matrices of a stack marked ``ok``.
-
-    Clears ``ok`` where a matrix has no factor.  A failure in the batched
-    call only sends the stack through one call per matrix; each matrix
-    gets the same factor either way.
-    """
-    if ok.all():
-        try:
-            return np.linalg.cholesky(stack)
-        except np.linalg.LinAlgError:
-            pass
-    L = np.full_like(stack, np.nan)
-    for b in np.flatnonzero(ok):
-        try:
-            L[b] = np.linalg.cholesky(stack[b])
-        except np.linalg.LinAlgError:
-            ok[b] = False
-    return L
+# --- factorization ---------------------------------------------------------------
 
 
-def _factor(gaps: _Gaps, kernels: list[LocallyPeriodicKernel], noise: np.ndarray):
-    """Noise-augmented gram matrices of a stack of fits and their factors.
+def _factor(gaps: _Gaps, kernel: LocallyPeriodicKernel, noise: float):
+    """Noise-augmented gram matrix of one fit and its lower factor.
 
-    Returns ``(K, L, jitter, ok)``.  Per fit, jitter starts at ``1e-6 *
-    trace / n`` and escalates tenfold, at most three times, while that
-    fit's factorization fails; ``ok`` is False where all four failed, and
-    its ``jitter`` is the last one tried.
+    Returns ``(K, L, jitter)``.  Jitter starts at ``1e-6 * trace / n`` and
+    escalates tenfold, at most three times, while the factorization fails.
+    ``L`` is None where all four failed or the gram is not finite; then
+    ``jitter`` is the last one tried.
     """
     n = gaps.n
     d = np.arange(n)
-    values = np.stack([k.value(gaps.values) for k in kernels])
-    K = values[:, gaps.index]
-    K[:, d, d] += noise[:, None]
-    base = K[:, d, d]
-    # Row by row: a reduction over axis 1 of the stack adds in an order
-    # that depends on the stack's height.
-    jitter = 1e-6 * np.array([row.sum() for row in base]) / n
-    finite = np.isfinite(values).all(axis=1) & np.isfinite(base).all(axis=1)
-    ok = finite.copy()
-    K[:, d, d] = base + jitter[:, None]
-    L = _cholesky(K, ok)
-    for _ in range(3):
-        todo = np.flatnonzero(finite & ~ok)
-        if not todo.size:
-            break
-        jitter[todo] *= 10.0
-        trial = K[todo]
-        trial[:, d, d] = base[todo] + jitter[todo, None]
-        again = np.ones(todo.size, dtype=bool)
-        L[todo] = _cholesky(trial, again)
-        K[todo], ok[todo] = trial, again
-    return K, L, jitter, ok
+    values = kernel.value(gaps.values)
+    K = values[gaps.index]
+    K[d, d] += noise
+    base = K[d, d]
+    with np.errstate(over="ignore"):       # a jitter that overflows fails below
+        jitter = float(1e-6 * base.sum() / n)
+    if not (np.isfinite(values).all() and math.isfinite(jitter)):
+        return K, None, jitter
+    for attempt in range(4):
+        if attempt:
+            jitter *= 10.0
+        K[d, d] = base + jitter
+        try:
+            return K, np.linalg.cholesky(K), jitter
+        except np.linalg.LinAlgError:
+            pass
+    return K, None, jitter
 
 
 def _solve(L: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -229,28 +203,19 @@ def _solve(L: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return lml, alpha
 
 
-def _evaluate(gaps: _Gaps, ys: list[np.ndarray], candidates: list) -> list:
-    """LML of each ``(kernel, noise)`` candidate over its targets.
+class _Point(NamedTuple):
+    """One fit factored at fixed hyperparameters."""
 
-    Returns ``(lml, L, alpha, jitter)`` per candidate, or None where the
-    candidate is None, its factorization failed or the LML is not finite.
-    """
-    out: list = [None] * len(candidates)
-    live = [k for k, c in enumerate(candidates) if c is not None]
-    for part in _chunks(live, gaps.n):
-        _, L, jitter, ok = _factor(gaps, [candidates[k][0] for k in part],
-                                   np.array([candidates[k][1] for k in part]))
-        for b, k in enumerate(part):
-            if ok[b]:
-                lml, alpha = _solve(L[b], ys[k])
-                if math.isfinite(lml):
-                    out[k] = (lml, L[b], alpha, float(jitter[b]))
-    return out
+    kernel: LocallyPeriodicKernel
+    noise: float
+    lml: float
+    L: np.ndarray
+    alpha: np.ndarray
+    jitter: float
 
 
-def _gradients(gaps: _Gaps, candidates: list, factors: list,
-               include_noise: bool) -> list[np.ndarray]:
-    """LML gradients over log hyperparameters at factored candidates.
+def _gradient(gaps: _Gaps, p: _Point, include_noise: bool) -> np.ndarray:
+    """LML gradient over log hyperparameters at a factored point.
 
     Component order: kernel shape parameters, log output scale, then (when
     ``include_noise``) log noise variance.  Each component is ``1/2
@@ -258,45 +223,35 @@ def _gradients(gaps: _Gaps, candidates: list, factors: list,
     gram derivative for that log parameter.  Off its diagonal terms, dK
     is a function of the gap, so the sum runs over the gap sums of W.
     """
-    out = []
-    for (kern, noise), (_, L, alpha, jitter) in zip(candidates, factors):
-        # K^-1 from the factor, in its upper triangle (zeros below, as in
-        # L').  The gaps are symmetric, so the gap sums of the symmetric
-        # K^-1 are twice those of that triangle less its diagonal once.
-        inv = dpotri(L.T, lower=0)[0]
-        inv_tr = float(np.trace(inv))
-        s = gaps.sums(np.outer(alpha, alpha) - 2.0 * inv)
-        s[0] += inv_tr                                  # gap 0 holds the diagonal
-        tr = float(alpha @ alpha) - inv_tr              # trace of W
-        value = kern.value(gaps.values)
-        comps = [g @ s for g in kern.grads(gaps.values)]
-        # The stabilizing jitter tracks the gram trace, so it moves with the
-        # scale parameters; fold its derivative in or finite differences of
-        # the implemented likelihood disagree at the 1e-5 level.
-        diag = kern.diag_value()
-        rate = jitter / (diag + noise)
-        comps.append(value @ s + rate * diag * tr)                 # log s2
-        if include_noise:
-            comps.append((1.0 + rate) * noise * tr)
-        out.append(0.5 * np.array(comps))
-    return out
-
-
-def _shared_gaps(data: list[GPTrainingSet]) -> _Gaps:
-    gaps = _Gaps.of(data[0].t)
-    if any(not np.array_equal(d.t, gaps.t) for d in data):
-        raise InvalidInputError("a batch of fits must share its inputs t")
-    return gaps
+    # K^-1 from the factor, in its upper triangle (zeros below, as in L').
+    # The gaps are symmetric, so the gap sums of the symmetric K^-1 are
+    # twice those of that triangle less its diagonal once.
+    inv = dpotri(p.L.T, lower=0)[0]
+    inv_tr = float(np.trace(inv))
+    s = gaps.sums(np.outer(p.alpha, p.alpha) - 2.0 * inv)
+    s[0] += inv_tr                                  # gap 0 holds the diagonal
+    tr = float(p.alpha @ p.alpha) - inv_tr          # trace of W
+    value = p.kernel.value(gaps.values)
+    comps = [g @ s for g in p.kernel.grads(gaps.values)]
+    # The stabilizing jitter tracks the gram trace, so it moves with the
+    # scale parameters; fold its derivative in or finite differences of
+    # the implemented likelihood disagree at the 1e-5 level.
+    diag = p.kernel.diag_value()
+    rate = p.jitter / (diag + p.noise)
+    comps.append(value @ s + rate * diag * tr)                 # log s2
+    if include_noise:
+        comps.append((1.0 + rate) * p.noise * tr)
+    return 0.5 * np.array(comps)
 
 
 def _one(kernel: LocallyPeriodicKernel, t: np.ndarray, noise_var: float):
-    """Factor a single fit through the batch code; raise if it fails."""
+    """Factor a single fit; raise if it fails."""
     gaps = _Gaps.of(t)
-    K, L, jitter, ok = _factor(gaps, [kernel], np.array([float(noise_var)]))
-    if not ok[0]:
+    K, L, jitter = _factor(gaps, kernel, float(noise_var))
+    if L is None:
         raise NumericalError(
-            f"gram matrix not positive definite after jitter escalation to {jitter[0]:g}")
-    return gaps, K[0], L[0], float(jitter[0])
+            f"gram matrix not positive definite after jitter escalation to {jitter:g}")
+    return gaps, K, L, jitter
 
 
 def gram_matrix(
@@ -325,11 +280,11 @@ def log_marginal_likelihood(data: GPTrainingSet, kernel: LocallyPeriodicKernel) 
 def lml_gradient(
     data: GPTrainingSet, kernel: LocallyPeriodicKernel, include_noise: bool = True
 ) -> np.ndarray:
-    """Gradient of the LML over log hyperparameters (see :func:`_gradients`)."""
+    """Gradient of the LML over log hyperparameters (see :func:`_gradient`)."""
     gaps, _, L, jitter = _one(kernel, data.t, data.noise_var)
     lml, alpha = _solve(L, data.y)
-    return _gradients(gaps, [(kernel, data.noise_var)], [(lml, L, alpha, jitter)],
-                      include_noise)[0]
+    return _gradient(gaps, _Point(kernel, data.noise_var, lml, L, alpha, jitter),
+                     include_noise)
 
 
 # --- training -----------------------------------------------------------------
@@ -368,152 +323,76 @@ class TrainedGP:
     n_iters: int
 
 
-class _Fit:
-    """One fit's search state while its batch advances in lockstep."""
+def train(data: GPTrainingSet, init: LocallyPeriodicKernel,
+          cfg: TrainConfig | None = None) -> TrainedGP:
+    """Fit one GP's hyperparameters by gradient ascent on its LML in log space.
 
-    def __init__(self, data: GPTrainingSet, init: LocallyPeriodicKernel, cfg: TrainConfig):
-        self.data = data
-        self.init = init
-        self.train_noise = cfg.train_noise
-        theta = np.array(init.log_params())
-        names = list(PARAM_NAMES)
-        if cfg.train_noise:
-            theta = np.append(theta, math.log(data.noise_var))
-            names.append("noise_var")
-        unknown = set(cfg.freeze) - set(names)
-        if unknown:
-            raise InvalidInputError(f"cannot freeze unknown parameters {sorted(unknown)}")
-        self.mask = np.array([0.0 if nm in cfg.freeze else 1.0 for nm in names])
-        self.theta = theta
-        self.lr = cfg.learning_rate
-        self.trace: list[float] = []
-        self.converged = False
-        self.iters = 0
-        self.halvings = 0
-        self.step = 0.0
-        self.grad = np.zeros_like(theta)
-        self.at_theta = None      # (kernel, noise) at theta
-        self.factor = None        # (lml, L, alpha, jitter) at theta
-
-    def candidate(self, theta: np.ndarray):
-        """``(kernel, noise)`` at ``theta``, or None where the parameters
-        over/underflow exp() or are invalid: a rejected step."""
-        try:
-            kern = self.init.with_log_params(theta)
-            noise = math.exp(theta[-1]) if self.train_noise else self.data.noise_var
-        except (OverflowError, InvalidInputError):
-            return None
-        return (kern, noise) if noise > 0 and math.isfinite(noise) else None
-
-    def accept(self, theta: np.ndarray, cand, factor) -> None:
-        lml, L, alpha, jitter = factor
-        self.theta, self.at_theta = theta, cand
-        self.factor = (lml, L.copy(), alpha, jitter)
-        self.trace.append(lml)
-
-    def result(self) -> TrainedGP:
-        lml, L, alpha, jitter = self.factor
-        kern, noise = self.at_theta
-        return TrainedGP(kernel=kern, t=self.data.t.copy(), y=self.data.y.copy(),
-                         noise_var=noise, L=L, alpha=alpha, jitter=jitter, lml=lml,
-                         lml_trace=self.trace, converged=self.converged,
-                         n_iters=self.iters)
-
-
-def train_many(data: list[GPTrainingSet], inits: list[LocallyPeriodicKernel],
-               cfg: TrainConfig | None = None) -> list[TrainedGP]:
-    """Fit a batch of GPs that share their inputs ``t``, in lockstep.
-
-    Each fit runs gradient ascent on its own LML in log space with a
-    step-halving line search: a step is accepted only if it strictly
+    A step-halving line search: a step is accepted only if it strictly
     improves the LML (then the next first step is ``min(1.5 step, 10)``),
-    at most ``max_halvings`` tries per iteration, and a fit stops once its
-    gradient 2-norm drops below ``tolerance``.  The accepted trace is
-    non-decreasing, so a result is never worse than its initialization.
-
-    Every round factors the pending candidates of all fits as one stack
-    and takes the gradients of the fits that just moved from the factors
-    of that step.  All arithmetic is per fit, so a fit's result does not
-    depend on which other fits share its batch.
+    with at most ``max_halvings`` tries per iteration.  The fit stops once
+    its gradient 2-norm drops below ``tolerance``, once no try improves, or
+    after ``max_iters`` iterations.  The accepted trace is non-decreasing,
+    so the result is never worse than its initialization; with
+    ``max_iters=0`` it is the exact posterior there.  Raises
+    :class:`InvalidInputError` where the LML is not finite at ``init``.
     """
     cfg = cfg or TrainConfig()
     cfg.validate()
-    if not data:
-        return []
-    gaps = _shared_gaps(data)
-    fits = [_Fit(d, init, cfg) for d, init in zip(data, inits, strict=True)]
-    cands = [f.candidate(f.theta) for f in fits]
-    for f, cand, factor in zip(fits, cands, _evaluate(gaps, [d.y for d in data], cands)):
-        if factor is None:
-            raise InvalidInputError(
-                "log marginal likelihood is not finite at the initialization")
-        f.accept(f.theta, cand, factor)
+    theta = np.array(init.log_params())
+    names = list(PARAM_NAMES)
+    if cfg.train_noise:
+        theta = np.append(theta, math.log(data.noise_var))
+        names.append("noise_var")
+    unknown = set(cfg.freeze) - set(names)
+    if unknown:
+        raise InvalidInputError(f"cannot freeze unknown parameters {sorted(unknown)}")
+    mask = np.array([0.0 if nm in cfg.freeze else 1.0 for nm in names])
+    gaps = _Gaps.of(data.t)
 
-    moved = fits if cfg.max_iters > 0 else []    # need a gradient at theta
-    searching: list[_Fit] = []                   # need their next trial step
-    while moved or searching:
-        grads = _gradients(gaps, [f.at_theta for f in moved], [f.factor for f in moved],
-                           cfg.train_noise)
-        for f, g in zip(moved, grads):
-            f.grad = f.mask * g
-            if float(np.linalg.norm(f.grad)) < cfg.tolerance:
-                f.converged = True
-                continue
-            f.iters += 1
-            if cfg.max_halvings > 0:
-                f.step, f.halvings = f.lr, 0
-                searching.append(f)
-        trials = [f.theta + f.step * f.grad for f in searching]
-        cands = [f.candidate(theta) for f, theta in zip(searching, trials)]
-        moved, still = [], []
-        for f, theta, cand, factor in zip(searching, trials, cands,
-                                          _evaluate(gaps, [f.data.y for f in searching], cands)):
-            if factor is not None and factor[0] > f.factor[0]:
-                f.accept(theta, cand, factor)
-                f.lr = min(f.step * 1.5, 10.0)
-                if f.iters < cfg.max_iters:
-                    moved.append(f)
-            else:
-                f.step *= 0.5
-                f.halvings += 1
-                if f.halvings < cfg.max_halvings:
-                    still.append(f)
-        searching = still
-    return [f.result() for f in fits]
+    def at(theta: np.ndarray) -> _Point | None:
+        """The fit at ``theta``, or None for a rejected point: parameters
+        that over/underflow exp() or are invalid, a gram with no factor,
+        or an LML that is not finite."""
+        try:
+            kern = init.with_log_params(theta)
+            noise = math.exp(theta[-1]) if cfg.train_noise else data.noise_var
+        except (OverflowError, InvalidInputError):
+            return None
+        if not (noise > 0 and math.isfinite(noise)):
+            return None
+        _, L, jitter = _factor(gaps, kern, noise)
+        if L is None:
+            return None
+        lml, alpha = _solve(L, data.y)
+        return _Point(kern, noise, lml, L, alpha, jitter) if math.isfinite(lml) else None
 
-
-def posteriors(data: list[GPTrainingSet],
-               kernels: list[LocallyPeriodicKernel]) -> list[TrainedGP]:
-    """Exact posteriors at given hyperparameters for fits that share ``t``.
-
-    Nothing is searched: the kernels and noise variances are used as
-    given, and each result reports ``converged=True, n_iters=0``.
-    Raises :class:`NumericalError` where a gram matrix has no factor.
-    """
-    if not data:
-        return []
-    gaps = _shared_gaps(data)
-    out = []
-    for part in _chunks(list(range(len(data))), gaps.n):
-        _, L, jitter, ok = _factor(gaps, [kernels[k] for k in part],
-                                   np.array([data[k].noise_var for k in part]))
-        for b, k in enumerate(part):
-            if not ok[b]:
-                raise NumericalError(
-                    f"gram matrix not positive definite after jitter escalation "
-                    f"to {jitter[b]:g}")
-            lml, alpha = _solve(L[b], data[k].y)
-            out.append(TrainedGP(kernel=kernels[k], t=data[k].t.copy(), y=data[k].y,
-                                 noise_var=data[k].noise_var, L=L[b].copy(), alpha=alpha,
-                                 jitter=float(jitter[b]), lml=lml, lml_trace=[lml],
-                                 converged=True, n_iters=0))
-    return out
-
-
-def train(data: GPTrainingSet, init: LocallyPeriodicKernel,
-          cfg: TrainConfig | None = None) -> TrainedGP:
-    """Fit one GP's hyperparameters: a batch of one for :func:`train_many`."""
-    return train_many([data], [init], cfg)[0]
+    point = at(theta)
+    if point is None:
+        raise InvalidInputError("log marginal likelihood is not finite at the initialization")
+    trace = [point.lml]
+    lr, iters, converged = cfg.learning_rate, 0, False
+    while iters < cfg.max_iters:
+        grad = mask * _gradient(gaps, point, cfg.train_noise)
+        if float(np.linalg.norm(grad)) < cfg.tolerance:
+            converged = True
+            break
+        iters += 1
+        step = lr
+        for _ in range(cfg.max_halvings):
+            trial = theta + step * grad
+            cand = at(trial)
+            if cand is not None and cand.lml > point.lml:
+                theta, point = trial, cand
+                trace.append(point.lml)
+                lr = min(step * 1.5, 10.0)
+                break
+            step *= 0.5
+        else:
+            break
+    return TrainedGP(kernel=point.kernel, t=data.t.copy(), y=data.y.copy(),
+                     noise_var=point.noise, L=point.L, alpha=point.alpha,
+                     jitter=point.jitter, lml=point.lml, lml_trace=trace,
+                     converged=converged, n_iters=iters)
 
 
 # --- prediction ----------------------------------------------------------------

@@ -665,15 +665,19 @@ def sweep_epsilon(
 
     Each seed's scenario and forecast bank are built once and shared by
     every epsilon, so rows differ only through the controller's risk
-    appetite.  Seeds can run in parallel processes; each of those trains
-    its bank in-process, so the sweep runs at most ``n_jobs`` processes.
+    appetite.  Seeds can run in parallel processes, at most one per seed;
+    each of those trains its bank in-process, so the sweep runs at most
+    ``n_jobs`` processes.
     """
+    if n_jobs < 1:
+        raise InvalidInputError(f"n_jobs must be >= 1, got {n_jobs}")
     cfg = cfg or RunConfig()
-    if n_jobs > 1:
+    workers = min(n_jobs, len(seeds))
+    if workers > 1:
         cfg = replace(cfg, gp_jobs=1)
     jobs = [(seed, list(epsilons), cfg, make_scenario) for seed in seeds]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_worker, jobs))
     else:
         chunks = [_sweep_worker(j) for j in jobs]

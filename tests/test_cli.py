@@ -138,6 +138,9 @@ def test_exit_codes(city, tmp_path, capsys):
                  "--train-end", "21600", "--window-days", "0.25", "--gp-jobs", "0",
                  "--out", str(tmp_path / "bank.txt")]) == 2
     assert "n_jobs must be >= 1" in capsys.readouterr().err
+    # fewer than one sweep worker
+    assert main(["sweep", "--jobs", "0"]) == 2
+    assert "n_jobs must be >= 1" in capsys.readouterr().err
     # 4: I/O failure
     assert main(["report", "--metrics", str(tmp_path / "missing.json")]) == 4
     assert main(["partition", "--trips", str(tmp_path / "nope.csv"),
@@ -180,8 +183,9 @@ def test_train_pins_blas_to_one_thread(city, tmp_path):
 
 
 def test_bad_bank_files_exit_2(city, tmp_path, capsys):
-    # A bad value inside a flow block is invalid input (exit code 2), and
-    # the message names the line where that flow block starts.
+    # A bad value inside a flow block, or one that leaves the flow's
+    # likelihood not finite (output_scale 1e308), is invalid input (exit
+    # code 2), and the message names the line where that flow block starts.
     root, trips, net = city
     good = tmp_path / "bank.txt"
     assert main(["train", "--network", net, "--trips", trips,
@@ -195,7 +199,8 @@ def test_bad_bank_files_exit_2(city, tmp_path, capsys):
                 "--window-days", "0.25", "--bank"]
     for key, value in (("center", "abc"), ("center", None), ("noise_var", "1e"),
                        ("noise_var", None), ("a.lengthscale", "x"), ("noise_var", "-1"),
-                       ("kernel", "rbf"), ("a.kind", "periodic"), ("b.kind", "rbf")):
+                       ("kernel", "rbf"), ("a.kind", "periodic"), ("b.kind", "rbf"),
+                       ("output_scale", "1e308")):
         edited = list(lines)
         at = next(k for k in range(flow, len(lines)) if lines[k].split()[0] == key)
         if value is None:

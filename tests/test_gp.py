@@ -19,7 +19,6 @@ from amodcc.gp import (
     predict_batch,
     standard_normal_quantile,
     train,
-    train_many,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -197,48 +196,32 @@ class TestTraining:
         assert fit.n_iters == 0
         assert fit.lml == pytest.approx(log_marginal_likelihood(data, init))
 
-    def test_noise_can_be_frozen(self):
-        rng = np.random.default_rng(3)
-        data = random_dataset(rng, 15, noise_var=0.123)
-        fit = train(data, smooth_kernel(1.0), TrainConfig(max_iters=10, train_noise=False))
-        assert fit.noise_var == pytest.approx(0.123)
-
-
-class TestBatch:
-    def test_members_match_their_fits_alone(self):
-        # Smooth inputs leave the gram almost singular; the second
-        # member takes 2e-5 of its scale off the diagonal, so its
-        # factorization escalates the jitter twice while the first
-        # member's never does.
+    def test_jitter_escalates_only_where_the_fit_needs_it(self):
+        # Smooth inputs leave the gram almost singular; the hostile fit's
+        # kernel takes 2e-5 of its scale off the diagonal, so its
+        # factorization escalates the jitter twice while the calm fit's
+        # never does.  Both still take steps.
         class Indefinite(LocallyPeriodicKernel):
             def value(self, dt):
                 return super().value(dt) - 2e-5 * self.output_scale * (dt == 0)
 
         rng = np.random.default_rng(9)
         t = np.arange(16.0) / 4.0
-        data = [GPTrainingSet(t, np.sin(t) + 0.1 * rng.normal(size=t.size), 0.1),
-                GPTrainingSet(t, np.cos(t), 1e-12)]
-        inits = [smooth_kernel(2.0),
-                 Indefinite(lengthscale=2.0, periodic_lengthscale=50.0, period=1000.0)]
         cfg = TrainConfig(max_iters=6)
-        batch = train_many(data, inits, cfg)
-        calm, hostile = batch
+        calm = train(GPTrainingSet(t, np.sin(t) + 0.1 * rng.normal(size=t.size), 0.1),
+                     smooth_kernel(2.0), cfg)
+        hostile = train(GPTrainingSet(t, np.cos(t), 1e-12),
+                        Indefinite(lengthscale=2.0, periodic_lengthscale=50.0, period=1000.0),
+                        cfg)
         assert calm.jitter == pytest.approx(1e-6 * (calm.kernel.output_scale + calm.noise_var))
         assert hostile.jitter > 50e-6 * hostile.kernel.output_scale
         assert calm.n_iters > 0 and hostile.n_iters > 0
-        for fit, d, init in zip(batch, data, inits):
-            alone = train(d, init, cfg)
-            assert fit.kernel == alone.kernel and fit.noise_var == alone.noise_var
-            assert fit.lml_trace == alone.lml_trace
-            assert (fit.lml, fit.jitter, fit.converged, fit.n_iters) == \
-                (alone.lml, alone.jitter, alone.converged, alone.n_iters)
-            assert np.array_equal(fit.L, alone.L) and np.array_equal(fit.alpha, alone.alpha)
 
-    def test_batch_must_share_inputs(self):
-        a = GPTrainingSet([0.0, 1.0], [1.0, 0.0], 0.1)
-        b = GPTrainingSet([0.0, 2.0], [1.0, 0.0], 0.1)
-        with pytest.raises(InvalidInputError, match="share"):
-            train_many([a, b], [smooth_kernel(1.0), smooth_kernel(1.0)])
+    def test_noise_can_be_frozen(self):
+        rng = np.random.default_rng(3)
+        data = random_dataset(rng, 15, noise_var=0.123)
+        fit = train(data, smooth_kernel(1.0), TrainConfig(max_iters=10, train_noise=False))
+        assert fit.noise_var == pytest.approx(0.123)
 
 
 class TestPrediction:

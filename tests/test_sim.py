@@ -414,6 +414,33 @@ def test_sweep_rows_do_not_depend_on_its_processes(monkeypatch):
         same_run(a, b)
 
 
+def test_sweep_starts_at_most_one_process_per_seed(monkeypatch):
+    # A stand-in pool records its size and runs nothing in parallel.
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(sim, "_sweep_worker", lambda job: [job[0]])
+    assert sim.sweep_epsilon([1, 2], [0.5], n_jobs=3) == [1, 2]
+    assert sizes == [2]
+    assert sim.sweep_epsilon([1], [0.5], n_jobs=3) == [1]   # one seed: in-process
+    assert sizes == [2]
+    with pytest.raises(InvalidInputError, match="n_jobs must be >= 1"):
+        sim.sweep_epsilon([1, 2], [0.5], n_jobs=0)
+
+
 # --- benchmark workload ---------------------------------------------------------
 
 
