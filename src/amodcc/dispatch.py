@@ -18,8 +18,9 @@ def distance_cost_matrix(a_xy: np.ndarray, b_xy: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances between two point sets, (n, m)."""
     a = np.asarray(a_xy, dtype=float).reshape(-1, 2)
     b = np.asarray(b_xy, dtype=float).reshape(-1, 2)
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    dx = a[:, 0, None] - b[None, :, 0]
+    dy = a[:, 1, None] - b[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def assign_pickups(
@@ -33,7 +34,7 @@ def assign_pickups(
     cost = distance_cost_matrix(vehicle_xy, request_xy)
     if cost.size == 0:
         return []
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise InvalidInputError("pickup distances must be finite")
     rows, cols = linear_sum_assignment(cost)
     return list(zip(rows.tolist(), cols.tolist()))

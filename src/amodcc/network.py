@@ -104,8 +104,9 @@ def _kmeans_pp_seed(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
 def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # argmin returns the lowest index on ties, which is the tie-break rule.
-    d2 = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    return np.argmin(d2, axis=1)
+    dx = pts[:, 0, None] - centroids[None, :, 0]
+    dy = pts[:, 1, None] - centroids[None, :, 1]
+    return np.argmin(dx * dx + dy * dy, axis=1)
 
 
 def assign_stations(centroids: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -11,7 +11,11 @@ network's travel matrices.
 The fleet is kept as arrays indexed by vehicle id.  A vehicle is idle
 or on one leg (a code into ``LEGS``): pickup to a request's origin,
 customer to its destination, or rebalancing between station centroids.
-Legs complete in (end time, id) order; idle vehicles go in id order.
+Busy vehicles sit in a heap of (end time, id), so a tick finds its
+finished legs without scanning the fleet, and they complete in that
+order; idle vehicles go in id order.  Each tick completes the legs due
+when it begins: a leg started while it completes legs (the customer leg
+after a pickup, even one of zero length) waits for the next tick.
 
 Controllers:
 
@@ -27,6 +31,7 @@ movement); ``gbm`` matches any vehicle to any request.
 from __future__ import annotations
 
 import copy
+import heapq
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -308,6 +313,9 @@ class _Run:
         self.request = np.full(fleet, -1)
         self.dest = np.full(fleet, -1)
         self.leg_m = np.zeros(fleet)
+        # A heap of (busy_until, id), one entry per busy vehicle.  No leg is
+        # ever cancelled, so every entry is live.
+        self.ends: list[tuple[float, int]] = []
 
         self.weights = CostWeights.defaults(
             net, cfg.horizon, backlog_cost=cfg.backlog_cost,
@@ -338,22 +346,29 @@ class _Run:
         self.req_status[rid] = status
 
     def _complete_legs(self, now: float) -> None:
-        # Legs complete in (busy_until, id) order: ``due`` is in id order
-        # and the sort is stable.
-        due = np.flatnonzero((self.leg != IDLE) & (self.busy_until <= now))
-        for v in due[np.argsort(self.busy_until[due], kind="stable")]:
-            leg, rid = self.leg[v], self.request[v]
+        # The due set is popped in full first, so a leg started below (a
+        # customer leg after its pickup) completes on a later tick even if
+        # it already ends by ``now``.
+        ends = self.ends
+        due = []
+        while ends and ends[0][0] <= now:
+            due.append(heapq.heappop(ends))
+        for end, v in due:
+            leg, rid = int(self.leg[v]), int(self.request[v])
             if leg == PICKUP:
                 self.vehicle_m[v, 2] += self.leg_m[v]
-                self.waits.append(self.busy_until[v] - self.req_times[rid])
+                self.waits.append(end - float(self.req_times[rid]))
                 self._set_status(rid, 3)
                 o_xy = self.req_o_xy[rid]
-                i, j = self.req_o_st[rid], self.req_d_st[rid]
+                i, j = int(self.req_o_st[rid]), int(self.req_d_st[rid])
                 self.xy[v] = o_xy
                 self.leg[v] = CUSTOMER
-                self.busy_until[v] = self.arrives_at[v]
-                self.leg_m[v] = (self.net.travel_distance[i, j] if i != j
-                                 else _euclid(o_xy, self.req_d_xy[rid]))
+                arrive = float(self.arrives_at[v])
+                self.busy_until[v] = arrive
+                self.leg_m[v] = (
+                    self.net.travel_distance[i, j] if i != j
+                    else _euclid(o_xy.tolist(), self.req_d_xy[rid].tolist()))
+                heapq.heappush(ends, (arrive, v))
             elif leg == CUSTOMER:
                 self.vehicle_m[v, 0] += self.leg_m[v]
                 self._set_status(rid, 4)
@@ -362,9 +377,10 @@ class _Run:
                 self.station[v] = self.req_d_st[rid]
                 self.leg[v] = IDLE
             else:
+                j = int(self.dest[v])
                 self.vehicle_m[v, 1] += self.leg_m[v]
-                self.xy[v] = self.net.centroids[self.dest[v]]
-                self.station[v] = self.dest[v]
+                self.xy[v] = self.net.centroids[j]
+                self.station[v] = j
                 self.leg[v] = IDLE
 
     def _admit(self, now: float) -> None:
@@ -375,12 +391,13 @@ class _Run:
             self.next_request += 1
 
     def _start_pickup(self, v: int, rid: int, now: float) -> None:
-        o_xy = self.req_o_xy[rid]
-        i, j = self.req_o_st[rid], self.req_d_st[rid]
-        approach = _euclid(self.xy[v], o_xy)
-        pickup_end = now + approach / self.net.speed_mps
-        ride = (self.net.travel_time[i, j] if i != j
-                else _euclid(o_xy, self.req_d_xy[rid]) / self.net.speed_mps)
+        o_xy = self.req_o_xy[rid].tolist()
+        i, j = int(self.req_o_st[rid]), int(self.req_d_st[rid])
+        speed = self.net.speed_mps
+        approach = _euclid(self.xy[v].tolist(), o_xy)
+        pickup_end = now + approach / speed
+        ride = (float(self.net.travel_time[i, j]) if i != j
+                else _euclid(o_xy, self.req_d_xy[rid].tolist()) / speed)
         self.leg[v] = PICKUP
         self.request[v] = rid
         self.busy_until[v] = pickup_end
@@ -388,25 +405,30 @@ class _Run:
         self.dest[v] = j
         self.leg_m[v] = approach
         self._set_status(rid, 2)
+        heapq.heappush(self.ends, (pickup_end, v))
 
-    def _match(self, idle: np.ndarray, reqs: np.ndarray, now: float) -> None:
+    def _match(self, idle: np.ndarray, reqs: np.ndarray | list[int],
+               now: float) -> None:
         pairs = assign_pickups(self.xy[idle], self.req_o_xy[reqs])
         for vi, ri in pairs:
-            self._start_pickup(idle[vi], reqs[ri], now)
+            self._start_pickup(int(idle[vi]), int(reqs[ri]), now)
 
     def _dispatch(self, now: float) -> None:
-        idle = np.flatnonzero(self.leg == IDLE)
-        if not self.waiting or not len(idle):
+        if not self.waiting:
             return
-        waiting = np.array(self.waiting)
+        idle = np.flatnonzero(self.leg == IDLE)
+        if not len(idle):
+            return
         if self.cfg.controller == "gbm":
-            self._match(idle, waiting, now)
+            self._match(idle, self.waiting, now)
         else:
             # Stations in ascending order, idle vehicles in id order.
+            waiting = np.array(self.waiting)
             idle_st, wait_st = self.station[idle], self.req_o_st[waiting]
             for st in np.intersect1d(idle_st, wait_st):
                 self._match(idle[idle_st == st], waiting[wait_st == st], now)
-        self.waiting = waiting[self.req_status[waiting] == 1].tolist()
+        status = self.req_status
+        self.waiting = [r for r in self.waiting if status[r] == 1]
 
     def _interval_index(self, k_tick: int) -> int:
         """Grid interval containing tick ``k_tick`` of the live window."""
@@ -501,10 +523,13 @@ class _Run:
             take = min(len(pool), len(dests))
             self.clamped += len(dests) - take
             v, j = pool[:take], dests[:take]
+            until = now + self.net.travel_time[i, j]
             self.leg[v] = REBALANCE
-            self.busy_until[v] = self.arrives_at[v] = now + self.net.travel_time[i, j]
+            self.busy_until[v] = self.arrives_at[v] = until
             self.dest[v] = j
             self.leg_m[v] = self.net.travel_distance[i, j]
+            for entry in zip(until.tolist(), v.tolist()):
+                heapq.heappush(self.ends, entry)
 
     # --- main loop -----------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Golden closed-loop run: a short seed-0 metrics CSV, byte for byte.
 
 The bank is the pinned seed-0 3-day bank (``data/bank_seed0_3day.txt``),
-rebuilt against its own history, so nothing here trains.  A 6-hour
-``ccmpc`` period and a 6-hour ``fixed`` period run on the benchmark city,
-and their metrics CSV must equal ``data/golden_seed0_6h.csv``.  A change
+rebuilt against its own history, so nothing here trains.  6-hour
+``ccmpc``, ``fixed`` and ``gbm`` periods run on the benchmark city, and
+their metrics CSV must equal ``data/golden_seed0_6h.csv``.  A change
 that leaves plans alone leaves this file alone.  A change that moves
 plans must explain the move and re-record the file by running this
 module as a script:
@@ -32,7 +32,7 @@ def golden_rows():
     bank = load_bank(str(DATA / "bank_seed0_3day.txt"), grid.counts,
                      grid.midpoint_hours(sc.sim_start))
     rows = []
-    for controller in ("ccmpc", "fixed"):
+    for controller in ("ccmpc", "fixed", "gbm"):
         cfg = RunConfig(controller=controller, train_window_days=HISTORY_DAYS)
         m = run_simulation(sc, cfg, bank=bank if controller == "ccmpc" else None)
         m.seed = 0

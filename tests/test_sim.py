@@ -186,6 +186,39 @@ def test_oracle_prepositions_for_known_demand():
     assert m.waits[0] < reactive.waits[0]
 
 
+def test_legs_ending_together_complete_in_vehicle_order():
+    # Vehicle 1 starts a 45 s pickup at t=30 and vehicle 0 a 15 s pickup
+    # at t=60; both end at t=75 and complete on the t=90 tick.  Vehicle 0
+    # goes first although its leg started later, so its rider's wait is
+    # recorded first.
+    trips = table([(20.0, (2550.0, 0.0), A), (50.0, (150.0, 0.0), B)])
+    sc = Scenario(network=two_station_net(), trips=trips, sim_start=0.0,
+                  sim_end=600.0, fleet_size=2, initial_positions=[0, 1])
+    snaps = []
+    m = run_simulation(sc, RunConfig(controller="gbm"), on_tick=snaps.append)
+    assert snaps[2].leg_counts["pickup"] == 2
+    assert snaps[3].leg_counts["customer"] == 2
+    assert m.waits.tolist() == [25.0, 55.0]
+
+
+def test_leg_started_while_completing_waits_for_the_next_tick():
+    # Origin equals destination: the customer leg has zero length and
+    # ends as soon as the pickup does, yet it completes one tick later.
+    sc = Scenario(network=two_station_net(), trips=table([(10.0, A, A)]),
+                  sim_start=0.0, sim_end=600.0, fleet_size=1,
+                  initial_positions=[0])
+    snaps = []
+    m = run_simulation(sc, RunConfig(controller="gbm"), on_tick=snaps.append)
+    legs = [(s.leg_counts["pickup"], s.leg_counts["customer"]) for s in snaps[:4]]
+    assert legs == [(0, 0), (1, 0), (0, 1), (0, 0)]
+    # not yet arrived, assigned, on board, served
+    statuses = [s.status_counts.tolist() for s in snaps[:4]]
+    assert statuses == [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0],
+                        [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+    assert m.served == 1 and m.waits.tolist() == [20.0]
+    assert m.customer_m == 0.0
+
+
 def test_runs_are_deterministic():
     flows = [DemandFlow(origin=A, dest=B, spread=400.0,
                         profile=[(0.0, 24.0, 30.0)]),
