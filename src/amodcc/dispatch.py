@@ -15,12 +15,18 @@ from .errors import InvalidInputError
 
 
 def distance_cost_matrix(a_xy: np.ndarray, b_xy: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances between two point sets, (n, m)."""
+    """Pairwise Euclidean distances between two point sets, (n, m).
+
+    ``sqrt(dx*dx + dy*dy)``, computed in place in one (n, m) buffer.
+    """
     a = np.asarray(a_xy, dtype=float).reshape(-1, 2)
     b = np.asarray(b_xy, dtype=float).reshape(-1, 2)
-    dx = a[:, 0, None] - b[None, :, 0]
-    dy = a[:, 1, None] - b[None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    cost = np.subtract.outer(a[:, 0], b[:, 0])
+    dy = np.subtract.outer(a[:, 1], b[:, 1])
+    cost *= cost
+    dy *= dy
+    cost += dy
+    return np.sqrt(cost, out=cost)
 
 
 def assign_pickups(

@@ -167,3 +167,25 @@ class TestPickupAssignment:
     def test_empty_sides(self):
         assert assign_pickups(np.zeros((0, 2)), np.array([[1.0, 2.0]])) == []
         assert assign_pickups(np.array([[1.0, 2.0]]), np.zeros((0, 2))) == []
+
+    def test_distance_matrix_is_the_plain_formula_bit_for_bit(self):
+        # Matching tie-breaks depend on the exact bits of every cost, so the
+        # in-place computation must equal sqrt(dx*dx + dy*dy) exactly.
+        rng = np.random.default_rng(14)
+        for k in range(240):
+            n, m = rng.integers(0, 12, size=2)
+            if k % 40 == 0:
+                n = 0
+            elif k % 40 == 1:
+                m = 0
+            a = rng.uniform(-1e4, 1e4, size=(n, 2))
+            b = rng.uniform(-1e4, 1e4, size=(m, 2))
+            if k % 3 == 0 and n and m:
+                b[rng.integers(m)] = a[rng.integers(n)]     # coincident points
+                a[rng.integers(n)] = a[0]
+            dx = a[:, 0, None] - b[None, :, 0]
+            dy = a[:, 1, None] - b[None, :, 1]
+            want = np.sqrt(dx * dx + dy * dy)
+            got = distance_cost_matrix(a, b)
+            assert got.shape == (n, m) and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()

@@ -1,12 +1,14 @@
-"""Golden closed-loop run: a short seed-0 metrics CSV, byte for byte.
+"""Golden closed-loop runs: short seed-0 metrics CSVs, byte for byte.
 
-The bank is the pinned seed-0 3-day bank (``data/bank_seed0_3day.txt``),
-rebuilt against its own history, so nothing here trains.  6-hour
-``ccmpc``, ``fixed`` and ``gbm`` periods run on the benchmark city, and
-their metrics CSV must equal ``data/golden_seed0_6h.csv``.  A change
-that leaves plans alone leaves this file alone.  A change that moves
-plans must explain the move and re-record the file by running this
-module as a script:
+The 6-hour file runs ``ccmpc``, ``fixed`` and ``gbm`` periods on the
+benchmark city.  Its bank is the pinned seed-0 3-day bank
+(``data/bank_seed0_3day.txt``), rebuilt against its own history, so
+nothing here trains.  The week file runs seven live days of ``gbm``
+after a 5-day history (20,610 requests, 11,252 matchings), the tick
+loop that the ``gbm-week`` benchmark times.  A change that leaves plans
+and matchings alone leaves both files alone.  A change that moves them
+must explain the move and re-record both files by running this module
+as a script:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,6 +22,7 @@ from amodcc.sim import DemandGrid, RunConfig, benchmark_scenario, run_simulation
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_seed0_6h.csv"
+GOLDEN_WEEK = DATA / "golden_seed0_gbm_week.csv"
 HISTORY_DAYS = 3.0
 
 
@@ -40,12 +43,26 @@ def golden_rows():
     return rows
 
 
+def golden_week_rows():
+    sc = benchmark_scenario(0, history_days=5.0, sim_days=7.0)
+    m = run_simulation(sc, RunConfig(controller="gbm", train_window_days=5.0))
+    m.seed = 0
+    return [m]
+
+
 def test_seed0_period_matches_the_recorded_csv(tmp_path):
     out = tmp_path / "metrics.csv"
     write_metrics_csv(str(out), golden_rows())
     assert out.read_bytes() == GOLDEN.read_bytes()
 
 
+def test_seed0_gbm_week_matches_the_recorded_csv(tmp_path):
+    out = tmp_path / "metrics.csv"
+    write_metrics_csv(str(out), golden_week_rows())
+    assert out.read_bytes() == GOLDEN_WEEK.read_bytes()
+
+
 if __name__ == "__main__":
-    write_metrics_csv(str(GOLDEN), golden_rows())
-    sys.stdout.write(GOLDEN.read_text())
+    for path, rows in ((GOLDEN, golden_rows), (GOLDEN_WEEK, golden_week_rows)):
+        write_metrics_csv(str(path), rows())
+        sys.stdout.write(path.read_text())

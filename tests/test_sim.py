@@ -6,6 +6,8 @@ last meter; the conservation sweep then exercises every controller on a
 synthetic workload with per-tick invariant assertions.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -498,6 +500,33 @@ def test_benchmark_scenario_window():
     live = sc.trips.window(sc.sim_start, sc.sim_end)
     assert len(hist) > 0 and len(live) > 0
     assert len(hist) + len(live) == len(sc.trips)
+
+
+@pytest.mark.parametrize("controller", ["gbm", "fixed"])
+def test_snapshots_and_metrics_are_frozen_copies(controller):
+    # Each snapshot must keep the values of its own tick: a snapshot that
+    # aliased the live ledger or counts would read the end of the run.
+    sc = conservation_scenario()
+    run = _Run(sc, RunConfig(controller=controller, horizon=4, train_window_days=1.0))
+    seen = []
+
+    def keep(s):
+        seen.append((s, copy.deepcopy(s.vehicle_m), copy.deepcopy(s.status_counts)))
+
+    m = run.execute(on_tick=keep)
+    assert len(seen) == 721
+    for s, vehicle_m, status_counts in seen:
+        assert np.array_equal(s.vehicle_m, vehicle_m)
+        assert np.array_equal(s.status_counts, status_counts)
+    assert not np.array_equal(seen[0][1], seen[-1][1])
+    assert isinstance(m.vehicle_m, np.ndarray)
+    assert m.vehicle_m.shape == (sc.fleet_size, 3)
+    assert m.vehicle_m.dtype == np.float64
+    assert np.array_equal(m.vehicle_m, seen[-1][1])
+    # The run no longer holds the metrics' ledger or the last snapshot's.
+    run.vehicle_m[0] += 1.0
+    assert np.array_equal(m.vehicle_m, seen[-1][1])
+    assert np.array_equal(seen[-1][0].vehicle_m, seen[-1][1])
 
 
 @pytest.mark.parametrize("controller", ["gbm", "fixed"])
