@@ -12,6 +12,14 @@ The rows, costs and bounds depend only on the network, the horizon and
 the weights, so :func:`build_problem` assembles them once per run; each
 control instant supplies only the right-hand side.
 
+Every plan costs at least what picking each waiting request up at step 0
+costs.  The instant's zero-cost plan adds nothing to that floor: no empty
+moves, no backlog, every waiting request picked up at step 0 and each
+step's demand served in its step.  When it satisfies the rows and the
+weights leave no other plan at that cost, it is the unique optimum and
+is returned with 0 nodes and no solver call.  Every other instant goes
+to :func:`solve_ilp`.
+
 Demand uncertainty enters through the right-hand side only: the service
 rows require enough capacity for the forecast's ``1 - epsilon`` quantile,
 so risk appetite is one scalar.  At ``epsilon = 0.5`` the quantile
@@ -21,6 +29,7 @@ deterministic one.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +37,7 @@ from scipy import sparse
 
 from .errors import InvalidInputError, SolverError
 from .gp import gaussian_quantile
-from .ilp import IlpProblem, IlpSolution, SolverConfig, solve_ilp
+from .ilp import IlpProblem, IlpSolution, SolverConfig, _check_rows, solve_ilp
 from .network import FleetState, StationNetwork
 
 REBALANCE, CUSTOMER, BACKLOG, PICKUP = range(4)
@@ -174,7 +183,11 @@ def build_problem(network: StationNetwork, horizon: int,
 
     base = IlpProblem(c=c, a=a, senses=senses, b=np.zeros(n_rows),
                       lb=np.zeros(x.size), ub=ub)
-    return RebalanceProgram(network=network, horizon=horizon, base=base)
+    # With a price on every move and on every late pickup, any plan but
+    # the zero-cost one costs more than it does (RebalanceProgram._certified).
+    strict = bool(np.all(reb_w[~np.eye(n, dtype=bool)] > 0) and pickup_w[1] > pickup_w[0])
+    return RebalanceProgram(network=network, horizon=horizon, base=base,
+                            zero_cost_unique=strict)
 
 
 @dataclass
@@ -184,12 +197,15 @@ class RebalanceProgram:
     ``base`` holds the rows, senses, costs and bounds (and, through
     :class:`IlpProblem`, their row split and HiGHS model for the root LP)
     with a zero right-hand side; :meth:`problem` pairs it with one
-    instant's.
+    instant's.  ``zero_cost_unique`` records whether the weights price
+    every off-diagonal move and every pickup after step 0 above one at
+    step 0, which makes a feasible zero-cost plan the only optimum.
     """
 
     network: StationNetwork
     horizon: int
     base: IlpProblem
+    zero_cost_unique: bool
 
     @property
     def a(self) -> sparse.csr_matrix:
@@ -232,13 +248,43 @@ class RebalanceProgram:
 
     def solve(self, state: FleetState, outstanding: np.ndarray, demand: np.ndarray,
               cfg: SolverConfig | None = None) -> "RebalancePlan":
-        """Solve one control instant and read the plan tensors off the optimum."""
-        sol: IlpSolution = solve_ilp(self.problem(state, outstanding, demand), cfg)
+        """Solve one control instant and read the plan tensors off the optimum.
+
+        A certified zero-cost plan (:meth:`_certified`) is returned with
+        ``nodes == 0``; every other instant goes to :func:`solve_ilp`.
+        """
+        prob = self.problem(state, outstanding, demand)
+        sol = self._certified(prob, outstanding, demand) or solve_ilp(prob, cfg)
         x = np.round(sol.x).astype(np.int64)[columns(self.network.n_stations, self.horizon)]
         return RebalancePlan(rebalance=x[REBALANCE], customer=x[CUSTOMER],
                              backlog=x[BACKLOG], pickup=x[PICKUP],
                              objective=sol.objective, status=sol.status,
                              nodes=sol.nodes, wall_seconds=sol.wall_seconds)
+
+    def _certified(self, prob: IlpProblem, outstanding: np.ndarray,
+                   demand: np.ndarray) -> IlpSolution | None:
+        """The instant's zero-cost plan if it is the unique optimum, else None.
+
+        That plan moves no empty vehicle, carries no backlog, picks every
+        waiting request up at step 0 and serves each step's demand in that
+        step.  Every plan picks each waiting request up once, at a weight
+        no lower than ``pickup_delay[0]``, and pays nothing negative, so
+        none costs less than ``pickup_delay[0] * sum(outstanding)``, which
+        is this plan's cost.  With ``zero_cost_unique`` any other plan
+        costs more, so when this one satisfies the rows it is the vertex
+        the solver would return, and no solver runs.
+        """
+        if not self.zero_cost_unique:
+            return None
+        t0 = time.perf_counter()
+        cols = columns(self.network.n_stations, self.horizon)
+        x = np.zeros(prob.n_vars)
+        x[cols[CUSTOMER]] = demand
+        x[cols[CUSTOMER, :, :, 0]] = x[cols[PICKUP, :, :, 0]] = outstanding
+        if not _check_rows(prob, x):
+            return None
+        return IlpSolution(x=x, objective=float(prob.c @ x), status="optimal",
+                           nodes=0, wall_seconds=time.perf_counter() - t0)
 
 
 @dataclass
@@ -251,7 +297,7 @@ class RebalancePlan:
     pickup: np.ndarray
     objective: float
     status: str
-    nodes: int
+    nodes: int                  # 0 for a plan certified without the solver
     wall_seconds: float
 
     @property

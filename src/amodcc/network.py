@@ -104,9 +104,13 @@ def _kmeans_pp_seed(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
 def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # argmin returns the lowest index on ties, which is the tie-break rule.
+    # dx*dx + dy*dy in place: two (M, N) buffers instead of five.
     dx = pts[:, 0, None] - centroids[None, :, 0]
     dy = pts[:, 1, None] - centroids[None, :, 1]
-    return np.argmin(dx * dx + dy * dy, axis=1)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.argmin(dx, axis=1)
 
 
 def assign_stations(centroids: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -265,9 +265,9 @@ def seed0_3day_history():
 
 @pytest.mark.slow
 def test_bank_matches_the_pinned_seed0_fits():
-    # The seed-0 benchmark bank on a 3-day window, as the per-flow trainer
-    # fitted it (saved hyperparameters): the batched trainer must land on
-    # the same fits, and the likelihoods rebuilt from the file must match.
+    # The seed-0 benchmark bank on a 3-day window, as pinned in the file
+    # (saved hyperparameters): the per-flow trainer must land on the same
+    # fits, and the likelihoods rebuilt from the file must match.
     sc, counts, t = seed0_3day_history()
     start = sc.sim_start - 3 * 86_400.0
     bank = train_bank(counts, t, sc.network.step_seconds, series_origin=sc.sim_start,

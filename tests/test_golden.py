@@ -3,18 +3,22 @@
 The 6-hour file runs ``ccmpc``, ``fixed`` and ``gbm`` periods on the
 benchmark city.  Its bank is the pinned seed-0 3-day bank
 (``data/bank_seed0_3day.txt``), rebuilt against its own history, so
-nothing here trains.  The week file runs seven live days of ``gbm``
-after a 5-day history (20,610 requests, 11,252 matchings), the tick
-loop that the ``gbm-week`` benchmark times.  A change that leaves plans
-and matchings alone leaves both files alone.  A change that moves them
-must explain the move and re-record both files by running this module
-as a script:
+nothing here trains.  The ``ccmpc`` period is the one the ``ccmpc-day``
+benchmark runs; 12 of its 24 instants are certified without the solver
+(``nodes == 0``), and that count is pinned as well.  The week file runs
+seven live days of ``gbm`` after a 5-day history (20,610 requests,
+11,252 matchings), the tick loop that the ``gbm-week`` benchmark times.
+A change that leaves plans and matchings alone leaves both files alone.
+A change that moves them must explain the move and re-record both files
+by running this module as a script:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import sys
 from pathlib import Path
+
+import pytest
 
 from amodcc.forecast import load_bank
 from amodcc.report import write_metrics_csv
@@ -50,10 +54,25 @@ def golden_week_rows():
     return [m]
 
 
-def test_seed0_period_matches_the_recorded_csv(tmp_path):
+@pytest.fixture(scope="module")
+def period_rows():
+    return golden_rows()
+
+
+def test_seed0_period_matches_the_recorded_csv(tmp_path, period_rows):
     out = tmp_path / "metrics.csv"
-    write_metrics_csv(str(out), golden_rows())
+    write_metrics_csv(str(out), period_rows)
     assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_seed0_ccmpc_period_certifies_half_its_instants(period_rows):
+    # 12 of the 24 instants have a feasible zero-cost plan, which the
+    # default weights make the unique optimum: they skip the solver and
+    # report 0 nodes.  A wrong strictness rule in build_problem turns the
+    # certificate off without moving the CSV.
+    nodes = period_rows[0].solver_nodes
+    assert len(nodes) == 24
+    assert nodes.count(0) == 12
 
 
 def test_seed0_gbm_week_matches_the_recorded_csv(tmp_path):

@@ -120,6 +120,19 @@ class TestAssignment:
         want = [brute_nearest(centroids, p) for p in pts]
         assert got.tolist() == want
 
+    def test_matches_out_of_place_squared_distance_bit_for_bit(self):
+        # Station assignment decides the demand grid and every request's
+        # station, so the in-place sum must pick what dx*dx + dy*dy picks,
+        # exact ties on a coarse grid included.
+        rng = np.random.default_rng(6)
+        for scale in (1000.0, 4.0):
+            centroids = np.round(rng.uniform(0, scale, size=(10, 2)))
+            pts = np.round(rng.uniform(0, scale, size=(500, 2)), 1)
+            dx = pts[:, 0, None] - centroids[None, :, 0]
+            dy = pts[:, 1, None] - centroids[None, :, 1]
+            want = np.argmin(dx * dx + dy * dy, axis=1)
+            assert np.array_equal(assign_stations(centroids, pts), want)
+
     def test_tie_goes_to_lowest_index(self):
         centroids = np.array([[0.0, 0.0], [2.0, 0.0]])
         pts = np.array([[1.0, 0.0], [1.0, 5.0], [1.5, 0.0]])

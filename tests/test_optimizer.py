@@ -39,6 +39,26 @@ def zero_demand(n, horizon):
     return np.zeros((n, n, horizon + 1), dtype=int)
 
 
+def reference_optimum(prob):
+    """The integer optimum's objective by ``scipy.optimize.milp``."""
+    senses = np.asarray(prob.senses)
+    res = milp(c=prob.c,
+               constraints=LinearConstraint(prob.a, np.where(senses == "L", -np.inf, prob.b),
+                                            np.where(senses == "G", np.inf, prob.b)),
+               integrality=np.ones(prob.n_vars), bounds=Bounds(prob.lb, prob.ub))
+    assert res.status == 0
+    return res.fun
+
+
+def plan_vector(plan):
+    """A plan's four tensors as one column vector, in the program's layout."""
+    n, _, steps = plan.rebalance.shape
+    x = np.zeros(4 * n * n * steps)
+    x[columns(n, steps - 1)] = np.stack([plan.rebalance, plan.customer, plan.backlog,
+                                         plan.pickup])
+    return x
+
+
 def instant_problem(net, state, out, demand, weights=None):
     """One control instant's full program, from a program built for it."""
     horizon = demand.shape[2] - 1
@@ -435,15 +455,39 @@ class TestSolvePlans:
             weights = CostWeights.defaults(net, horizon)
             prob = instant_problem(net, state, out, demand, weights)
             ours = solve_ilp(prob)
-            senses = np.asarray(prob.senses)
-            theirs = milp(c=prob.c,
-                          constraints=LinearConstraint(
-                              prob.a, np.where(senses == "L", -np.inf, prob.b),
-                              np.where(senses == "G", np.inf, prob.b)),
-                          integrality=np.ones(prob.n_vars),
-                          bounds=Bounds(prob.lb, prob.ub))
-            assert theirs.status == 0
-            assert ours.objective == pytest.approx(theirs.fun, abs=1e-6)
+            assert ours.objective == pytest.approx(reference_optimum(prob), abs=1e-6)
+
+    @pytest.mark.parametrize("tie", ["flat pickup delay", "one free move"])
+    def test_weights_that_allow_a_tie_never_certify(self, tie):
+        # A flat pickup delay, or one free move, lets another plan cost as
+        # little as the zero-cost one, so that plan proves nothing: every
+        # instant goes to the solver, even one the default weights certify.
+        n, horizon = 3, 3
+        net = line_network(n)
+        if tie == "flat pickup delay":
+            weights = CostWeights.defaults(net, horizon, pickup_delay_slope=0.0)
+        else:
+            weights = CostWeights.defaults(net, horizon)
+            weights.rebalance[0, 2] = 0.0
+        program = build_problem(net, horizon, weights)
+        strict = build_problem(net, horizon, CostWeights.defaults(net, horizon))
+        assert strict.zero_cost_unique and not program.zero_cost_unique
+        rng = np.random.default_rng(23)
+        idx = np.arange(n)
+        for _ in range(6):
+            demand = rng.integers(0, 2, size=(n, n, horizon + 1))
+            out = rng.integers(0, 2, size=(n, n))
+            demand[idx, idx, :] = 0
+            out[idx, idx] = 0
+            state = FleetState(idle=np.full(n, 8))    # enough for the zero-cost plan
+            certified = strict.solve(state, out, demand)
+            assert certified.nodes == 0
+            assert np.array_equal(plan_vector(certified),
+                                  solve_ilp(strict.problem(state, out, demand)).x)
+            plan = program.solve(state, out, demand)
+            assert plan.nodes >= 1
+            assert np.array_equal(plan_vector(plan),
+                                  solve_ilp(program.problem(state, out, demand)).x)
 
     def test_recorded_hard_step_is_solved_to_optimality(self):
         # Control step 76 of the seed-0 benchmark day: the root LP is
@@ -488,13 +532,21 @@ class TestSolvePlans:
 @given(instant=small_instants(), data=st.data())
 def test_solved_plans_verify_and_a_moved_unit_does_not(instant, data):
     net, state, out, demand = instant
-    n, horizon = net.n_stations, demand.shape[2] - 1
+    horizon = demand.shape[2] - 1
     program = build_problem(net, horizon, CostWeights.defaults(net, horizon))
     plan = program.solve(state, out, demand)
     plan.verify_against(net, state, out, demand)
-    x = np.zeros(program.base.n_vars)
-    x[columns(n, horizon)] = np.stack([plan.rebalance, plan.customer, plan.backlog, plan.pickup])
+    x = plan_vector(plan)
     assert plan.objective == float(program.base.c @ x)
+
+    # A plan certified without the solver (nodes == 0) is the solver's own
+    # vertex and the MILP optimum; every other plan went through the solver.
+    if plan.nodes == 0:
+        prob = program.problem(state, out, demand)
+        assert np.array_equal(x, solve_ilp(prob).x)
+        assert plan.objective == pytest.approx(reference_optimum(prob), abs=1e-6)
+    else:
+        assert plan.nodes >= 1
 
     # Every unit of service, backlog or pickup sits in equality rows, so
     # moving one to another step breaks the plan.
