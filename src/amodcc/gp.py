@@ -163,6 +163,21 @@ def _gaps_of(key: bytes) -> _Gaps:
     return _Gaps(t, values, index.reshape(t.shape[0], t.shape[0]))
 
 
+@lru_cache(maxsize=2)
+def _cross_gaps(t: bytes, t_star: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct gaps t_i - t*_j between training and query times, and
+    the (n, m) positions of every pair's gap among them.
+
+    Every flow of a bank shares its training grid and is queried at the
+    same times, so one forecast builds this once, not once per flow.
+    """
+    ta, tb = np.frombuffer(t), np.frombuffer(t_star)
+    values, index = np.unique(np.subtract.outer(ta, tb), return_inverse=True)
+    index = index.reshape(ta.shape[0], tb.shape[0])
+    values.flags.writeable = index.flags.writeable = False   # shared by every caller
+    return values, index
+
+
 # --- factorization ---------------------------------------------------------------
 
 
@@ -405,9 +420,10 @@ def predict_batch(gp: TrainedGP, t_star: np.ndarray) -> tuple[np.ndarray, np.nda
     zero before the square root.
     """
     ts = np.asarray(t_star, dtype=float).ravel()
-    k_star = kernel_matrix(gp.kernel, gp.t, ts)           # (n, m)
+    values, index = _cross_gaps(gp.t.tobytes(), ts.tobytes())
+    k_star = gp.kernel.value(values)[index]               # (n, m)
     mean = k_star.T @ gp.alpha
-    v = solve_triangular(gp.L, k_star, lower=True)        # L v = k*
+    v = solve_triangular(gp.L, k_star, lower=True, check_finite=False)  # L v = k*
     var = gp.kernel.diag_value() + gp.noise_var - np.sum(v * v, axis=0)
     var = np.maximum(var, 0.0)
     return mean, np.sqrt(var)

@@ -1,17 +1,35 @@
-"""Integer linear programs: root LP on HiGHS, HiGHS MILP when it is fractional.
+"""Integer linear programs: canonical root LP on HiGHS, HiGHS MILP when it is fractional.
 
 Problems are all-integer minimizations over bounded-below variables.  Every
 solve starts with the LP relaxation: each :class:`IlpProblem` builds one
 HiGHS model of its rows, costs and bounds through SciPy's HiGHS bindings
-(``scipy.optimize._highspy``), and a solve writes only its right-hand side
-into that model and runs HiGHS dual simplex after presolve.  Row order and
-options are those of SciPy's ``method="highs"`` LP front end, so among tied
-optima the root vertex is the one that front end returns.  When that optimum
-is integral, which is the common case for the rebalancing programs, its
-vertex is the plan.  Otherwise one ``scipy.optimize.milp`` call proves the
-integer optimum with a zero relative gap.  The time limit is only a safety
-stop: a MILP that reaches it raises :class:`SolverError` rather than
-returning an incumbent, so no plan depends on the speed of the machine.
+(``scipy.optimize._highspy``), shared by every right-hand side of the same
+program.  A solve writes only its right-hand side into that model and runs
+HiGHS dual simplex from the last optimal basis any instant of the program
+reached; the costs never change, so that basis stays dual feasible.  The
+first solve, and any warm solve that ends anywhere but at an optimum, runs
+from scratch after presolve instead.
+
+Warm and cold solves land on different optima when optima tie, so the
+vertex is then made canonical.  The reduced costs and row duals of
+whatever optimum was found describe the whole optimal face: a column with
+a nonzero reduced cost sits at the same bound in every optimum, and an
+inequality row with a nonzero dual at the same activity.  A second solve
+fixes those and minimises a fixed generic cost over what is left: i.i.d.
+U(1, 2) draws from a fixed seed, each scaled by its column's
+``tie_weight``, so the program can say which optima it prefers.  The
+minimiser is unique, so the root vertex is a function of the instant
+alone, not of the solver's path: a one-shot solve gets cold what a run
+gets warm.
+
+When that vertex is integral, which is the common case for the rebalancing
+programs, it is the plan.  Otherwise one ``scipy.optimize.milp`` call
+proves the integer optimum with a zero relative gap.  That call starts
+from scratch every time, so it does not depend on earlier instants either,
+but among tied integer optima it returns the one its own search meets
+first.  The time limit is only a safety stop: a MILP that reaches it
+raises :class:`SolverError` rather than returning an incumbent, so no plan
+depends on the speed of the machine.
 """
 
 from __future__ import annotations
@@ -20,7 +38,6 @@ import copy
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -36,20 +53,26 @@ except ImportError as exc:  # SciPy before 1.15 has no pybind11 HiGHS module
         "scipy.optimize._highspy._core") from exc
 
 _INT_TOL = 1e-6      # an LP value this close to an integer counts as integral
+_DUAL_TOL = 1e-9     # a reduced cost or row dual this far from zero pins its bound
+_TIE_SEED = 0        # seed of the generic cost that picks one vertex of a tied face
 
 
-def _lp_options():
-    """SciPy's ``method="highs"`` LP options: presolve, dual simplex, no output."""
+def _lp_options(strategy):
+    """Presolve, the given simplex strategy, no output."""
     opts = _highs.HighsOptions()
     opts.presolve = "on"
-    opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.simplex_strategy = strategy
     opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
     opts.output_flag = False
     opts.log_to_console = False
     return opts
 
 
-_LP_OPTIONS = _lp_options()
+_STRATEGY = _highs.simplex_constants.SimplexStrategy
+_LP_OPTIONS = _lp_options(_STRATEGY.kSimplexStrategyDual)
+# The tie-break starts at a primal feasible basis, where primal simplex is at home.
+_FACE_OPTIONS = _lp_options(_STRATEGY.kSimplexStrategyPrimal)
+_OPTIMAL = _highs.HighsModelStatus.kOptimal
 
 
 def _finite(v: np.ndarray) -> np.ndarray:
@@ -57,25 +80,32 @@ def _finite(v: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(v), np.copysign(_highs.kHighsInf, v), v)
 
 
-class _RowSplit(NamedTuple):
-    """The rows in SciPy's LP order: "L" rows, negated "G" rows, "E" rows.
+@dataclass(eq=False)
+class _RootLp:
+    """One program's LP relaxation in HiGHS, shared by all its instants.
 
-    ``model`` is the LP relaxation in that order; only its row bounds
-    change between solves, written under ``lock``.
+    ``model`` holds the rows in their own order; only its row bounds
+    change between solves.  ``basis`` is the last optimal basis any
+    instant reached, the warm start of the next.  Both are written under
+    ``lock``.  ``tie_cost`` is the fixed generic cost that picks one
+    vertex of a tied optimal face: uniform draws times the problem's
+    ``tie_weight``.
     """
 
     sense: np.ndarray            # the senses as an array
-    order: np.ndarray            # row ids in the model's row order
-    sign: np.ndarray             # -1 for a "G" row, +1 otherwise
-    n_ub: int                    # the first n_ub model rows have no lower bound
     model: _highs.HighsLp
-    lock: threading.Lock
+    tie_cost: np.ndarray
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    basis: _highs.HighsBasis | None = None
+
+    def row_bounds(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's lower and upper bound for the right-hand side ``b``."""
+        inf = _highs.kHighsInf
+        return (np.where(self.sense == "L", -inf, b), np.where(self.sense == "G", inf, b))
 
 
-def _split_rows(prob: IlpProblem) -> _RowSplit:
-    sense = np.asarray(prob.senses)
-    le, ge, eq = (np.flatnonzero(sense == s) for s in ("L", "G", "E"))
-    a = sparse.csc_array(sparse.vstack([prob.a[le], -prob.a[ge], prob.a[eq]], format="coo"))
+def _root_lp(prob: IlpProblem) -> _RootLp:
+    a = prob.a.tocsc()
     n_rows, n_cols = a.shape
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
@@ -88,9 +118,8 @@ def _split_rows(prob: IlpProblem) -> _RowSplit:
     lp.col_cost_ = prob.c
     lp.col_lower_ = _finite(prob.lb)
     lp.col_upper_ = _finite(prob.ub)
-    return _RowSplit(sense=sense, order=np.concatenate([le, ge, eq]),
-                     sign=np.repeat([1.0, -1.0, 1.0], [le.size, ge.size, eq.size]),
-                     n_ub=le.size + ge.size, model=lp, lock=threading.Lock())
+    tie_cost = np.random.default_rng(_TIE_SEED).uniform(1.0, 2.0, n_cols) * prob.tie_weight
+    return _RootLp(sense=np.asarray(prob.senses), model=lp, tie_cost=tie_cost)
 
 
 def _check_rhs(b: np.ndarray) -> None:
@@ -100,7 +129,12 @@ def _check_rhs(b: np.ndarray) -> None:
 
 @dataclass
 class IlpProblem:
-    """min c.x  s.t.  A x {<=,=,>=} b,  lb <= x <= ub,  x integer."""
+    """min c.x  s.t.  A x {<=,=,>=} b,  lb <= x <= ub,  x integer.
+
+    ``tie_weight`` (positive, one per column, all 1 by default) scales the
+    generic cost that picks one root vertex among tied LP optima, which
+    leans towards optima that put their mass on low-weight columns.
+    """
 
     c: np.ndarray
     a: sparse.csr_matrix
@@ -108,7 +142,8 @@ class IlpProblem:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    split: _RowSplit = field(init=False, repr=False, compare=False)
+    tie_weight: np.ndarray | None = None
+    root: _RootLp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
@@ -131,14 +166,18 @@ class IlpProblem:
             raise InvalidInputError("upper bounds must not be NaN")
         if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.a.data))):
             raise InvalidInputError("costs and row coefficients must be finite")
+        w = np.ones(n) if self.tie_weight is None else np.asarray(self.tie_weight, dtype=float)
+        if w.shape != (n,) or not np.all(np.isfinite(w) & (w > 0)):
+            raise InvalidInputError("tie weights must be finite and positive, one per variable")
+        self.tie_weight = w
         _check_rhs(self.b)
-        self.split = _split_rows(self)
+        self.root = _root_lp(self)
 
     def with_rhs(self, b: np.ndarray) -> "IlpProblem":
         """The same program with another right-hand side.
 
-        Everything else, the row split and its HiGHS model included, is
-        shared, not copied.
+        Everything else, the HiGHS model and its warm-start basis
+        included, is shared, not copied.
         """
         b = np.asarray(b, dtype=float)
         if b.shape != self.b.shape:
@@ -166,45 +205,104 @@ class IlpSolution:
     status: str                  # always "optimal": anything else raises
     nodes: int                   # 1 for the root LP, plus the MILP's nodes
     wall_seconds: float
+    iterations: int              # simplex iterations of the root LP and its tie-break
 
 
 def _check_rows(prob: IlpProblem, x: np.ndarray, tol: float = 1e-6) -> bool:
     r = prob.a @ x - prob.b
-    senses = prob.split.sense
+    senses = prob.root.sense
     violated = (((senses == "E") & (np.abs(r) > tol)) | ((senses == "L") & (r > tol))
                 | ((senses == "G") & (r < -tol)))
     return bool(not violated.any() and np.all(x >= prob.lb - tol)
                 and np.all(x <= prob.ub + tol))
 
 
-def _solve_root(prob: IlpProblem) -> np.ndarray:
-    split = prob.split
-    upper = prob.b[split.order] * split.sign
-    lower = upper.copy()
-    lower[:split.n_ub] = -_highs.kHighsInf
+def _load(root: _RootLp, lower: np.ndarray, upper: np.ndarray, options) -> _highs._Highs:
     highs = _highs._Highs()
-    highs.passOptions(_LP_OPTIONS)
-    with split.lock:
-        split.model.row_lower_ = lower
-        split.model.row_upper_ = upper
-        loaded = highs.passModel(split.model)
+    highs.passOptions(options)
+    with root.lock:
+        root.model.row_lower_ = lower
+        root.model.row_upper_ = upper
+        loaded = highs.passModel(root.model)
     if loaded == _highs.HighsStatus.kError:
         raise NumericalError("LP backend rejected the model")
+    return highs
+
+
+def _optimum(root: _RootLp, lower: np.ndarray, upper: np.ndarray) -> _highs._Highs:
+    """A HiGHS handle at an optimum of the root LP.
+
+    Dual simplex starts from the last optimal basis of the program: the
+    costs never change, so that basis stays dual feasible and only the
+    new right-hand side has to be repaired.  Without a basis, or when
+    the warm solve ends anywhere but at an optimum, the LP is solved
+    again from scratch after presolve, and its status decides the error.
+    """
+    basis = root.basis
+    if basis is not None:
+        highs = _load(root, lower, upper, _LP_OPTIONS)
+        highs.setBasis(basis)
+        highs.run()
+        if highs.getModelStatus() == _OPTIMAL:
+            return highs
+    highs = _load(root, lower, upper, _LP_OPTIONS)
     highs.run()
     status = highs.getModelStatus()
     if status == _highs.HighsModelStatus.kInfeasible:
         raise InfeasibleError("no integer-feasible point")
     if status == _highs.HighsModelStatus.kUnbounded:
         raise SolverError("LP relaxation is unbounded")
-    if status != _highs.HighsModelStatus.kOptimal:
+    if status != _OPTIMAL:
         raise NumericalError(f"LP backend failed: {highs.modelStatusToString(status)}")
-    return np.array(highs.getSolution().col_value)
+    return highs
+
+
+def _solve_root(prob: IlpProblem) -> tuple[np.ndarray, int]:
+    """The canonical root vertex and the simplex iterations it took.
+
+    Whatever optimum the warm or cold solve lands on, its reduced costs
+    and row duals describe the whole optimal face: a column with a
+    nonzero reduced cost stays at the bound where it sits, and an
+    inequality row with a nonzero dual stays at its activity, in every
+    optimum.  Fixing those and minimising the generic ``tie_cost`` over
+    what is left gives the face's one minimiser, so the vertex depends
+    on the instant alone, not on the basis the solve started from.  The
+    second solve starts where the first ended; the handle is dropped
+    afterwards, so nothing needs restoring.
+    """
+    root = prob.root
+    lower, upper = root.row_bounds(prob.b)
+    highs = _optimum(root, lower, upper)
+    iterations = highs.getInfo().simplex_iteration_count
+    with root.lock:
+        root.basis = highs.getBasis()
+
+    n = prob.n_vars
+    sol = highs.getSolution()
+    x, d = np.asarray(sol.col_value), np.asarray(sol.col_dual)
+    activity, y = np.asarray(sol.row_value), np.asarray(sol.row_dual)
+    nonbasic = np.ones(n + lower.size, dtype=bool)
+    basic = highs.getBasicVariables()[1]            # column j, or row i as -1 - i
+    nonbasic[np.where(basic >= 0, basic, n - 1 - basic)] = False
+    cols = np.flatnonzero(nonbasic[:n] & (np.abs(d) > _DUAL_TOL)).astype(np.int32)
+    lb, ub = prob.lb[cols], prob.ub[cols]
+    at = np.where(np.abs(x[cols] - lb) <= np.abs(x[cols] - ub), lb, ub)
+    highs.changeColsBounds(cols.size, cols, at, at)
+    for i in np.flatnonzero(nonbasic[n:] & (np.abs(y) > _DUAL_TOL) & (lower != upper)):
+        at = lower[i] if abs(activity[i] - lower[i]) <= abs(activity[i] - upper[i]) else upper[i]
+        highs.changeRowBounds(int(i), at, at)
+    highs.changeColsCost(n, np.arange(n, dtype=np.int32), root.tie_cost)
+    highs.passOptions(_FACE_OPTIONS)
+    highs.run()
+    if highs.getModelStatus() != _OPTIMAL:
+        raise NumericalError("LP backend failed to break a tie among optima: "
+                             + highs.modelStatusToString(highs.getModelStatus()))
+    iterations += highs.getInfo().simplex_iteration_count
+    return np.array(highs.getSolution().col_value), iterations
 
 
 def _solve_milp(prob: IlpProblem, time_limit_s: float) -> tuple[np.ndarray, int]:
-    senses = prob.split.sense
-    lo = np.where(senses == "L", -np.inf, prob.b)
-    hi = np.where(senses == "G", np.inf, prob.b)
+    lo, hi = prob.root.row_bounds(prob.b)
     res = milp(c=prob.c, constraints=LinearConstraint(prob.a, lo, hi),
                integrality=np.ones(prob.n_vars), bounds=Bounds(prob.lb, prob.ub),
                options={"time_limit": time_limit_s, "mip_rel_gap": 0.0})
@@ -226,7 +324,7 @@ def solve_ilp(prob: IlpProblem, cfg: SolverConfig | None = None) -> IlpSolution:
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    x = _solve_root(prob)
+    x, iterations = _solve_root(prob)
     nodes = 1
     if np.any(np.abs(x - np.round(x)) > _INT_TOL):
         x, milp_nodes = _solve_milp(prob, cfg.time_limit_s)
@@ -235,4 +333,5 @@ def solve_ilp(prob: IlpProblem, cfg: SolverConfig | None = None) -> IlpSolution:
     if not _check_rows(prob, xr):
         raise NumericalError("rounded optimum violates the rows")
     return IlpSolution(x=xr, objective=float(prob.c @ xr), status="optimal",
-                       nodes=nodes, wall_seconds=time.perf_counter() - t0)
+                       nodes=nodes, wall_seconds=time.perf_counter() - t0,
+                       iterations=iterations)

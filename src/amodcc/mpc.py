@@ -18,7 +18,11 @@ moves, no backlog, every waiting request picked up at step 0 and each
 step's demand served in its step.  When it satisfies the rows and the
 weights leave no other plan at that cost, it is the unique optimum and
 is returned with 0 nodes and no solver call.  Every other instant goes
-to :func:`solve_ilp`.
+to :func:`solve_ilp`, whose root LP starts from the basis the last
+solved instant of the run ended on and breaks ties by a fixed rule, so
+a plan depends on its instant, not on the instants before it.  The rule
+leans towards acting early (``tie_weight`` grows with the step), since
+only the first step of a plan is ever executed.
 
 Demand uncertainty enters through the right-hand side only: the service
 rows require enough capacity for the forecast's ``1 - epsilon`` quantile,
@@ -181,8 +185,12 @@ def build_problem(network: StationNetwork, horizon: int,
     ub = np.full(x.size, np.inf)
     ub[moves[:, diag, diag]] = 0.0
 
+    # Among tied optima, act early: a flow at step k weighs 1 + k in the
+    # tie-break.  Only step 0 is executed, so a move that one instant
+    # defers at no cost could be deferred again at every later instant.
+    tie_weight = 1.0 + np.broadcast_to(np.arange(steps), x.shape).ravel()
     base = IlpProblem(c=c, a=a, senses=senses, b=np.zeros(n_rows),
-                      lb=np.zeros(x.size), ub=ub)
+                      lb=np.zeros(x.size), ub=ub, tie_weight=tie_weight)
     # With a price on every move and on every late pickup, any plan but
     # the zero-cost one costs more than it does (RebalanceProgram._certified).
     strict = bool(np.all(reb_w[~np.eye(n, dtype=bool)] > 0) and pickup_w[1] > pickup_w[0])
@@ -195,11 +203,12 @@ class RebalanceProgram:
     """One run's integer program: everything but the right-hand side.
 
     ``base`` holds the rows, senses, costs and bounds (and, through
-    :class:`IlpProblem`, their row split and HiGHS model for the root LP)
-    with a zero right-hand side; :meth:`problem` pairs it with one
-    instant's.  ``zero_cost_unique`` records whether the weights price
-    every off-diagonal move and every pickup after step 0 above one at
-    step 0, which makes a feasible zero-cost plan the only optimum.
+    :class:`IlpProblem`, their HiGHS model for the root LP and the basis
+    each solve warm-starts from) with a zero right-hand side;
+    :meth:`problem` pairs it with one instant's.  ``zero_cost_unique``
+    records whether the weights price every off-diagonal move and every
+    pickup after step 0 above one at step 0, which makes a feasible
+    zero-cost plan the only optimum.
     """
 
     network: StationNetwork
@@ -259,7 +268,8 @@ class RebalanceProgram:
         return RebalancePlan(rebalance=x[REBALANCE], customer=x[CUSTOMER],
                              backlog=x[BACKLOG], pickup=x[PICKUP],
                              objective=sol.objective, status=sol.status,
-                             nodes=sol.nodes, wall_seconds=sol.wall_seconds)
+                             nodes=sol.nodes, wall_seconds=sol.wall_seconds,
+                             iterations=sol.iterations)
 
     def _certified(self, prob: IlpProblem, outstanding: np.ndarray,
                    demand: np.ndarray) -> IlpSolution | None:
@@ -284,7 +294,7 @@ class RebalanceProgram:
         if not _check_rows(prob, x):
             return None
         return IlpSolution(x=x, objective=float(prob.c @ x), status="optimal",
-                           nodes=0, wall_seconds=time.perf_counter() - t0)
+                           nodes=0, wall_seconds=time.perf_counter() - t0, iterations=0)
 
 
 @dataclass
@@ -299,6 +309,7 @@ class RebalancePlan:
     status: str
     nodes: int                  # 0 for a plan certified without the solver
     wall_seconds: float
+    iterations: int             # simplex iterations of the root LP and its tie-break
 
     @property
     def first_step(self) -> np.ndarray:

@@ -23,7 +23,7 @@ CSV_COLUMNS = [
 ]
 
 TIMING_COLUMNS = [
-    "controller", "epsilon", "seed", "solves", "nodes_total",
+    "controller", "epsilon", "seed", "solves", "nodes_total", "iterations_total",
     "wall_total_s", "wall_median_s", "wall_max_s",
 ]
 
@@ -42,6 +42,7 @@ def metrics_to_dict(m: SimMetrics) -> dict:
         "vehicle_m": [[float(x) for x in row] for row in m.vehicle_m],
         "solver_wall": [float(w) for w in m.solver_wall],
         "solver_nodes": [int(c) for c in m.solver_nodes],
+        "solver_iterations": [int(c) for c in m.solver_iterations],
         "clamped": m.clamped,
     }
 
@@ -61,6 +62,7 @@ def metrics_from_dict(d: dict) -> SimMetrics:
             vehicle_m=np.asarray(d["vehicle_m"], dtype=float).reshape(-1, 3),
             solver_wall=list(d.get("solver_wall", [])),
             solver_nodes=list(d.get("solver_nodes", [])),
+            solver_iterations=list(d.get("solver_iterations", [])),
             clamped=int(d.get("clamped", 0)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -116,7 +118,7 @@ def write_timing_csv(path: str, rows: list[SimMetrics]) -> None:
         wall = np.asarray(m.solver_wall, dtype=float)
         cells = [_cell(v) for v in (
             m.controller, m.epsilon, m.seed, len(m.solver_wall),
-            int(sum(m.solver_nodes)),
+            int(sum(m.solver_nodes)), int(sum(m.solver_iterations)),
             float(wall.sum()) if wall.size else 0.0,
             float(np.median(wall)) if wall.size else 0.0,
             float(wall.max()) if wall.size else 0.0,

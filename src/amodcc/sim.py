@@ -185,6 +185,7 @@ class SimMetrics:
     vehicle_m: np.ndarray            # (fleet, 3): customer, rebalance, pickup
     solver_wall: list[float] = field(default_factory=list)
     solver_nodes: list[int] = field(default_factory=list)
+    solver_iterations: list[int] = field(default_factory=list)
     clamped: int = 0
     seed: int | None = None
 
@@ -352,6 +353,7 @@ class _Run:
         self.vehicle_m = array.array("d", [0.0]) * (3 * scenario.fleet_size)
         self.solver_wall: list[float] = []
         self.solver_nodes: list[int] = []
+        self.solver_iterations: list[int] = []
         self.clamped = 0
 
     def _history_grid_or_none(self) -> DemandGrid | None:
@@ -534,6 +536,7 @@ class _Run:
         plan = self.program.solve(state, outstanding, demand, self.cfg.solver)
         self.solver_wall.append(plan.wall_seconds)
         self.solver_nodes.append(plan.nodes)
+        self.solver_iterations.append(plan.iterations)
         if self.cfg.check_invariants:
             plan.verify_against(self.net, state, outstanding, demand)
 
@@ -605,6 +608,7 @@ class _Run:
             vehicle_m=self._ledger(),
             solver_wall=self.solver_wall,
             solver_nodes=self.solver_nodes,
+            solver_iterations=self.solver_iterations,
             clamped=self.clamped,
         )
 

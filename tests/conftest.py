@@ -8,3 +8,14 @@ slower.
 """
 
 import amodcc  # noqa: F401
+
+import pytest
+
+
+@pytest.fixture(scope="session")
+def seed0_period():
+    """The golden seed-0 ``ccmpc`` period, run once per session: its
+    metrics and every control instant's program, inputs and plan
+    (``test_golden.record_period``)."""
+    from test_golden import record_period
+    return record_period()

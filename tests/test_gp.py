@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from amodcc.errors import InvalidInputError, NumericalError
 from amodcc.gp import (
@@ -240,6 +241,24 @@ class TestPrediction:
                         - ks @ np.linalg.solve(K, ks))
             assert mean[idx] == pytest.approx(want_mean, abs=1e-9)
             assert std[idx] ** 2 == pytest.approx(want_var, abs=1e-8)
+
+    def test_gathered_kernel_equals_direct_evaluation_bit_for_bit(self):
+        # predict_batch evaluates the kernel once per distinct gap and
+        # gathers it; that must be exactly the kernel on every pair, for
+        # query times on and off the training grid, repeated, and across
+        # fits that share both grids.
+        rng = np.random.default_rng(8)
+        t = np.arange(0.25, 48.0, 0.5)
+        t_star = np.concatenate([t[-6:] + 3.0, [48.1, 48.1, 50.0, -2.3], t[:3]])
+        for _ in range(3):
+            data = GPTrainingSet(t, rng.normal(size=t.size), noise_var=0.3)
+            fit = train(data, random_kernel(rng), TrainConfig(max_iters=0))
+            k_star = kernel_matrix(fit.kernel, fit.t, t_star)
+            v = solve_triangular(fit.L, k_star, lower=True)
+            var = fit.kernel.diag_value() + fit.noise_var - np.sum(v * v, axis=0)
+            mean, std = predict_batch(fit, t_star)
+            assert np.array_equal(mean, k_star.T @ fit.alpha)
+            assert np.array_equal(std, np.sqrt(np.maximum(var, 0.0)))
 
     def test_near_interpolation_with_tiny_noise(self):
         rng = np.random.default_rng(5)

@@ -1,4 +1,4 @@
-"""The integer program solver: root LP, then HiGHS MILP when fractional."""
+"""The integer program solver: canonical root LP, then HiGHS MILP when fractional."""
 
 import itertools
 import json
@@ -22,7 +22,7 @@ from amodcc.sim import benchmark_network
 DATA = Path(__file__).parent / "data"
 
 
-def make_problem(c, a, senses, b, lb=None, ub=None):
+def make_problem(c, a, senses, b, lb=None, ub=None, tie_weight=None):
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     return IlpProblem(
@@ -32,6 +32,7 @@ def make_problem(c, a, senses, b, lb=None, ub=None):
         b=np.asarray(b, dtype=float),
         lb=np.zeros(n) if lb is None else np.asarray(lb, dtype=float),
         ub=np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float),
+        tie_weight=tie_weight,
     )
 
 
@@ -80,15 +81,21 @@ def random_problems():
         yield random_problem(rng, n, m, box=3)
 
 
-def recorded_step76():
-    """Control step 76 of the seed-0 benchmark day, from its recorded inputs."""
+def step76_inputs():
+    """Control step 76 of the seed-0 benchmark day: its program and inputs."""
     rec = json.loads((DATA / "seed0_step76.json").read_text())
     net = benchmark_network()
     demand = np.array(rec["demand"])
     horizon = demand.shape[2] - 1
     program = build_problem(net, horizon, CostWeights.defaults(net, horizon))
     state = FleetState(np.array(rec["idle"]), [tuple(a) for a in rec["arrivals"]])
-    return program.problem(state, np.array(rec["outstanding"]), demand)
+    return program, state, np.array(rec["outstanding"]), demand
+
+
+def recorded_step76():
+    """Control step 76 of the seed-0 benchmark day, from its recorded inputs."""
+    program, state, outstanding, demand = step76_inputs()
+    return program.problem(state, outstanding, demand)
 
 
 def linprog_root(prob):
@@ -188,27 +195,87 @@ class TestInputs:
         with pytest.raises(InvalidInputError, match="NaN"):
             make_problem([1.0], [[1.0]], ["L"], [1.0], ub=[np.nan])
 
+    @pytest.mark.parametrize("weight", [[1.0], [1.0, 0.0], [1.0, -2.0], [1.0, np.nan],
+                                        [np.inf, 1.0]])
+    def test_rejects_tie_weights_that_are_not_positive_and_finite(self, weight):
+        with pytest.raises(InvalidInputError, match="tie weights"):
+            make_problem([1.0, 1.0], [[1.0, 1.0]], "G", [3.0], tie_weight=weight)
 
-class TestRootVertex:
-    """The root LP returns ``linprog(method="highs")``'s vertex, bit for bit.
 
-    Among tied optima the vertex decides the plan, so presolve, the row
-    order and the options must stay ``linprog``'s.
+def cold(prob):
+    """The root vertex solved from scratch, as a one-shot solve would."""
+    prob.root.basis = None
+    return _solve_root(prob)[0]
+
+
+def warm(prob, other):
+    """The root vertex solved from the optimal basis of another instant."""
+    cold(other)
+    return _solve_root(prob)[0]
+
+
+def step76_instants():
+    """The recorded step 76, paired with the same instant at half its demand."""
+    program, state, outstanding, demand = step76_inputs()
+    return [(program.problem(state, outstanding, demand),
+             program.problem(state, outstanding, demand // 2))]
+
+
+def random_instants():
+    """Each random problem, paired with the same rows at another planted point."""
+    rng = np.random.default_rng(34)
+    out = []
+    for prob in random_problems():
+        x = rng.integers(0, 4, size=prob.n_vars)
+        out.append((prob, prob.with_rhs(prob.a @ x)))
+    return out
+
+
+def period_instants(seed0_period):
+    """The seed-0 period's instants that reach the solver, each paired with
+    the one before it, whose basis a run would start from."""
+    _, instants = seed0_period
+    probs = [program.problem(state, outstanding, demand)
+             for program, state, outstanding, demand, plan in instants if plan.nodes]
+    assert len(probs) == 11
+    return list(zip(probs, probs[-1:] + probs[:-1]))
+
+
+@pytest.fixture(params=["step76", "random", "period"])
+def instants(request):
+    if request.param == "period":
+        return period_instants(request.getfixturevalue("seed0_period"))
+    return {"step76": step76_instants, "random": random_instants}[request.param]()
+
+
+def same_vertex(x, y):
+    return np.allclose(x, y, rtol=0.0, atol=1e-9)
+
+
+class TestCanonicalRoot:
+    """The root LP returns one vertex per instant, whatever basis it starts from.
+
+    A solve starts from the program's last optimal basis, and then breaks
+    ties among optima by a fixed generic cost, scaled by the problem's tie
+    weights, over the optimal face.  So a cold solve, a solve warm-started
+    from another instant's basis and solves on threads sharing one program
+    all return the same point, and its objective is ``linprog``'s optimum.
     """
 
-    def test_recorded_step_matches_linprog(self):
-        prob = recorded_step76()
-        assert np.array_equal(_solve_root(prob), linprog_root(prob))
+    def test_objective_is_linprogs_optimum(self, instants):
+        for prob, _ in instants:
+            want = float(prob.c @ linprog_root(prob))
+            assert abs(float(prob.c @ cold(prob)) - want) <= 1e-9 * max(1.0, abs(want))
 
-    def test_random_problems_match_linprog(self):
-        for prob in random_problems():
-            assert np.array_equal(_solve_root(prob), linprog_root(prob))
+    def test_warm_start_from_another_instant_gives_the_cold_vertex(self, instants):
+        for prob, other in instants:
+            assert same_vertex(warm(prob, other), cold(prob))
 
-    def test_threads_sharing_a_model_get_their_own_vertices(self, monkeypatch):
-        # Solves of one program's instants on many threads each see their
-        # own right-hand side in the shared model, never another's.  A
-        # pause inside passModel lets other threads run while the model
-        # is being read.
+    def test_threads_sharing_a_program_get_the_cold_vertex(self, instants, monkeypatch):
+        # Solves on many threads each see their own right-hand side in the
+        # shared model, never another's, and start from whatever basis
+        # another thread left behind.  A pause inside passModel lets other
+        # threads run while the model is being read.
         class SlowPass:
             def __init__(self):
                 self.highs = real._Highs()
@@ -220,15 +287,37 @@ class TestRootVertex:
             def __getattr__(self, name):
                 return getattr(self.highs, name)
 
+        probs = [prob for pair in instants for prob in pair]
+        want = [cold(prob) for prob in probs]
+        # Distinct vertices, so a thread that read another's bounds would show.
+        assert len({np.round(x).tobytes() for x in want}) > max(1, len(instants) // 2)
         real = ilp._highs
         monkeypatch.setattr(ilp, "_highs", types.SimpleNamespace(**{**vars(real), "_Highs": SlowPass}))
-        base = make_problem([-1.0, -2.0], [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
-                            ["L", "L", "G"], [0.0, 0.0, 0.0], ub=[50.0, 50.0])
-        rhs = [np.array([k + 3.0, k % 4, 1.0 + k % 3]) for k in range(12)]
-        want = [_solve_root(base.with_rhs(b)) for b in rhs]
-        assert len({tuple(x) for x in want}) > 6
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(_solve_root, base.with_rhs(b)) for b in rhs * 5]
-            got = [f.result(timeout=60) for f in futures]
-        for x, expected in zip(got, want * 5):
-            assert np.array_equal(x, expected)
+            futures = [pool.submit(_solve_root, prob) for prob in probs * 3]
+            got = [f.result(timeout=120)[0] for f in futures]
+        for x, expected in zip(got, want * 3):
+            assert same_vertex(x, expected)
+
+    def test_tied_optima_resolve_to_one_vertex(self):
+        # min x0 + x1 subject to x0 + x1 >= 3, x0 <= u0, x1 <= u1.  With
+        # u = (3, 3) every split of 3 is optimal.  Warm starts from the
+        # bases of the two ends of that face, and a cold start, all meet
+        # at the same end.
+        base = make_problem([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], "GLL",
+                            [3.0, 3.0, 3.0])
+        ends = [base.with_rhs(np.array([3.0, u0, u1])) for u0, u1 in ((0.0, 3.0), (3.0, 0.0))]
+        assert [tuple(cold(p)) for p in ends] == [(0.0, 3.0), (3.0, 0.0)]
+        x = [warm(base, end) for end in ends] + [cold(base)]
+        assert tuple(x[2]) in {(0.0, 3.0), (3.0, 0.0)}
+        assert same_vertex(x[0], x[2]) and same_vertex(x[1], x[2])
+
+    @pytest.mark.parametrize("weight, end", [((1.0, 2.0), (3.0, 0.0)), ((2.0, 1.0), (0.0, 3.0))])
+    def test_tie_weight_picks_the_end_of_the_face(self, weight, end):
+        # The same face, with tie weights that make one end cheaper for
+        # every draw of the generic cost in U(1, 2), bar ties of measure 0.
+        base = make_problem([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], "GLL",
+                            [3.0, 3.0, 3.0], tie_weight=weight)
+        ends = [base.with_rhs(np.array([3.0, u0, u1])) for u0, u1 in ((0.0, 3.0), (3.0, 0.0))]
+        for x in [warm(base, e) for e in ends] + [cold(base)]:
+            assert tuple(x) == end

@@ -17,7 +17,8 @@ def sample(controller="ccmpc", epsilon=0.35, seed=7):
         assigned_end=1, waiting_end=0,
         waits=np.array([12.5, 30.0]),
         vehicle_m=np.array([[1000.0, 200.0, 30.0], [500.0, 0.0, 12.5]]),
-        solver_wall=[0.0125, 0.25], solver_nodes=[3, 4], clamped=1, seed=seed)
+        solver_wall=[0.0125, 0.25], solver_nodes=[3, 4], solver_iterations=[40, 2],
+        clamped=1, seed=seed)
 
 
 def test_json_round_trip(tmp_path):
@@ -33,6 +34,7 @@ def test_json_round_trip(tmp_path):
         assert np.array_equal(b.vehicle_m, a.vehicle_m)
         assert b.solver_wall == a.solver_wall
         assert b.solver_nodes == a.solver_nodes
+        assert b.solver_iterations == a.solver_iterations
         assert b.clamped == a.clamped
         assert b.total_m == a.total_m
 
@@ -88,6 +90,7 @@ def test_timing_csv_summarizes_walls(tmp_path):
     row = dict(zip(TIMING_COLUMNS, lines[1].split(",")))
     assert row["solves"] == "2"
     assert row["nodes_total"] == "7"
+    assert row["iterations_total"] == "42"
     assert float(row["wall_max_s"]) == 0.25
     assert float(row["wall_total_s"]) == pytest.approx(0.2625)
 
