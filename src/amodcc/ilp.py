@@ -16,11 +16,13 @@ whatever optimum was found describe the whole optimal face: a column with
 a nonzero reduced cost sits at the same bound in every optimum, and an
 inequality row with a nonzero dual at the same activity.  A second solve
 fixes those and minimises a fixed generic cost over what is left: i.i.d.
-U(1, 2) draws from a fixed seed, each scaled by its column's
-``tie_weight``, so the program can say which optima it prefers.  The
-minimiser is unique, so the root vertex is a function of the instant
-alone, not of the solver's path: a one-shot solve gets cold what a run
-gets warm.
+U(1, 2) draws from a fixed seed, one per column.  The minimiser is
+unique, so the root vertex is a function of the instant alone, not of
+the solver's path: a one-shot solve gets cold what a run gets warm.  A
+reduced cost or dual counts as nonzero above HiGHS's own dual
+feasibility tolerance, taken relative to the largest cost.  Should the
+second solve fail, the root LP is solved again from scratch and, failing
+a second tie-break too, that cold vertex is returned as it is.
 
 When that vertex is integral, which is the common case for the rebalancing
 programs, it is the plan.  Otherwise one ``scipy.optimize.milp`` call
@@ -53,7 +55,8 @@ except ImportError as exc:  # SciPy before 1.15 has no pybind11 HiGHS module
         "scipy.optimize._highspy._core") from exc
 
 _INT_TOL = 1e-6      # an LP value this close to an integer counts as integral
-_DUAL_TOL = 1e-9     # a reduced cost or row dual this far from zero pins its bound
+_DUAL_TOL = 1e-7     # a reduced cost or row dual this far from zero, relative to
+                     # the largest cost, pins its bound (HiGHS's dual feasibility tolerance)
 _TIE_SEED = 0        # seed of the generic cost that picks one vertex of a tied face
 
 
@@ -88,13 +91,14 @@ class _RootLp:
     change between solves.  ``basis`` is the last optimal basis any
     instant reached, the warm start of the next.  Both are written under
     ``lock``.  ``tie_cost`` is the fixed generic cost that picks one
-    vertex of a tied optimal face: uniform draws times the problem's
-    ``tie_weight``.
+    vertex of a tied optimal face, and ``dual_tol`` the size above which
+    a reduced cost or dual is taken as nonzero.
     """
 
     sense: np.ndarray            # the senses as an array
     model: _highs.HighsLp
     tie_cost: np.ndarray
+    dual_tol: float
     lock: threading.Lock = field(default_factory=threading.Lock)
     basis: _highs.HighsBasis | None = None
 
@@ -118,8 +122,10 @@ def _root_lp(prob: IlpProblem) -> _RootLp:
     lp.col_cost_ = prob.c
     lp.col_lower_ = _finite(prob.lb)
     lp.col_upper_ = _finite(prob.ub)
-    tie_cost = np.random.default_rng(_TIE_SEED).uniform(1.0, 2.0, n_cols) * prob.tie_weight
-    return _RootLp(sense=np.asarray(prob.senses), model=lp, tie_cost=tie_cost)
+    tie_cost = np.random.default_rng(_TIE_SEED).uniform(1.0, 2.0, n_cols)
+    scale = float(np.abs(prob.c).max(initial=0.0)) or 1.0
+    return _RootLp(sense=np.asarray(prob.senses), model=lp, tie_cost=tie_cost,
+                   dual_tol=_DUAL_TOL * scale)
 
 
 def _check_rhs(b: np.ndarray) -> None:
@@ -129,12 +135,7 @@ def _check_rhs(b: np.ndarray) -> None:
 
 @dataclass
 class IlpProblem:
-    """min c.x  s.t.  A x {<=,=,>=} b,  lb <= x <= ub,  x integer.
-
-    ``tie_weight`` (positive, one per column, all 1 by default) scales the
-    generic cost that picks one root vertex among tied LP optima, which
-    leans towards optima that put their mass on low-weight columns.
-    """
+    """min c.x  s.t.  A x {<=,=,>=} b,  lb <= x <= ub,  x integer."""
 
     c: np.ndarray
     a: sparse.csr_matrix
@@ -142,7 +143,6 @@ class IlpProblem:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    tie_weight: np.ndarray | None = None
     root: _RootLp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -166,10 +166,6 @@ class IlpProblem:
             raise InvalidInputError("upper bounds must not be NaN")
         if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.a.data))):
             raise InvalidInputError("costs and row coefficients must be finite")
-        w = np.ones(n) if self.tie_weight is None else np.asarray(self.tie_weight, dtype=float)
-        if w.shape != (n,) or not np.all(np.isfinite(w) & (w > 0)):
-            raise InvalidInputError("tie weights must be finite and positive, one per variable")
-        self.tie_weight = w
         _check_rhs(self.b)
         self.root = _root_lp(self)
 
@@ -229,16 +225,16 @@ def _load(root: _RootLp, lower: np.ndarray, upper: np.ndarray, options) -> _high
     return highs
 
 
-def _optimum(root: _RootLp, lower: np.ndarray, upper: np.ndarray) -> _highs._Highs:
+def _optimum(root: _RootLp, lower: np.ndarray, upper: np.ndarray,
+             basis: _highs.HighsBasis | None) -> _highs._Highs:
     """A HiGHS handle at an optimum of the root LP.
 
-    Dual simplex starts from the last optimal basis of the program: the
-    costs never change, so that basis stays dual feasible and only the
-    new right-hand side has to be repaired.  Without a basis, or when
+    Dual simplex starts from ``basis``, an optimal basis of another
+    instant: the costs never change, so it stays dual feasible and only
+    the new right-hand side has to be repaired.  Without a basis, or when
     the warm solve ends anywhere but at an optimum, the LP is solved
     again from scratch after presolve, and its status decides the error.
     """
-    basis = root.basis
     if basis is not None:
         highs = _load(root, lower, upper, _LP_OPTIONS)
         highs.setBasis(basis)
@@ -257,48 +253,68 @@ def _optimum(root: _RootLp, lower: np.ndarray, upper: np.ndarray) -> _highs._Hig
     return highs
 
 
-def _solve_root(prob: IlpProblem) -> tuple[np.ndarray, int]:
-    """The canonical root vertex and the simplex iterations it took.
+def _canonical(prob: IlpProblem, highs: _highs._Highs, lower: np.ndarray,
+               upper: np.ndarray) -> np.ndarray | None:
+    """The tie cost's minimiser over the optimal face ``highs`` sits on.
 
-    Whatever optimum the warm or cold solve lands on, its reduced costs
-    and row duals describe the whole optimal face: a column with a
-    nonzero reduced cost stays at the bound where it sits, and an
-    inequality row with a nonzero dual stays at its activity, in every
-    optimum.  Fixing those and minimising the generic ``tie_cost`` over
-    what is left gives the face's one minimiser, so the vertex depends
-    on the instant alone, not on the basis the solve started from.  The
-    second solve starts where the first ended; the handle is dropped
-    afterwards, so nothing needs restoring.
+    Whatever optimum ``highs`` holds, its reduced costs and row duals
+    describe the whole optimal face: a column with a nonzero reduced cost
+    stays at the bound where it sits, and an inequality row with a
+    nonzero dual at its activity, in every optimum.  Fixing those and
+    minimising the generic ``tie_cost`` over what is left gives the
+    face's one minimiser.  The solve starts where the first one ended and
+    changes the handle for good.  None if it does not reach an optimum.
     """
-    root = prob.root
-    lower, upper = root.row_bounds(prob.b)
-    highs = _optimum(root, lower, upper)
-    iterations = highs.getInfo().simplex_iteration_count
-    with root.lock:
-        root.basis = highs.getBasis()
-
-    n = prob.n_vars
+    root, n = prob.root, prob.n_vars
     sol = highs.getSolution()
     x, d = np.asarray(sol.col_value), np.asarray(sol.col_dual)
     activity, y = np.asarray(sol.row_value), np.asarray(sol.row_dual)
     nonbasic = np.ones(n + lower.size, dtype=bool)
     basic = highs.getBasicVariables()[1]            # column j, or row i as -1 - i
     nonbasic[np.where(basic >= 0, basic, n - 1 - basic)] = False
-    cols = np.flatnonzero(nonbasic[:n] & (np.abs(d) > _DUAL_TOL)).astype(np.int32)
+    cols = np.flatnonzero(nonbasic[:n] & (np.abs(d) > root.dual_tol)).astype(np.int32)
     lb, ub = prob.lb[cols], prob.ub[cols]
     at = np.where(np.abs(x[cols] - lb) <= np.abs(x[cols] - ub), lb, ub)
     highs.changeColsBounds(cols.size, cols, at, at)
-    for i in np.flatnonzero(nonbasic[n:] & (np.abs(y) > _DUAL_TOL) & (lower != upper)):
+    for i in np.flatnonzero(nonbasic[n:] & (np.abs(y) > root.dual_tol) & (lower != upper)):
         at = lower[i] if abs(activity[i] - lower[i]) <= abs(activity[i] - upper[i]) else upper[i]
         highs.changeRowBounds(int(i), at, at)
     highs.changeColsCost(n, np.arange(n, dtype=np.int32), root.tie_cost)
     highs.passOptions(_FACE_OPTIONS)
     highs.run()
     if highs.getModelStatus() != _OPTIMAL:
-        raise NumericalError("LP backend failed to break a tie among optima: "
-                             + highs.modelStatusToString(highs.getModelStatus()))
+        return None
+    return np.array(highs.getSolution().col_value)
+
+
+def _solve_root(prob: IlpProblem) -> tuple[np.ndarray, int]:
+    """The canonical root vertex and the simplex iterations it took.
+
+    The first solve warm-starts from the program's last optimal basis and
+    leaves its own optimal basis there for the next instant; the second
+    (:func:`_canonical`) picks the vertex that depends on the instant
+    alone.  If that pick fails, the LP is solved again from scratch and
+    picked again, and failing that the cold vertex is returned as it is:
+    still the same for every path to this instant, though not the face's
+    tie-cost minimiser.
+    """
+    root = prob.root
+    lower, upper = root.row_bounds(prob.b)
+    highs = _optimum(root, lower, upper, root.basis)
+    iterations = highs.getInfo().simplex_iteration_count
+    with root.lock:
+        root.basis = highs.getBasis()
+    x = _canonical(prob, highs, lower, upper)
     iterations += highs.getInfo().simplex_iteration_count
-    return np.array(highs.getSolution().col_value), iterations
+    if x is None:
+        highs = _optimum(root, lower, upper, None)
+        iterations += highs.getInfo().simplex_iteration_count
+        x_cold = np.array(highs.getSolution().col_value)
+        x = _canonical(prob, highs, lower, upper)
+        iterations += highs.getInfo().simplex_iteration_count
+        if x is None:
+            x = x_cold
+    return x, iterations
 
 
 def _solve_milp(prob: IlpProblem, time_limit_s: float) -> tuple[np.ndarray, int]:

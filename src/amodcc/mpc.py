@@ -20,9 +20,7 @@ weights leave no other plan at that cost, it is the unique optimum and
 is returned with 0 nodes and no solver call.  Every other instant goes
 to :func:`solve_ilp`, whose root LP starts from the basis the last
 solved instant of the run ended on and breaks ties by a fixed rule, so
-a plan depends on its instant, not on the instants before it.  The rule
-leans towards acting early (``tie_weight`` grows with the step), since
-only the first step of a plan is ever executed.
+a plan depends on its instant, not on the instants before it.
 
 Demand uncertainty enters through the right-hand side only: the service
 rows require enough capacity for the forecast's ``1 - epsilon`` quantile,
@@ -185,12 +183,8 @@ def build_problem(network: StationNetwork, horizon: int,
     ub = np.full(x.size, np.inf)
     ub[moves[:, diag, diag]] = 0.0
 
-    # Among tied optima, act early: a flow at step k weighs 1 + k in the
-    # tie-break.  Only step 0 is executed, so a move that one instant
-    # defers at no cost could be deferred again at every later instant.
-    tie_weight = 1.0 + np.broadcast_to(np.arange(steps), x.shape).ravel()
     base = IlpProblem(c=c, a=a, senses=senses, b=np.zeros(n_rows),
-                      lb=np.zeros(x.size), ub=ub, tie_weight=tie_weight)
+                      lb=np.zeros(x.size), ub=ub)
     # With a price on every move and on every late pickup, any plan but
     # the zero-cost one costs more than it does (RebalanceProgram._certified).
     strict = bool(np.all(reb_w[~np.eye(n, dtype=bool)] > 0) and pickup_w[1] > pickup_w[0])

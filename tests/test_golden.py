@@ -4,7 +4,7 @@ The 6-hour file runs ``ccmpc``, ``fixed`` and ``gbm`` periods on the
 benchmark city.  Its bank is the pinned seed-0 3-day bank
 (``data/bank_seed0_3day.txt``), rebuilt against its own history, so
 nothing here trains.  The ``ccmpc`` period is the one the ``ccmpc-day``
-benchmark runs; 13 of its 24 instants are certified without the solver
+benchmark runs; 12 of its 24 instants are certified without the solver
 (``nodes == 0``), and that count is pinned as well.  Every plan of that
 period must also come out of a one-shot ``solve_rebalance``, which starts
 its root LP cold where the run starts it warm.  The week file runs
@@ -98,13 +98,13 @@ def test_seed0_period_matches_the_recorded_csv(tmp_path, period_rows):
 
 
 def test_seed0_ccmpc_period_certifies_half_its_instants(period_rows):
-    # 13 of the 24 instants have a feasible zero-cost plan, which the
+    # 12 of the 24 instants have a feasible zero-cost plan, which the
     # default weights make the unique optimum: they skip the solver and
     # report 0 nodes.  A wrong strictness rule in build_problem turns the
     # certificate off without moving the CSV.
     nodes = period_rows[0].solver_nodes
     assert len(nodes) == 24
-    assert nodes.count(0) == 13
+    assert nodes.count(0) == 12
     # Certified instants run no simplex iteration; solved ones report
     # theirs (a warm start can already sit at the canonical vertex).
     iterations = period_rows[0].solver_iterations

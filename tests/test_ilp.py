@@ -22,7 +22,7 @@ from amodcc.sim import benchmark_network
 DATA = Path(__file__).parent / "data"
 
 
-def make_problem(c, a, senses, b, lb=None, ub=None, tie_weight=None):
+def make_problem(c, a, senses, b, lb=None, ub=None):
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     return IlpProblem(
@@ -32,7 +32,6 @@ def make_problem(c, a, senses, b, lb=None, ub=None, tie_weight=None):
         b=np.asarray(b, dtype=float),
         lb=np.zeros(n) if lb is None else np.asarray(lb, dtype=float),
         ub=np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float),
-        tie_weight=tie_weight,
     )
 
 
@@ -195,12 +194,6 @@ class TestInputs:
         with pytest.raises(InvalidInputError, match="NaN"):
             make_problem([1.0], [[1.0]], ["L"], [1.0], ub=[np.nan])
 
-    @pytest.mark.parametrize("weight", [[1.0], [1.0, 0.0], [1.0, -2.0], [1.0, np.nan],
-                                        [np.inf, 1.0]])
-    def test_rejects_tie_weights_that_are_not_positive_and_finite(self, weight):
-        with pytest.raises(InvalidInputError, match="tie weights"):
-            make_problem([1.0, 1.0], [[1.0, 1.0]], "G", [3.0], tie_weight=weight)
-
 
 def cold(prob):
     """The root vertex solved from scratch, as a one-shot solve would."""
@@ -237,7 +230,7 @@ def period_instants(seed0_period):
     _, instants = seed0_period
     probs = [program.problem(state, outstanding, demand)
              for program, state, outstanding, demand, plan in instants if plan.nodes]
-    assert len(probs) == 11
+    assert len(probs) == 12
     return list(zip(probs, probs[-1:] + probs[:-1]))
 
 
@@ -256,8 +249,7 @@ class TestCanonicalRoot:
     """The root LP returns one vertex per instant, whatever basis it starts from.
 
     A solve starts from the program's last optimal basis, and then breaks
-    ties among optima by a fixed generic cost, scaled by the problem's tie
-    weights, over the optimal face.  So a cold solve, a solve warm-started
+    ties among optima by a fixed generic cost over the optimal face.  So a cold solve, a solve warm-started
     from another instant's basis and solves on threads sharing one program
     all return the same point, and its objective is ``linprog``'s optimum.
     """
@@ -312,12 +304,37 @@ class TestCanonicalRoot:
         assert tuple(x[2]) in {(0.0, 3.0), (3.0, 0.0)}
         assert same_vertex(x[0], x[2]) and same_vertex(x[1], x[2])
 
-    @pytest.mark.parametrize("weight, end", [((1.0, 2.0), (3.0, 0.0)), ((2.0, 1.0), (0.0, 3.0))])
-    def test_tie_weight_picks_the_end_of_the_face(self, weight, end):
-        # The same face, with tie weights that make one end cheaper for
-        # every draw of the generic cost in U(1, 2), bar ties of measure 0.
-        base = make_problem([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], "GLL",
-                            [3.0, 3.0, 3.0], tie_weight=weight)
-        ends = [base.with_rhs(np.array([3.0, u0, u1])) for u0, u1 in ((0.0, 3.0), (3.0, 0.0))]
-        for x in [warm(base, e) for e in ends] + [cold(base)]:
-            assert tuple(x) == end
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_a_cost_gap_at_dual_noise_level_is_a_tie(self, scale):
+        # min c0 x0 + c1 x1 subject to x0 + x1 = 3: the cheaper column
+        # takes everything.  A gap of 1e-12 of the largest cost is below
+        # any dual the solver can resolve, so the two columns count as
+        # tied and the vertex must not follow the sign of the gap.
+        gap = 1e-12 * scale
+        x = [cold(make_problem([scale, scale + sign * gap], [[1.0, 1.0]], "E", [3.0]))
+             for sign in (1.0, -1.0)]
+        assert tuple(x[0]) in {(0.0, 3.0), (3.0, 0.0)}
+        assert tuple(x[0]) == tuple(x[1])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_a_cost_gap_above_the_dual_tolerance_is_priced(self, scale):
+        # The same face with a gap 10 times the tolerance: the cheaper
+        # column wins, whatever the generic cost prefers, warm or cold.
+        gap = 10 * ilp._DUAL_TOL * scale
+        for sign, want in ((1.0, (3.0, 0.0)), (-1.0, (0.0, 3.0))):
+            prob = make_problem([scale, scale + sign * gap], [[1.0, 1.0], [1.0, 0.0]], "EL",
+                                [3.0, 3.0])
+            other = prob.with_rhs(np.array([3.0, 0.0]))
+            assert tuple(cold(prob)) == want
+            assert tuple(warm(prob, other)) == want
+
+    def test_a_failed_tie_break_falls_back_to_the_cold_vertex(self, monkeypatch):
+        # If the tie-break solve never reaches an optimum, the root LP is
+        # solved again from scratch and that vertex is returned, not an
+        # error, from a warm start as from a cold one.
+        monkeypatch.setattr(ilp, "_canonical", lambda *args: None)
+        (prob, other), = step76_instants()
+        want = float(prob.c @ linprog_root(prob))
+        x = cold(prob)
+        assert abs(float(prob.c @ x) - want) <= 1e-9 * abs(want)
+        assert same_vertex(warm(prob, other), x)

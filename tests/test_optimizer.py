@@ -365,21 +365,6 @@ class TestSolvePlans:
         assert plan.first_step[0, 1] == 1
         assert plan.backlog.sum() == 0
 
-    def test_moves_now_when_moving_later_costs_the_same(self):
-        # The request appears at station 1 in step 3, and the empty leg
-        # takes one step, so leaving at step 0, 1 or 2 serves it at the
-        # same cost.  Among those tied plans the one that acts now wins:
-        # only step 0 is executed, and a deferred move can be deferred
-        # again at the next instant.
-        net = line_network(2)
-        demand = zero_demand(2, 4)
-        demand[1, 0, 3] = 1
-        plan = solve_rebalance(net, FleetState(idle=np.array([1, 0])),
-                               np.zeros((2, 2), dtype=int), demand)
-        assert plan.nodes >= 1
-        assert plan.first_step[0, 1] == 1
-        assert plan.rebalance.sum() == 1 and plan.backlog.sum() == 0
-
     def test_serves_outstanding_via_pickup_rows(self):
         net = line_network(2)
         out = np.array([[0, 2], [0, 0]])
