@@ -53,8 +53,9 @@ def wide_kernel(variance: float) -> LocallyPeriodicKernel:
 
 
 def bank_train_config() -> TrainConfig:
-    # Budget chosen so a 100-flow bank on a 5-day series trains in about a
-    # minute on one core; standalone fits should pass a richer config.
+    # With this budget the seed-0 benchmark bank (100 flows, 5-day series)
+    # trains in about 7 s on one core of a 2-core x86-64 machine
+    # (n_jobs=1); standalone fits should pass a richer config.
     # The period stays pinned to the daily cycle: letting it drift is the
     # easiest way for a short fit to lose the day-over-day structure.
     return TrainConfig(max_iters=15, learning_rate=0.1, tolerance=1e-2,

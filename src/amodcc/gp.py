@@ -2,8 +2,11 @@
 
 One-dimensional inputs (time, in hours), real-valued targets (request
 counts).  Exact inference throughout: Cholesky factorization of the gram
-matrix, analytic gradients of the log marginal likelihood, gradient-ascent
-hyperparameter search in log space.  No sparse or variational shortcuts.
+matrix (LAPACK ``dpotrf``), analytic gradients of the log marginal
+likelihood, gradient-ascent hyperparameter search in log space.  No sparse
+or variational shortcuts.  On a uniform time grid the gram matrix is
+symmetric Toeplitz, and the gradient takes the gap sums of its inverse
+from one solve (Gohberg-Semencul) instead of forming the inverse.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotri
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.special import ndtri
 
 from .errors import InvalidInputError, NumericalError
@@ -134,12 +137,15 @@ class _Gaps:
 
     The kernel is stationary, so a gram matrix over ``t`` is the kernel
     evaluated once per gap and gathered through ``index``; on a
-    regular grid that is n kernel values instead of n^2.
+    regular grid that is n kernel values instead of n^2.  ``uniform``
+    says that ``index`` is exactly ``|i - j|``: every gram matrix over
+    ``t`` is then symmetric Toeplitz.
     """
 
     t: np.ndarray
     values: np.ndarray   # (G,)
     index: np.ndarray    # (n, n) positions in ``values``
+    uniform: bool
 
     @classmethod
     def of(cls, t: np.ndarray) -> "_Gaps":
@@ -160,7 +166,9 @@ class _Gaps:
 def _gaps_of(key: bytes) -> _Gaps:
     t = np.frombuffer(key)
     values, index = np.unique(np.abs(np.subtract.outer(t, t)), return_inverse=True)
-    return _Gaps(t, values, index.reshape(t.shape[0], t.shape[0]))
+    index = index.reshape(t.shape[0], t.shape[0])
+    lag = np.arange(t.shape[0])
+    return _Gaps(t, values, index, np.array_equal(index, np.abs(np.subtract.outer(lag, lag))))
 
 
 @lru_cache(maxsize=2)
@@ -203,17 +211,17 @@ def _factor(gaps: _Gaps, kernel: LocallyPeriodicKernel, noise: float):
         if attempt:
             jitter *= 10.0
         K[d, d] = base + jitter
-        try:
-            return K, np.linalg.cholesky(K), jitter
-        except np.linalg.LinAlgError:
-            pass
+        # K is symmetric, so its transpose is K again, Fortran-ordered;
+        # the factor comes back Fortran-ordered with zeros above.
+        L, info = dpotrf(K.T, lower=1, clean=1)
+        if info == 0:
+            return K, L, jitter
     return K, None, jitter
 
 
 def _solve(L: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """LML and ``alpha = K^-1 y`` from the lower factor of K."""
-    # Through the upper factor L', a Fortran-ordered view: no copy.
-    alpha = cho_solve((L.T, False), y, check_finite=False)
+    alpha = dpotrs(L, y, lower=1)[0]
     lml = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * y.shape[0] * LOG_2PI)
     return lml, alpha
 
@@ -229,6 +237,39 @@ class _Point(NamedTuple):
     jitter: float
 
 
+def _w_sums(gaps: _Gaps, p: _Point) -> tuple[np.ndarray, float]:
+    """Gap sums of ``W = a a' - K^-1`` at a factored point, and its trace."""
+    if gaps.uniform:
+        # K is symmetric Toeplitz, so with x = K^-1 e1, v = (0, x_{n-1},
+        # ..., x_1) and T(u) the lower-triangular Toeplitz matrix with first
+        # column u, K^-1 = (T(x) T(x)' - T(v) T(v)') / x_0 (Gohberg-Semencul).
+        # The lag-g diagonal of T(u) T(u)' sums to sum_m (n-g-m) u_m u_{m+g},
+        # the correlation of u with (n - m) u.  Lags g >= 1 occur on both
+        # sides of the diagonal.
+        n = gaps.n
+        e1 = np.zeros(n)
+        e1[0] = 1.0
+        x = dpotrs(p.L, e1, lower=1)[0]
+        v = np.zeros(n)
+        v[1:] = x[:0:-1]
+        weight = n - np.arange(n)
+
+        def lag(u, w):                  # sum_m u_m w_{m+g}, g = 0 .. n-1
+            return np.correlate(w, u, "full")[n - 1:]
+
+        s = lag(p.alpha, p.alpha) - (lag(x, weight * x) - lag(v, weight * v)) / x[0]
+        s[1:] *= 2.0
+        return s, float(s[0])                       # gap 0 is the diagonal alone
+    # Any other grid: K^-1 from the factor, in its lower triangle (zeros
+    # above).  The gaps are symmetric, so the gap sums of the symmetric
+    # K^-1 are twice those of that triangle less its diagonal once.
+    inv = dpotri(p.L, lower=1)[0]
+    inv_tr = float(np.trace(inv))
+    s = gaps.sums(np.outer(p.alpha, p.alpha) - 2.0 * inv)
+    s[0] += inv_tr                                  # gap 0 holds the diagonal
+    return s, float(p.alpha @ p.alpha) - inv_tr
+
+
 def _gradient(gaps: _Gaps, p: _Point, include_noise: bool) -> np.ndarray:
     """LML gradient over log hyperparameters at a factored point.
 
@@ -236,16 +277,11 @@ def _gradient(gaps: _Gaps, p: _Point, include_noise: bool) -> np.ndarray:
     ``include_noise``) log noise variance.  Each component is ``1/2
     sum(W * dK)`` with ``W = a a' - K^-1``, ``a = K^-1 y`` and ``dK`` the
     gram derivative for that log parameter.  Off its diagonal terms, dK
-    is a function of the gap, so the sum runs over the gap sums of W.
+    is a function of the gap, so the sum runs over the gap sums of W
+    (:func:`_w_sums`): O(n^2) from one solve on a uniform grid, where K
+    is Toeplitz, and from K^-1 (O(n^3)) on any other.
     """
-    # K^-1 from the factor, in its upper triangle (zeros below, as in L').
-    # The gaps are symmetric, so the gap sums of the symmetric K^-1 are
-    # twice those of that triangle less its diagonal once.
-    inv = dpotri(p.L.T, lower=0)[0]
-    inv_tr = float(np.trace(inv))
-    s = gaps.sums(np.outer(p.alpha, p.alpha) - 2.0 * inv)
-    s[0] += inv_tr                                  # gap 0 holds the diagonal
-    tr = float(p.alpha @ p.alpha) - inv_tr          # trace of W
+    s, tr = _w_sums(gaps, p)
     value = p.kernel.value(gaps.values)
     comps = [g @ s for g in p.kernel.grads(gaps.values)]
     # The stabilizing jitter tracks the gram trace, so it moves with the

@@ -9,6 +9,7 @@ from scipy.linalg import solve_triangular
 from amodcc.errors import InvalidInputError, NumericalError
 from amodcc.gp import (
     PARAM_NAMES,
+    _Gaps,
     GPTrainingSet,
     LocallyPeriodicKernel,
     TrainConfig,
@@ -21,6 +22,7 @@ from amodcc.gp import (
     standard_normal_quantile,
     train,
 )
+from amodcc.sim import DAY, DemandGrid, benchmark_scenario
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -42,6 +44,30 @@ def smooth_kernel(lengthscale, output_scale=1.0):
     """A kernel whose periodic factor is nearly flat over tens of hours."""
     return LocallyPeriodicKernel(lengthscale=lengthscale, periodic_lengthscale=50.0,
                                  period=1000.0, output_scale=output_scale)
+
+
+class Indefinite(LocallyPeriodicKernel):
+    """Takes 2e-5 of the output scale off the diagonal: on smooth inputs
+    the gram's factorization escalates the jitter twice."""
+
+    def value(self, dt):
+        return super().value(dt) - 2e-5 * self.output_scale * (dt == 0)
+
+
+def uniform_datasets(rng):
+    """Fits on uniform grids, where the gram is Toeplitz: the bank's two
+    fit shapes (144 points at 0.5 h, 96 at 0.25 h), the smallest grids,
+    and the wide start (96 h envelope, periodic lengthscale 1), once with
+    its jitter escalated."""
+    wide = dict(lengthscale=96.0, periodic_lengthscale=1.0, period=24.0, output_scale=1.3)
+    cases = [(144, 0.5, random_kernel(rng), 0.1), (96, 0.25, random_kernel(rng), 0.1),
+             (1, 0.5, random_kernel(rng), 0.1), (2, 0.5, random_kernel(rng), 0.1),
+             (144, 0.5, LocallyPeriodicKernel(**wide), 0.13),
+             (144, 0.5, Indefinite(**wide), 1e-5)]
+    for n, step, kernel, noise in cases:
+        t = -n * step + step * (np.arange(n) + 0.5)
+        y = np.sin(2.0 * np.pi * t / 24.0) + math.sqrt(noise) * rng.normal(size=n)
+        yield GPTrainingSet(t, y, noise), kernel
 
 
 def fd_gradient(data, kernel, include_noise, h=1e-6):
@@ -140,14 +166,41 @@ class TestLikelihood:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        for trial in range(12):
+        cases = []
+        for _ in range(12):
             k = random_kernel(rng)
-            data = random_dataset(rng, rng.integers(5, 20))
+            cases.append((random_dataset(rng, rng.integers(5, 20)), k))
+        for data, k in cases + list(uniform_datasets(rng)):
             for include_noise in (False, True):
                 got = lml_gradient(data, k, include_noise=include_noise)
                 want = fd_gradient(data, k, include_noise)
                 err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
-                assert err.max() < 1e-5, (trial, include_noise, got, want)
+                assert err.max() < 1e-5, (data.n, include_noise, got, want)
+
+    def test_uniform_grid_gradient_matches_dense_trace(self):
+        # 1/2 tr(W dK) with W = a a' - K^-1 from a dense inverse, for every
+        # log parameter; dK carries the jitter's derivative as the
+        # implementation does.
+        rng = np.random.default_rng(12)
+        escalated = 0
+        for data, k in uniform_datasets(rng):
+            assert _Gaps.of(data.t).uniform
+            K, _, jitter = gram_matrix(k, data.t, data.noise_var)
+            escalated += jitter > 2e-6 * (k.output_scale + data.noise_var)
+            inv = np.linalg.inv(K)
+            a = inv @ data.y
+            w = np.outer(a, a) - inv
+            dt = np.subtract.outer(data.t, data.t)
+            eye = np.eye(data.n)
+            rate = jitter / (k.diag_value() + data.noise_var)
+            dks = k.grads(dt) + [k.value(dt) + rate * k.diag_value() * eye,
+                                 (1.0 + rate) * data.noise_var * eye]
+            want = np.array([0.5 * np.sum(w * dk) for dk in dks])
+            for include_noise in (False, True):
+                got = lml_gradient(data, k, include_noise=include_noise)
+                assert got == pytest.approx(want[:got.shape[0]], rel=1e-8, abs=1e-8), \
+                    (data.n, include_noise)
+        assert escalated == 1
 
 
 class TestGram:
@@ -168,6 +221,44 @@ class TestGram:
         with pytest.raises(NumericalError):
             gram_matrix(Hostile(lengthscale=1.0, periodic_lengthscale=1.0, period=24.0),
                         np.arange(4.0), 1e-300)
+
+
+class TestGridDetection:
+    """A grid is uniform where its gap index is exactly |i - j|; only
+    there does the gradient take the Toeplitz path."""
+
+    def test_benchmark_hour_axis_is_uniform_at_900s_only(self):
+        sc = benchmark_scenario(0, history_days=3.0, sim_days=0.25)
+
+        def axis(seconds):
+            grid = DemandGrid(sc.trips, sc.network, sc.sim_start - 3 * DAY, seconds,
+                              int(round(3 * DAY / seconds)))
+            return grid.midpoint_hours(sc.sim_start)
+
+        t = axis(900.0)
+        for stride in (1, 2):
+            gaps = _Gaps.of(t[::stride])
+            assert gaps.uniform and gaps.values.shape[0] == gaps.n == 288 // stride
+        # 1/6 h is not a binary fraction: equal lags differ in their last bits.
+        gaps = _Gaps.of(axis(600.0))
+        assert (gaps.n, gaps.values.shape[0], gaps.uniform) == (432, 1565, False)
+
+    def test_repeated_times_are_not_uniform(self):
+        assert not _Gaps.of(np.array([0.0, 0.5, 0.5, 1.0])).uniform
+        assert not _Gaps.of(np.array([2.0, 2.0])).uniform
+
+    def test_one_ulp_off_is_not_uniform_and_both_paths_agree(self):
+        t = 0.5 * np.arange(144.0) - 71.75
+        moved = t.copy()
+        moved[60] = np.nextafter(moved[60], np.inf)
+        assert _Gaps.of(t).uniform and not _Gaps.of(moved).uniform
+        rng = np.random.default_rng(6)
+        y = rng.normal(size=t.size)
+        k = random_kernel(rng)
+        for include_noise in (False, True):
+            want = lml_gradient(GPTrainingSet(moved, y, 0.1), k, include_noise)
+            got = lml_gradient(GPTrainingSet(t, y, 0.1), k, include_noise)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 class TestTraining:
@@ -202,10 +293,6 @@ class TestTraining:
         # kernel takes 2e-5 of its scale off the diagonal, so its
         # factorization escalates the jitter twice while the calm fit's
         # never does.  Both still take steps.
-        class Indefinite(LocallyPeriodicKernel):
-            def value(self, dt):
-                return super().value(dt) - 2e-5 * self.output_scale * (dt == 0)
-
         rng = np.random.default_rng(9)
         t = np.arange(16.0) / 4.0
         cfg = TrainConfig(max_iters=6)
