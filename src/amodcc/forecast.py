@@ -4,8 +4,10 @@ Each flow's count series is centered by its training mean and modeled by a
 zero-mean GP with a locally periodic kernel (RBF x Periodic, 24 h period).
 Flows with constant history get a constant fallback model with zero
 predictive spread.  Flow fits are independent, so the bank can train them in
-worker processes (one per usable core in runs and on the command line)
-with bit-identical results.
+worker processes (one per usable core in runs and on the command line),
+one flow per task.  A worker sends back the kept fit's hyperparameters
+only; this process rebuilds each posterior the way :func:`load_bank`
+does, so the bank is bit-identical however many workers train it.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def wide_kernel(variance: float) -> LocallyPeriodicKernel:
 
 def bank_train_config() -> TrainConfig:
     # With this budget the seed-0 benchmark bank (100 flows, 5-day series)
-    # trains in about 7 s on one core of a 2-core x86-64 machine
+    # trains in about 5 s on one core of a 2-core x86-64 machine
     # (n_jobs=1); standalone fits should pass a richer config.
     # The period stays pinned to the daily cycle: letting it drift is the
     # easiest way for a short fit to lose the day-over-day structure.
@@ -118,29 +120,27 @@ def _posterior(t_hours: np.ndarray, resid: np.ndarray, kernel: LocallyPeriodicKe
     return train(GPTrainingSet(t_hours, resid, noise_var), kernel, TrainConfig(max_iters=0))
 
 
-def _fit_flows(rows: list[np.ndarray], t_hours: np.ndarray, stride: int,
-               cfg: TrainConfig) -> list[tuple[TrainedGP, str]]:
-    """Fit the flows with count series ``rows``, one after another.
+def _fit_flow(y: np.ndarray, t_hours: np.ndarray, stride: int, cfg: TrainConfig
+              ) -> tuple[LocallyPeriodicKernel, float, bool, int, str]:
+    """Fit the flow with count series ``y`` from both starts.
 
-    Each start is fitted on the thinned series and its posterior rebuilt
-    on the full window; the flow keeps the one with the higher LML (the
-    local start on a tie).  Returns each flow's kept posterior and its
-    start in :data:`STARTS`.  Module level, so a worker process can run it.
+    Each start is fitted on the thinned series and scored by its
+    posterior's LML on the full window; the flow keeps the higher one
+    (the local start on a tie).  Returns the kept fit's ``(kernel,
+    noise_var, converged, n_iters, start)``, under 1 KB pickled,
+    with ``start`` in :data:`STARTS`.  Module level, so a worker process
+    can run it.
     """
-    kept = []
-    for y in rows:
-        resid = y - float(y.mean())
-        var = float(y.var())
-        sub = GPTrainingSet(t_hours[::stride], resid[::stride], noise_var=0.1 * var)
-        best = None
-        for start, init in zip(STARTS, (default_kernel(var), wide_kernel(var))):
-            fit = train(sub, init, cfg)
-            gp = _posterior(t_hours, resid, fit.kernel, fit.noise_var)
-            gp.converged, gp.n_iters = fit.converged, fit.n_iters
-            if best is None or gp.lml > best[0].lml:
-                best = (gp, start)
-        kept.append(best)
-    return kept
+    resid = y - float(y.mean())
+    var = float(y.var())
+    sub = GPTrainingSet(t_hours[::stride], resid[::stride], noise_var=0.1 * var)
+    best, best_lml = None, None
+    for start, init in zip(STARTS, (default_kernel(var), wide_kernel(var))):
+        fit = train(sub, init, cfg)
+        lml = _posterior(t_hours, resid, fit.kernel, fit.noise_var).lml
+        if best is None or lml > best_lml:
+            best, best_lml = (fit.kernel, fit.noise_var, fit.converged, fit.n_iters, start), lml
+    return best
 
 
 def train_bank(
@@ -169,10 +169,12 @@ def train_bank(
     posterior is rebuilt on the full window.
 
     Each fit runs on its own (:func:`~amodcc.gp.train`).  ``n_jobs > 1``
-    deals the flows round-robin into that many batches and fits each in a
-    forked worker process; with ``n_jobs=1``, or where ``fork`` does not
-    exist, the batches train in this process.  A fit's result does not
-    depend on its batch, so the bank is bit-identical for every
+    hands the flows, one task each and in flow order, to that many forked
+    worker processes; with ``n_jobs=1``, or where ``fork`` does not exist,
+    the same function fits them in this process.  Only the kept
+    hyperparameters come back, and this process rebuilds each posterior
+    on the full window as :func:`load_bank` does.  A fit does not depend
+    on which process runs it, so the bank is bit-identical for every
     ``n_jobs``.  Errors raised in a worker reach the caller with their own
     class.
     """
@@ -196,20 +198,24 @@ def train_bank(
               for i in range(n)]
     flows = [(i, j) for i in range(n) for j in range(n) if float(series[i, j].var()) != 0.0]
 
-    groups = [flows[k::n_jobs] for k in range(min(n_jobs, len(flows)))]
-    batches = [[series[i, j] for i, j in group] for group in groups]
-    fit = partial(_fit_flows, t_hours=t_hours, stride=stride, cfg=cfg)
-    if len(groups) > 1 and "fork" in multiprocessing.get_all_start_methods():
+    def keep(results):
+        # Rebuilt as each result arrives, while the workers fit the rest.
+        for (i, j), (kernel, noise_var, converged, n_iters, start) in zip(flows, results):
+            model = models[i][j]
+            model.gp = _posterior(t_hours, series[i, j] - model.center, kernel, noise_var)
+            model.gp.converged, model.gp.n_iters, model.start = converged, n_iters, start
+
+    fit = partial(_fit_flow, t_hours=t_hours, stride=stride, cfg=cfg)
+    rows = [series[i, j] for i, j in flows]
+    workers = min(n_jobs, len(flows))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # fork: a spawned worker would import NumPy and SciPy again, which
         # costs about as much as the split saves.
-        with ProcessPoolExecutor(len(groups),
+        with ProcessPoolExecutor(workers,
                                  mp_context=multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(fit, batches))
+            keep(pool.map(fit, rows))
     else:
-        results = [fit(batch) for batch in batches]
-    for group, kept in zip(groups, results):
-        for (i, j), (gp, start) in zip(group, kept):
-            models[i][j].gp, models[i][j].start = gp, start
+        keep(map(fit, rows))
 
     return ForecastBank(
         models=models,

@@ -7,6 +7,14 @@ likelihood, gradient-ascent hyperparameter search in log space.  No sparse
 or variational shortcuts.  On a uniform time grid the gram matrix is
 symmetric Toeplitz, and the gradient takes the gap sums of its inverse
 from one solve (Gohberg-Semencul) instead of forming the inverse.
+
+Where a gram matrix or a cross-covariance is gathered for LAPACK, kernel
+values below ``1e-100`` of the output scale are set to exact zero: short
+envelopes otherwise leave subnormal floats there, on which the
+factorization and the solves run several times slower.  That changes K by
+far less than the ``1e-6`` relative jitter its factorization adds, and
+:meth:`LocallyPeriodicKernel.value` and :func:`kernel_matrix` keep the
+exact closed form.
 """
 
 from __future__ import annotations
@@ -102,6 +110,18 @@ def kernel_matrix(kernel: LocallyPeriodicKernel, ta: np.ndarray,
     return kernel.value(dt)
 
 
+# Kernel values smaller than this fraction of the output scale are
+# flushed to zero before LAPACK sees them (see the module docstring).
+_FLUSH = 1e-100
+
+
+def _flushed(values: np.ndarray, kernel: LocallyPeriodicKernel) -> np.ndarray:
+    """``values`` with every entry below ``_FLUSH * output_scale`` in
+    magnitude set to exact zero, in place."""
+    values[np.abs(values) < _FLUSH * kernel.output_scale] = 0.0
+    return values
+
+
 # --- training data and gap structure -------------------------------------------
 
 
@@ -190,7 +210,8 @@ def _cross_gaps(t: bytes, t_star: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _factor(gaps: _Gaps, kernel: LocallyPeriodicKernel, noise: float):
-    """Noise-augmented gram matrix of one fit and its lower factor.
+    """Noise-augmented gram matrix of one fit, tiny kernel values flushed
+    to zero, and its lower factor.
 
     Returns ``(K, L, jitter)``.  Jitter starts at ``1e-6 * trace / n`` and
     escalates tenfold, at most three times, while the factorization fails.
@@ -199,7 +220,7 @@ def _factor(gaps: _Gaps, kernel: LocallyPeriodicKernel, noise: float):
     """
     n = gaps.n
     d = np.arange(n)
-    values = kernel.value(gaps.values)
+    values = _flushed(kernel.value(gaps.values), kernel)
     K = values[gaps.index]
     K[d, d] += noise
     base = K[d, d]
@@ -311,7 +332,8 @@ def gram_matrix(
     """Noise-augmented gram matrix and its lower Cholesky factor.
 
     Returns ``(K, L, jitter)`` where ``K = kernel(t, t) + noise_var I +
-    jitter I``.  Jitter starts at ``1e-6 * trace / n`` and escalates
+    jitter I``, with kernel values below ``1e-100`` of the output scale
+    set to zero.  Jitter starts at ``1e-6 * trace / n`` and escalates
     tenfold, at most three times, when the factorization fails; after that
     a :class:`NumericalError` is raised.
     """
@@ -453,11 +475,11 @@ def predict_batch(gp: TrainedGP, t_star: np.ndarray) -> tuple[np.ndarray, np.nda
     """Posterior mean/std arrays at the query times.
 
     mean = k*' K^-1 y; var = k(t*, t*) + noise - k*' K^-1 k*, floored at
-    zero before the square root.
+    zero before the square root.  k* is flushed like the gram matrix.
     """
     ts = np.asarray(t_star, dtype=float).ravel()
     values, index = _cross_gaps(gp.t.tobytes(), ts.tobytes())
-    k_star = gp.kernel.value(values)[index]               # (n, m)
+    k_star = _flushed(gp.kernel.value(values), gp.kernel)[index]   # (n, m)
     mean = k_star.T @ gp.alpha
     v = solve_triangular(gp.L, k_star, lower=True, check_finite=False)  # L v = k*
     var = gp.kernel.diag_value() + gp.noise_var - np.sum(v * v, axis=0)

@@ -188,8 +188,9 @@ def same_model(a, b):
 
 def test_bank_does_not_depend_on_its_batches():
     # Three stations over two days: every flow busy, some with a daily
-    # bump.  Worker processes train the flows in batches (three workers:
-    # more than this machine class's two cores); a flow trained on its own
+    # bump.  Worker processes train the flows one task each (three
+    # workers: more than this machine class's two cores; five for the
+    # four flows of the top-left 2 x 2 bank); a flow trained on its own
     # must come out exactly as it does inside the whole bank.
     rng = np.random.default_rng(8)
     m = 2 * 96
@@ -201,6 +202,7 @@ def test_bank_does_not_depend_on_its_batches():
               cfg=dataclasses.replace(bank_train_config(), max_iters=6), fit_points=48)
     one = train_bank(counts, t, n_jobs=1, **kw)
     split = [train_bank(counts, t, n_jobs=jobs, **kw) for jobs in (2, 3)]
+    few = train_bank(counts[:2, :2], t, n_jobs=5, **kw)
     lone = np.zeros_like(counts)
     lone[2, 1] = counts[2, 1]
     alone = train_bank(lone, t, **kw)
@@ -209,7 +211,21 @@ def test_bank_does_not_depend_on_its_batches():
             assert one.models[i][j].gp is not None
             for bank in split:
                 same_model(one.models[i][j], bank.models[i][j])
+            if i < 2 and j < 2:
+                same_model(one.models[i][j], few.models[i][j])
     same_model(one.models[2][1], alone.models[2][1])
+
+
+def test_worker_sends_back_hyperparameters_only(planted_bank):
+    # A bank worker's result for one flow is the kept fit's
+    # hyperparameters, diagnostics and start, not its factor; the bank
+    # rebuilds the posterior from them.
+    y = planted_counts()[0, 1].astype(float)
+    result = forecast._fit_flow(y, hour_axis(), 2, bank_train_config())
+    assert len(pickle.dumps(result)) < 1024
+    model = planted_bank.models[0][1]
+    assert result == (model.gp.kernel, model.gp.noise_var, model.gp.converged,
+                      model.gp.n_iters, model.start)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -301,6 +317,24 @@ def test_pinned_bank_file_saves_back_byte_identical(tmp_path):
     out = tmp_path / "bank.txt"
     save_bank(str(out), bank)
     assert out.read_bytes() == PINNED.read_bytes()
+
+
+def test_trained_and_loaded_posteriors_are_bit_identical(tmp_path, planted_bank):
+    # Training and loading build a posterior the same way, from the saved
+    # hyperparameters and the count history.
+    path = tmp_path / "bank.txt"
+    save_bank(str(path), planted_bank)
+    loaded = load_bank(str(path), planted_counts(), hour_axis())
+    fitted = 0
+    for row, loaded_row in zip(planted_bank.models, loaded.models):
+        for a, b in zip(row, loaded_row):
+            assert (a.gp is None) == (b.gp is None)
+            if a.gp is not None:
+                fitted += 1
+                assert np.array_equal(a.gp.L, b.gp.L)
+                assert np.array_equal(a.gp.alpha, b.gp.alpha)
+                assert a.gp.lml == b.gp.lml
+    assert fitted == 2
 
 
 def test_save_load_round_trip(tmp_path, planted_bank):

@@ -8,6 +8,7 @@ from scipy.linalg import solve_triangular
 
 from amodcc.errors import InvalidInputError, NumericalError
 from amodcc.gp import (
+    _FLUSH,
     PARAM_NAMES,
     _Gaps,
     GPTrainingSet,
@@ -221,6 +222,68 @@ class TestGram:
         with pytest.raises(NumericalError):
             gram_matrix(Hostile(lengthscale=1.0, periodic_lengthscale=1.0, period=24.0),
                         np.arange(4.0), 1e-300)
+
+
+def subnormals(a):
+    return int(np.count_nonzero((a != 0.0) & (np.abs(a) < np.finfo(float).tiny)))
+
+
+class TestFlush:
+    """Kernel values below ``_FLUSH`` of the output scale are exact zeros in
+    the gram matrix and in k*, so LAPACK never meets subnormal floats."""
+
+    # The bank's 3-day, 900 s hour axis, with a 1.5 h envelope.
+    t = (np.arange(288) + 0.5) * 0.25 - 72.0
+    kernel = LocallyPeriodicKernel(lengthscale=1.5, periodic_lengthscale=3.0, period=24.0,
+                                   output_scale=2.0)
+
+    def test_short_envelope_gram_has_no_subnormal_entry(self):
+        assert subnormals(kernel_matrix(self.kernel, self.t, self.t)) > 0
+        K, _, _ = gram_matrix(self.kernel, self.t, 0.5)
+        assert subnormals(K) == 0
+
+    def test_matches_the_unflushed_dense_reference(self):
+        rng = np.random.default_rng(17)
+        y = np.sin(2.0 * np.pi * self.t / 24.0) + rng.normal(size=self.t.size)
+        data = GPTrainingSet(self.t, y, noise_var=0.5)
+        _, _, jitter = gram_matrix(self.kernel, self.t, data.noise_var)
+        K = kernel_matrix(self.kernel, self.t, self.t) \
+            + (data.noise_var + jitter) * np.eye(self.t.size)
+        alpha = np.linalg.solve(K, y)
+        _, logdet = np.linalg.slogdet(K)
+        want = -0.5 * y @ alpha - 0.5 * logdet - 0.5 * y.size * LOG_2PI
+        assert log_marginal_likelihood(data, self.kernel) == pytest.approx(want, rel=1e-12)
+        fit = train(data, self.kernel, TrainConfig(max_iters=0))
+        assert fit.alpha == pytest.approx(alpha, rel=1e-12, abs=1e-12 * np.abs(alpha).max())
+
+        t_star = np.array([-80.0, -72.3, -40.1, -0.2, 0.4, 6.0])
+        k_star = kernel_matrix(self.kernel, self.t, t_star)
+        assert subnormals(k_star) > 0
+        mean, std = predict_batch(fit, t_star)
+        var = (self.kernel.output_scale + data.noise_var
+               - np.sum(k_star * np.linalg.solve(K, k_star), axis=0))
+        assert mean == pytest.approx(k_star.T @ alpha, rel=1e-12, abs=1e-12 * np.abs(mean).max())
+        assert std == pytest.approx(np.sqrt(var), rel=1e-12)
+
+    def test_value_just_above_the_cutoff_is_kept(self):
+        # Bisect to adjacent gaps whose kernel values straddle the cutoff.
+        k = smooth_kernel(1.0, 2.0)
+        cutoff = _FLUSH * k.output_scale
+        above, below = 20.0, 23.0
+        while np.nextafter(above, below) != below:
+            mid = 0.5 * (above + below)
+            if k.value(np.array(mid)) >= cutoff:
+                above = mid
+            else:
+                below = mid
+        kept, flushed = float(k.value(np.array(above))), float(k.value(np.array(below)))
+        assert kept >= cutoff > flushed > 0.0
+        assert gram_matrix(k, np.array([0.0, above]), 0.1)[0][0, 1] == kept
+        assert gram_matrix(k, np.array([0.0, below]), 0.1)[0][0, 1] == 0.0
+        fit = train(GPTrainingSet([0.0], [1.0], 0.1), k, TrainConfig(max_iters=0))
+        mean, _ = predict_batch(fit, np.array([above, below]))
+        assert mean[0] == kept * fit.alpha[0] != 0.0
+        assert mean[1] == 0.0
 
 
 class TestGridDetection:
