@@ -33,6 +33,7 @@ from .report import (
     write_timing_csv,
 )
 from .sim import (
+    CONTROLLERS,
     DemandGrid,
     RunConfig,
     Scenario,
@@ -108,8 +109,7 @@ def _add_gp_jobs(p: argparse.ArgumentParser) -> None:
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--controller", default="ccmpc",
-                   choices=("ccmpc", "fixed", "oracle", "gbm"))
+    p.add_argument("--controller", default="ccmpc", choices=CONTROLLERS)
     p.add_argument("--epsilon", type=float, default=0.35,
                    help="chance-constraint risk level in (0, 1)")
     p.add_argument("--horizon", type=int, default=12)

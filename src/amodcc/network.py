@@ -158,7 +158,6 @@ class StationNetwork:
     kappa: np.ndarray              # (N, N) whole model steps
     step_seconds: float
     speed_mps: float
-    bbox: tuple[float, float, float, float] = field(default=(0.0, 0.0, 0.0, 0.0))
     # (lon0, lat0) the plane was projected about, when built from trip data;
     # later ingestion must reuse it so coordinates stay comparable.
     projection: tuple[float, float] | None = None
@@ -190,15 +189,6 @@ class StationNetwork:
             raise InvalidInputError("off-diagonal kappa entries must be >= 1")
         if self.step_seconds <= 0 or self.speed_mps <= 0:
             raise InvalidInputError("step_seconds and speed_mps must be positive")
-        if self.bbox == (0.0, 0.0, 0.0, 0.0):
-            self.bbox = self._default_bbox()
-
-    def _default_bbox(self) -> tuple[float, float, float, float]:
-        lo = self.centroids.min(axis=0)
-        hi = self.centroids.max(axis=0)
-        margin = 0.25 * max(float(np.max(hi - lo)), 1.0)
-        return (float(lo[0]) - margin, float(lo[1]) - margin,
-                float(hi[0]) + margin, float(hi[1]) + margin)
 
     @property
     def n_stations(self) -> int:
@@ -210,7 +200,6 @@ class StationNetwork:
         centroids: np.ndarray,
         speed_mps: float,
         step_seconds: float,
-        bbox: tuple[float, float, float, float] | None = None,
     ) -> "StationNetwork":
         time, dist, kappa = build_travel_matrices(centroids, speed_mps, step_seconds)
         return cls(
@@ -220,7 +209,6 @@ class StationNetwork:
             kappa=kappa,
             step_seconds=step_seconds,
             speed_mps=speed_mps,
-            bbox=bbox if bbox is not None else (0.0, 0.0, 0.0, 0.0),
         )
 
 
@@ -276,8 +264,7 @@ def save_network(path: str, net: StationNetwork) -> None:
     lines = ["# amodcc network v1",
              f"stations {n}",
              f"step_seconds {float(net.step_seconds)!r}",
-             f"speed_mps {float(net.speed_mps)!r}",
-             "bbox " + " ".join(repr(float(v)) for v in net.bbox)]
+             f"speed_mps {float(net.speed_mps)!r}"]
     if net.projection is not None:
         lines.append("projection "
                      f"{float(net.projection[0])!r} {float(net.projection[1])!r}")
@@ -308,7 +295,6 @@ def load_network(path: str) -> StationNetwork:
     n = None
     step_seconds = None
     speed_mps = None
-    bbox = None
     projection = None
     centroids: dict[int, tuple[float, float]] = {}
     time_entries: dict[tuple[int, int], float] = {}
@@ -329,9 +315,7 @@ def load_network(path: str) -> StationNetwork:
                 elif key == "speed_mps":
                     speed_mps = float(parts[1])
                 elif key == "bbox":
-                    bbox = tuple(float(v) for v in parts[1:5])
-                    if len(parts) != 5:
-                        raise ValueError("bbox needs 4 values")
+                    pass    # a bounding box written by earlier versions; unused
                 elif key == "projection":
                     projection = (float(parts[1]), float(parts[2]))
                     if len(parts) != 3:
@@ -375,6 +359,5 @@ def load_network(path: str) -> StationNetwork:
         kappa=kappa,
         step_seconds=step_seconds,
         speed_mps=speed_mps,
-        bbox=bbox if bbox is not None else (0.0, 0.0, 0.0, 0.0),
         projection=projection,
     )

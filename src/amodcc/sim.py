@@ -32,11 +32,13 @@ array for one element costs several times a list lookup, and a seed-0
 Controllers:
 
 * ``ccmpc``  - forecast-driven optimizer with a tunable risk level.
-* ``fixed``  - same optimizer fed the previous interval's realized counts.
-* ``oracle`` - same optimizer fed the true future counts.
+* ``fixed``  - same optimizer on the previous interval's realized counts.
+* ``oracle`` - same optimizer on the true future counts.
 * ``gbm``    - no rebalancing; global nearest matching every tick.
 
-The first three dispatch per station (the optimizer owns cross-station
+The first three differ only in the forecast they plan on: ``fixed`` and
+``oracle`` read counts with zero spread, whose quantile is the count
+itself.  They dispatch per station (the optimizer owns cross-station
 movement); ``gbm`` matches any vehicle to any request.
 """
 
@@ -54,8 +56,8 @@ import numpy as np
 
 from .dispatch import assign_pickups
 from .errors import InvalidInputError
-from .forecast import (ForecastBank, bank_train_config, forecast_demand, train_bank,
-                       usable_cores)
+from .forecast import (ForecastBank, ForecastTensor, bank_train_config, forecast_demand,
+                       train_bank, usable_cores)
 from .gp import TrainConfig
 from .ilp import SolverConfig
 from . import mpc  # build_problem is looked up at call time (perfbench/tracing.py wraps it)
@@ -343,9 +345,9 @@ class _Run:
         self.program = (mpc.build_problem(net, cfg.horizon, self.weights)
                         if cfg.controller != "gbm" else None)
         self.bank = bank
-        # (first control tick, slots per instant, quantile demand) of the
-        # current bank; built when the run first plans with it.
-        self.table: tuple[int, np.ndarray, np.ndarray] | None = None
+        # (first control tick, end tick, slots per instant, quantile demand)
+        # of the current retraining period; built at its first instant.
+        self.table: tuple[int, int, np.ndarray, np.ndarray] | None = None
         self.waits: list[float] = []
         self.served = 0
         # Metres per vehicle, flat (fleet, 3): customer, rebalance, pickup.
@@ -463,57 +465,61 @@ class _Run:
         """Grid interval containing tick ``k_tick`` of the live window."""
         return self.window_intervals + (k_tick // self.step_ticks)
 
-    def _retrain(self, now: float, k_tick: int) -> None:
+    def _train(self, k_tick: int) -> ForecastBank:
+        """A bank on the training window that ends at tick ``k_tick``."""
         end_m = self._interval_index(k_tick)
         start_m = end_m - self.window_intervals
         window = (self.grid.origin + start_m * self.grid.interval_seconds,
                   self.grid.origin + end_m * self.grid.interval_seconds)
-        self.bank = train_bank(
+        return train_bank(
             self.grid.counts[:, :, start_m:end_m],
             self.t_hours[start_m:end_m],
             self.net.step_seconds,
             series_origin=self.sc.sim_start,
             window=window,
-            trained_at=now,
+            trained_at=self.sc.sim_start + k_tick * self.tick,
             cfg=self.cfg.gp_train or bank_train_config(),
             n_jobs=self.cfg.gp_jobs,
         )
-        self.table = None
 
-    def _demand_table(self, k_tick: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """Quantile demand of the current bank at every instant it plans.
+    def _forecast(self, boundary: int, ticks: np.ndarray) -> ForecastTensor:
+        """The demand forecast at the control ticks of the period from ``boundary``.
 
-        The instants run from ``k_tick`` to the next retrain or the end of
-        the run.  Each flow is predicted once per distinct query time, and
-        the quantile is taken once; a control step only indexes the table.
+        ``ccmpc`` asks a bank trained at the boundary tick; a bank handed
+        to the run serves the first period.  ``fixed`` and
+        ``oracle`` read the realized counts with zero spread: slot k of an
+        instant in grid interval m reads interval ``m - 1 + lead * k``,
+        with ``lead`` 0 (the interval that just ended, held flat) or 1
+        (the true future).  Slot 0 is never planned on.
         """
-        end = min(self.n_ticks, (k_tick // self.gp_ticks + 1) * self.gp_ticks)
-        ticks = np.arange(k_tick, end, self.mpc_ticks)
-        fc = forecast_demand(self.bank, self.sc.sim_start + ticks * self.tick,
-                             self.cfg.horizon, self.net.step_seconds)
-        return k_tick, fc.slots, quantile_demand(fc.mean, fc.std, self.cfg.epsilon)
+        if self.cfg.controller == "ccmpc":
+            if self.bank is None or boundary > 0:
+                self.bank = self._train(boundary)
+            return forecast_demand(self.bank, self.sc.sim_start + ticks * self.tick,
+                                   self.cfg.horizon, self.net.step_seconds)
+        lead = int(self.cfg.controller == "oracle")
+        m = (self._interval_index(ticks)[:, None] - 1
+             + lead * np.arange(self.cfg.horizon + 1))
+        distinct, slots = np.unique(m, return_inverse=True)
+        mean = self.grid.counts[:, :, distinct].astype(float)
+        return ForecastTensor(mean=mean, std=np.zeros_like(mean),
+                              slots=slots.reshape(m.shape))
 
     def _demand_tensor(self, k_tick: int) -> np.ndarray:
-        n = self.net.n_stations
-        steps = self.cfg.horizon + 1
-        kind = self.cfg.controller
-        if kind == "ccmpc":
-            if self.table is None:
-                self.table = self._demand_table(k_tick)
-            first, slots, table = self.table
-            return table[:, :, slots[(k_tick - first) // self.mpc_ticks]]
-        demand = np.zeros((n, n, steps), dtype=np.int64)
-        if kind == "fixed":
-            prev = self._interval_index(k_tick) - 1
-            demand[:, :, 1:] = self.grid.counts[:, :, prev][:, :, None]
-        elif kind == "oracle":
-            # Step k covers (now + (k-1) dt, now + k dt], so the current
-            # grid interval is the first one the plan must anticipate.
-            m_now = self._interval_index(k_tick)
-            demand[:, :, 1:] = self.grid.counts[:, :, m_now:m_now + steps - 1]
-        idx = np.arange(n)
-        demand[idx, idx, :] = 0
-        return demand
+        """Quantile demand of the instant at ``k_tick``, read from its table.
+
+        A table covers the instants from its first tick to the next
+        retraining boundary or the end of the run.  It is forecast once
+        and quantiled once; a control step only indexes it.
+        """
+        if self.table is None or k_tick >= self.table[1]:
+            boundary = k_tick // self.gp_ticks * self.gp_ticks
+            end = min(self.n_ticks, boundary + self.gp_ticks)
+            fc = self._forecast(boundary, np.arange(k_tick, end, self.mpc_ticks))
+            self.table = (k_tick, end, fc.slots,
+                          quantile_demand(fc.mean, fc.std, self.cfg.epsilon))
+        first, _, slots, table = self.table
+        return table[:, :, slots[(k_tick - first) // self.mpc_ticks]]
 
     def _fleet_state(self, now: float) -> FleetState:
         idle = self.leg == IDLE
@@ -576,16 +582,11 @@ class _Run:
     def execute(self, on_tick=None) -> SimMetrics:
         cfg = self.cfg
         uses_mpc = cfg.controller != "gbm"
-        if cfg.controller == "ccmpc" and self.bank is None:
-            self._retrain(self.sc.sim_start, 0)
         for k in range(self.n_ticks):
             now = self.sc.sim_start + k * self.tick
             self._complete_legs(now)
             self._admit(now)
             self._dispatch(now)
-            if (cfg.controller == "ccmpc" and k > 0
-                    and k % self.gp_ticks == 0):
-                self._retrain(now, k)
             if uses_mpc and k % self.mpc_ticks == 0:
                 self._control(now, k)
             if on_tick is not None:
@@ -701,9 +702,7 @@ def _sweep_worker(args) -> list[SimMetrics]:
     for eps in epsilons:
         run_cfg = replace(cfg, controller="ccmpc", epsilon=float(eps))
         if bank is None:
-            probe = _Run(scenario, run_cfg)
-            probe._retrain(scenario.sim_start, 0)
-            bank = probe.bank
+            bank = _Run(scenario, run_cfg)._train(0)
         m = run_simulation(scenario, run_cfg, bank=bank)
         m.seed = seed
         rows.append(m)

@@ -14,6 +14,7 @@ from amodcc import cli
 from amodcc.cli import main
 from amodcc.forecast import bank_train_config
 from amodcc.network import load_network
+from amodcc.sim import CONTROLLERS
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -109,6 +110,13 @@ def test_config_file_merges_under_flags(city, capsys, tmp_path):
     assert rc == 0
     assert load_network(out2).n_stations == 2   # explicit flag wins
     capsys.readouterr()
+
+
+def test_controller_choices_are_the_simulations():
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    for name in ("simulate", "sweep"):
+        option = commands[name]._option_string_actions["--controller"]
+        assert tuple(option.choices) == CONTROLLERS
 
 
 def test_config_file_errors(tmp_path, capsys):

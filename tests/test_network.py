@@ -176,7 +176,6 @@ class TestStationNetwork:
         assert np.array_equal(loaded.travel_distance, net.travel_distance)
         assert np.array_equal(loaded.kappa, net.kappa)
         assert loaded.step_seconds == net.step_seconds
-        assert loaded.bbox == net.bbox
         assert loaded.projection == net.projection
 
     def test_explicit_matrices_round_trip(self, tmp_path):
@@ -209,11 +208,17 @@ class TestStationNetwork:
         with pytest.raises(InvalidInputError):
             load_network(str(path))
 
-    def test_default_bbox_has_margin(self):
-        c = np.array([[0.0, 0.0], [1000.0, 1000.0]])
-        net = StationNetwork.from_centroids(c, 10.0, 900.0)
-        x0, y0, x1, y1 = net.bbox
-        assert x0 < 0 < 1000 < x1 and y0 < 0 < 1000 < y1
+    def test_bbox_line_of_older_files_is_ignored(self, tmp_path):
+        path = tmp_path / "old.txt"
+        path.write_text("# amodcc network v1\nstations 2\nstep_seconds 900.0\n"
+                        "speed_mps 10.0\nbbox -250.0 -250.0 1250.0 1250.0\n"
+                        "centroid 0 0.0 0.0\ncentroid 1 1000.0 1000.0\n")
+        loaded = load_network(str(path))
+        net = StationNetwork.from_centroids(np.array([[0.0, 0.0], [1000.0, 1000.0]]),
+                                            10.0, 900.0)
+        assert np.array_equal(loaded.centroids, net.centroids)
+        assert np.array_equal(loaded.kappa, net.kappa)
+        assert not hasattr(loaded, "bbox")
 
     def test_validation_catches_nonzero_diagonal(self):
         c = np.array([[0.0, 0.0], [1000.0, 0.0]])

@@ -322,12 +322,14 @@ def table_scenario():
     (None, 86_400.0, 1),      # one instant per model step
     (300.0, 86_400.0, 1),     # three instants per step, off the step grid
     (None, 7_200.0, 3),       # retrains at 2 h and 4 h
+    (2700.0, 7_200.0, 3),     # instants at 0, 45 and 90 min: none on a retrain
 ])
 def test_runs_plan_from_one_table_per_bank(mpc_seconds, gp_seconds, banks, monkeypatch):
     # The run forecasts once per bank, over every instant that bank plans.
     # At each instant the table's columns equal that instant's own
     # per-flow queries to 1e-12, and the demand it plans on is the very
-    # quantile demand of those queries.
+    # quantile demand of those queries.  Each bank is trained at its
+    # retraining boundary, even when no instant falls on it.
     sc = table_scenario()
     cfg = RunConfig(controller="ccmpc", horizon=4, train_window_days=1.0,
                     mpc_seconds=mpc_seconds, gp_seconds=gp_seconds)
@@ -363,10 +365,13 @@ def test_runs_plan_from_one_table_per_bank(mpc_seconds, gp_seconds, banks, monke
         for t, row in zip(t0, fc.slots):
             at[t] = (bank, fc.mean[:, :, row], fc.std[:, :, row])
     n = sc.network.n_stations
+    gp_ticks = int(round(gp_seconds / cfg.dispatch_seconds))
     for k, bank, demand in planned:
         now = sc.sim_start + k * cfg.dispatch_seconds
         table_bank, mean, std = at[now]
         assert table_bank is bank
+        boundary = sc.sim_start + k // gp_ticks * gp_ticks * cfg.dispatch_seconds
+        assert bank.trained_at == bank.window[1] == boundary
         q = (now - bank.series_origin + (np.arange(cfg.horizon + 1) - 0.5) * dt) / 3600.0
         ref_mean = np.zeros((n, n, cfg.horizon + 1))
         ref_std = np.zeros((n, n, cfg.horizon + 1))
@@ -376,6 +381,55 @@ def test_runs_plan_from_one_table_per_bank(mpc_seconds, gp_seconds, banks, monke
         assert np.max(np.abs(mean - ref_mean)) <= 1e-12
         assert np.max(np.abs(std - ref_std)) <= 1e-12
         assert np.array_equal(demand, quantile_demand(ref_mean, ref_std, cfg.epsilon))
+
+
+def realized_demand(run, now, lead):
+    """What ``fixed`` (lead 0) and ``oracle`` (lead 1) plan on at ``now``.
+
+    ``fixed`` holds the interval that just ended flat over the horizon;
+    ``oracle`` plans step k on the interval k - 1 after the current one.
+    Step 0 is never planned on and stays zero, as does the diagonal.
+    """
+    grid = run.grid
+    n, steps = run.net.n_stations, run.cfg.horizon + 1
+    m = int((now - grid.origin) // grid.interval_seconds)
+    demand = np.zeros((n, n, steps), dtype=np.int64)
+    if lead:
+        demand[:, :, 1:] = grid.counts[:, :, m:m + steps - 1]
+    else:
+        demand[:, :, 1:] = grid.counts[:, :, m - 1][:, :, None]
+    idx = np.arange(n)
+    demand[idx, idx, :] = 0
+    return demand
+
+
+@pytest.mark.parametrize("controller, lead", [("fixed", 0), ("oracle", 1)])
+@pytest.mark.parametrize("mpc_seconds, gp_seconds", [
+    (None, 86_400.0), (300.0, 86_400.0), (2700.0, 7_200.0)])
+def test_realized_controllers_plan_on_the_grid_counts(controller, lead, mpc_seconds,
+                                                      gp_seconds):
+    # ``fixed`` and ``oracle`` read their tables from the realized counts;
+    # every step they plan on must be exactly the reference's.
+    sc = table_scenario()
+    cfg = RunConfig(controller=controller, horizon=4, train_window_days=1.0,
+                    mpc_seconds=mpc_seconds, gp_seconds=gp_seconds)
+    run = _Run(sc, cfg)
+    planned = []
+    demand_tensor = run._demand_tensor
+
+    def record_demand(k_tick):
+        planned.append((k_tick, demand_tensor(k_tick)))
+        return planned[-1][1]
+
+    run._demand_tensor = record_demand
+    run.execute()
+    every = int(round((mpc_seconds or sc.network.step_seconds) / cfg.dispatch_seconds))
+    assert [k for k, _ in planned] == list(range(0, run.n_ticks, every))
+    for k, demand in planned:
+        ref = realized_demand(run, sc.sim_start + k * cfg.dispatch_seconds, lead)
+        assert demand.dtype == np.int64
+        assert np.array_equal(demand[:, :, 1:], ref[:, :, 1:])
+    assert sum(int(d[:, :, 1:].sum()) for _, d in planned) > 0
 
 
 def test_run_with_a_mid_run_retrain_repeats_exactly():
