@@ -4,25 +4,32 @@ Problems are all-integer minimizations over bounded-below variables.  Every
 solve starts with the LP relaxation: each :class:`IlpProblem` builds one
 HiGHS model of its rows, costs and bounds through SciPy's HiGHS bindings
 (``scipy.optimize._highspy``), shared by every right-hand side of the same
-program.  A solve writes only its right-hand side into that model and runs
-HiGHS dual simplex from the last optimal basis any instant of the program
-reached; the costs never change, so that basis stays dual feasible.  The
-first solve, and any warm solve that ends anywhere but at an optimum, runs
-from scratch after presolve instead.
+program.  The program keeps two HiGHS handles loaded with that model for
+as long as it lives: a root handle with its costs and a face handle with
+the tie cost below.  A solve changes on each handle only the row bounds
+that differ from the ones it holds, and runs dual simplex on the root
+handle from the basis, factor and edge weights the program's last solved
+instant left there; the costs never change, so that basis stays dual
+feasible.  The first solve of a program, and any warm solve that ends
+anywhere but at an optimum, loads fresh handles and runs from scratch
+without presolve.
 
 Warm and cold solves land on different optima when optima tie, so the
 vertex is then made canonical.  The reduced costs and row duals of
 whatever optimum was found describe the whole optimal face: a column with
 a nonzero reduced cost sits at the same bound in every optimum, and an
-inequality row with a nonzero dual at the same activity.  A second solve
-fixes those and minimises a fixed generic cost over what is left: i.i.d.
+inequality row with a nonzero dual at the same activity.  The face handle
+pins those, starts from the root handle's optimal basis and minimises a
+fixed generic cost over what is left with primal simplex: i.i.d.
 U(1, 2) draws from a fixed seed, one per column.  The minimiser is
 unique, so the root vertex is a function of the instant alone, not of
 the solver's path: a one-shot solve gets cold what a run gets warm.  A
 reduced cost or dual counts as nonzero above HiGHS's own dual
 feasibility tolerance, taken relative to the largest cost.  Should the
-second solve fail, the root LP is solved again from scratch and, failing
-a second tie-break too, that cold vertex is returned as it is.
+second solve fail, both handles are dropped and the root LP is solved
+again from scratch and, failing a second tie-break too, that cold vertex
+is returned as it is.  Any error inside a solve drops both handles too,
+so the next instant starts cold.
 
 When that vertex is integral, which is the common case for the rebalancing
 programs, it is the plan.  Otherwise one ``scipy.optimize.milp`` call
@@ -61,9 +68,9 @@ _TIE_SEED = 0        # seed of the generic cost that picks one vertex of a tied 
 
 
 def _lp_options(strategy):
-    """Presolve, the given simplex strategy, no output."""
+    """No presolve, the given simplex strategy, no output."""
     opts = _highs.HighsOptions()
-    opts.presolve = "on"
+    opts.presolve = "off"
     opts.simplex_strategy = strategy
     opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
     opts.output_flag = False
@@ -83,29 +90,79 @@ def _finite(v: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(v), np.copysign(_highs.kHighsInf, v), v)
 
 
+class _Handle:
+    """A HiGHS handle loaded with a program's model, and the bounds it holds.
+
+    Bounds change only where they differ from the held ones, so the
+    handle keeps its basis, factor and edge weights for its next run.
+    """
+
+    def __init__(self, root: _RootLp, options, lower: np.ndarray, upper: np.ndarray,
+                 cost: np.ndarray | None = None):
+        self.highs = _highs._Highs()
+        self.highs.passOptions(options)
+        # Loads run under the program's lock, so the shared model is free to carry their rows.
+        root.model.row_lower_ = lower
+        root.model.row_upper_ = upper
+        if self.highs.passModel(root.model) == _highs.HighsStatus.kError:
+            raise NumericalError("LP backend rejected the model")
+        if cost is not None:
+            self.highs.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32), cost)
+        self.rows = lower, upper
+        self.cols = root.cols
+
+    def set_rows(self, lower: np.ndarray, upper: np.ndarray) -> None:
+        held_lower, held_upper = self.rows
+        changed = np.flatnonzero((lower != held_lower) | (upper != held_upper))
+        for i, lo, hi in zip(changed.tolist(), lower[changed].tolist(),
+                             upper[changed].tolist()):
+            self.highs.changeRowBounds(i, lo, hi)
+        self.rows = lower, upper
+
+    def set_cols(self, lower: np.ndarray, upper: np.ndarray) -> None:
+        held_lower, held_upper = self.cols
+        changed = np.flatnonzero((lower != held_lower) | (upper != held_upper)).astype(np.int32)
+        if changed.size:
+            self.highs.changeColsBounds(changed.size, changed, lower[changed], upper[changed])
+        self.cols = lower, upper
+
+    def run(self) -> tuple[_highs.HighsModelStatus, int]:
+        """Run HiGHS; its model status and simplex iterations."""
+        self.highs.run()
+        return self.highs.getModelStatus(), self.highs.getInfo().simplex_iteration_count
+
+
 @dataclass(eq=False)
 class _RootLp:
     """One program's LP relaxation in HiGHS, shared by all its instants.
 
-    ``model`` holds the rows in their own order; only its row bounds
-    change between solves.  ``basis`` is the last optimal basis any
-    instant reached, the warm start of the next.  Both are written under
-    ``lock``.  ``tie_cost`` is the fixed generic cost that picks one
-    vertex of a tied optimal face, and ``dual_tol`` the size above which
-    a reduced cost or dual is taken as nonzero.
+    ``model`` holds the rows in their own order, the costs and the column
+    bounds ``cols``.  Two handles keep it loaded from one instant to the
+    next: the root handle ``lp`` with the program's costs and ``face``
+    with ``tie_cost``, the fixed generic cost that picks one vertex of a
+    tied optimal face.  Both are None until a solve loads them, and a
+    failed solve drops both.  A solve holds ``lock`` from its first bound change to its last
+    read, so the solves of one program run one at a time.  ``dual_tol``
+    is the size above which a reduced cost or dual is taken as nonzero.
     """
 
     sense: np.ndarray            # the senses as an array
     model: _highs.HighsLp
+    cols: tuple[np.ndarray, np.ndarray]
     tie_cost: np.ndarray
     dual_tol: float
     lock: threading.Lock = field(default_factory=threading.Lock)
-    basis: _highs.HighsBasis | None = None
+    lp: _Handle | None = None
+    face: _Handle | None = None
 
     def row_bounds(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's lower and upper bound for the right-hand side ``b``."""
         inf = _highs.kHighsInf
         return (np.where(self.sense == "L", -inf, b), np.where(self.sense == "G", inf, b))
+
+    def drop(self) -> None:
+        """Forget both handles, so that the next solve starts cold."""
+        self.lp = self.face = None
 
 
 def _root_lp(prob: IlpProblem) -> _RootLp:
@@ -120,11 +177,11 @@ def _root_lp(prob: IlpProblem) -> _RootLp:
     lp.a_matrix_.index_ = a.indices.tolist()
     lp.a_matrix_.value_ = a.data.tolist()
     lp.col_cost_ = prob.c
-    lp.col_lower_ = _finite(prob.lb)
-    lp.col_upper_ = _finite(prob.ub)
+    cols = _finite(prob.lb), _finite(prob.ub)
+    lp.col_lower_, lp.col_upper_ = cols
     tie_cost = np.random.default_rng(_TIE_SEED).uniform(1.0, 2.0, n_cols)
     scale = float(np.abs(prob.c).max(initial=0.0)) or 1.0
-    return _RootLp(sense=np.asarray(prob.senses), model=lp, tie_cost=tie_cost,
+    return _RootLp(sense=np.asarray(prob.senses), model=lp, cols=cols, tie_cost=tie_cost,
                    dual_tol=_DUAL_TOL * scale)
 
 
@@ -172,8 +229,8 @@ class IlpProblem:
     def with_rhs(self, b: np.ndarray) -> "IlpProblem":
         """The same program with another right-hand side.
 
-        Everything else, the HiGHS model and its warm-start basis
-        included, is shared, not copied.
+        Everything else, the HiGHS model and the handles that keep it
+        loaded included, is shared, not copied.
         """
         b = np.asarray(b, dtype=float)
         if b.shape != self.b.shape:
@@ -213,107 +270,105 @@ def _check_rows(prob: IlpProblem, x: np.ndarray, tol: float = 1e-6) -> bool:
                 and np.all(x <= prob.ub + tol))
 
 
-def _load(root: _RootLp, lower: np.ndarray, upper: np.ndarray, options) -> _highs._Highs:
-    highs = _highs._Highs()
-    highs.passOptions(options)
-    with root.lock:
-        root.model.row_lower_ = lower
-        root.model.row_upper_ = upper
-        loaded = highs.passModel(root.model)
-    if loaded == _highs.HighsStatus.kError:
-        raise NumericalError("LP backend rejected the model")
-    return highs
+def _optimum(root: _RootLp, lower: np.ndarray, upper: np.ndarray) -> int:
+    """Bring ``root.lp`` to an optimum of the root LP; its simplex iterations.
 
-
-def _optimum(root: _RootLp, lower: np.ndarray, upper: np.ndarray,
-             basis: _highs.HighsBasis | None) -> _highs._Highs:
-    """A HiGHS handle at an optimum of the root LP.
-
-    Dual simplex starts from ``basis``, an optimal basis of another
-    instant: the costs never change, so it stays dual feasible and only
-    the new right-hand side has to be repaired.  Without a basis, or when
-    the warm solve ends anywhere but at an optimum, the LP is solved
-    again from scratch after presolve, and its status decides the error.
+    A loaded handle changes the row bounds that differ and runs dual
+    simplex from the basis, factor and edge weights of the last instant
+    it solved: the costs never change, so that basis stays dual feasible
+    and only the new right-hand side has to be repaired.  Without one, or
+    when the warm solve ends anywhere but at an optimum, both handles are
+    dropped and the LP is solved from scratch on a fresh handle, whose
+    status decides the error.
     """
-    if basis is not None:
-        highs = _load(root, lower, upper, _LP_OPTIONS)
-        highs.setBasis(basis)
-        highs.run()
-        if highs.getModelStatus() == _OPTIMAL:
-            return highs
-    highs = _load(root, lower, upper, _LP_OPTIONS)
-    highs.run()
-    status = highs.getModelStatus()
+    if root.lp is not None:
+        root.lp.set_rows(lower, upper)
+        status, iterations = root.lp.run()
+        if status == _OPTIMAL:
+            return iterations
+        root.drop()
+    root.lp = _Handle(root, _LP_OPTIONS, lower, upper)
+    status, iterations = root.lp.run()
     if status == _highs.HighsModelStatus.kInfeasible:
         raise InfeasibleError("no integer-feasible point")
     if status == _highs.HighsModelStatus.kUnbounded:
         raise SolverError("LP relaxation is unbounded")
     if status != _OPTIMAL:
-        raise NumericalError(f"LP backend failed: {highs.modelStatusToString(status)}")
-    return highs
+        raise NumericalError(f"LP backend failed: {root.lp.highs.modelStatusToString(status)}")
+    return iterations
 
 
-def _canonical(prob: IlpProblem, highs: _highs._Highs, lower: np.ndarray,
-               upper: np.ndarray) -> np.ndarray | None:
-    """The tie cost's minimiser over the optimal face ``highs`` sits on.
+def _canonical(root: _RootLp, lower: np.ndarray,
+               upper: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """The tie cost's minimiser over the optimal face ``root.lp`` sits on,
+    and the simplex iterations it took.
 
-    Whatever optimum ``highs`` holds, its reduced costs and row duals
+    Whatever optimum ``root.lp`` holds, its reduced costs and row duals
     describe the whole optimal face: a column with a nonzero reduced cost
     stays at the bound where it sits, and an inequality row with a
-    nonzero dual at its activity, in every optimum.  Fixing those and
-    minimising the generic ``tie_cost`` over what is left gives the
-    face's one minimiser.  The solve starts where the first one ended and
-    changes the handle for good.  None if it does not reach an optimum.
+    nonzero dual at its activity, in every optimum.  The face handle pins
+    those, releases what the last instant pinned and nothing pins now,
+    and minimises the generic ``tie_cost`` over what is left with primal
+    simplex, from the optimal basis of ``root.lp``.  That gives the face's
+    one minimiser; None if the solve does not reach an optimum.
     """
-    root, n = prob.root, prob.n_vars
-    sol = highs.getSolution()
-    x, d = np.asarray(sol.col_value), np.asarray(sol.col_dual)
-    activity, y = np.asarray(sol.row_value), np.asarray(sol.row_dual)
+    lp, n = root.lp.highs, root.tie_cost.size
+    sol = lp.getSolution()
+    x, d, y = np.asarray(sol.col_value), np.asarray(sol.col_dual), np.asarray(sol.row_dual)
     nonbasic = np.ones(n + lower.size, dtype=bool)
-    basic = highs.getBasicVariables()[1]            # column j, or row i as -1 - i
+    basic = lp.getBasicVariables()[1]               # column j, or row i as -1 - i
     nonbasic[np.where(basic >= 0, basic, n - 1 - basic)] = False
-    cols = np.flatnonzero(nonbasic[:n] & (np.abs(d) > root.dual_tol)).astype(np.int32)
-    lb, ub = prob.lb[cols], prob.ub[cols]
-    at = np.where(np.abs(x[cols] - lb) <= np.abs(x[cols] - ub), lb, ub)
-    highs.changeColsBounds(cols.size, cols, at, at)
-    for i in np.flatnonzero(nonbasic[n:] & (np.abs(y) > root.dual_tol) & (lower != upper)):
-        at = lower[i] if abs(activity[i] - lower[i]) <= abs(activity[i] - upper[i]) else upper[i]
-        highs.changeRowBounds(int(i), at, at)
-    highs.changeColsCost(n, np.arange(n, dtype=np.int32), root.tie_cost)
-    highs.passOptions(_FACE_OPTIONS)
-    highs.run()
-    if highs.getModelStatus() != _OPTIMAL:
-        return None
-    return np.array(highs.getSolution().col_value)
+    lb, ub = root.cols
+    pin = nonbasic[:n] & (np.abs(d) > root.dual_tol)
+    at = np.where(np.abs(x - lb) <= np.abs(x - ub), lb, ub)
+    col_lower, col_upper = np.where(pin, at, lb), np.where(pin, at, ub)
+    # An inequality row has one finite bound, and a pinned one sits there.
+    pin = nonbasic[n:] & (np.abs(y) > root.dual_tol) & (lower != upper)
+    at = np.where(np.isinf(lower), upper, lower)
+    row_lower, row_upper = np.where(pin, at, lower), np.where(pin, at, upper)
+    if root.face is None:
+        root.face = _Handle(root, _FACE_OPTIONS, row_lower, row_upper, root.tie_cost)
+    face = root.face
+    face.set_rows(row_lower, row_upper)
+    face.set_cols(col_lower, col_upper)
+    face.highs.setBasis(lp.getBasis())
+    status, iterations = face.run()
+    if status != _OPTIMAL:
+        return None, iterations
+    return np.array(face.highs.getSolution().col_value), iterations
 
 
 def _solve_root(prob: IlpProblem) -> tuple[np.ndarray, int]:
     """The canonical root vertex and the simplex iterations it took.
 
-    The first solve warm-starts from the program's last optimal basis and
-    leaves its own optimal basis there for the next instant; the second
-    (:func:`_canonical`) picks the vertex that depends on the instant
-    alone.  If that pick fails, the LP is solved again from scratch and
-    picked again, and failing that the cold vertex is returned as it is:
-    still the same for every path to this instant, though not the face's
-    tie-cost minimiser.
+    The first solve (:func:`_optimum`) warm-starts on the program's root
+    handle and leaves it at its own optimum for the next instant; the
+    second (:func:`_canonical`) picks, on the face handle, the vertex that
+    depends on the instant alone.  If that pick fails, both handles are
+    dropped, the LP is solved again from scratch and picked again, and
+    failing that the cold vertex is returned as it is: still the same for
+    every path to this instant, though not the face's tie-cost minimiser.
+    Any error drops both handles, so the next instant starts cold.
     """
     root = prob.root
     lower, upper = root.row_bounds(prob.b)
-    highs = _optimum(root, lower, upper, root.basis)
-    iterations = highs.getInfo().simplex_iteration_count
     with root.lock:
-        root.basis = highs.getBasis()
-    x = _canonical(prob, highs, lower, upper)
-    iterations += highs.getInfo().simplex_iteration_count
-    if x is None:
-        highs = _optimum(root, lower, upper, None)
-        iterations += highs.getInfo().simplex_iteration_count
-        x_cold = np.array(highs.getSolution().col_value)
-        x = _canonical(prob, highs, lower, upper)
-        iterations += highs.getInfo().simplex_iteration_count
-        if x is None:
-            x = x_cold
+        try:
+            iterations = _optimum(root, lower, upper)
+            x, more = _canonical(root, lower, upper)
+            iterations += more
+            if x is None:
+                root.drop()
+                iterations += _optimum(root, lower, upper)
+                x_cold = np.array(root.lp.highs.getSolution().col_value)
+                x, more = _canonical(root, lower, upper)
+                iterations += more
+                if x is None:
+                    root.drop()
+                    x = x_cold
+        except BaseException:
+            root.drop()
+            raise
     return x, iterations
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 import time
 import types
 from concurrent.futures import ThreadPoolExecutor
@@ -196,13 +197,14 @@ class TestInputs:
 
 
 def cold(prob):
-    """The root vertex solved from scratch, as a one-shot solve would."""
-    prob.root.basis = None
+    """The root vertex solved from scratch, as a one-shot solve would: the
+    program's loaded HiGHS handles are dropped first."""
+    prob.root.drop()
     return _solve_root(prob)[0]
 
 
 def warm(prob, other):
-    """The root vertex solved from the optimal basis of another instant."""
+    """The root vertex solved on the handles another instant's cold solve left."""
     cold(other)
     return _solve_root(prob)[0]
 
@@ -248,10 +250,11 @@ def same_vertex(x, y):
 class TestCanonicalRoot:
     """The root LP returns one vertex per instant, whatever basis it starts from.
 
-    A solve starts from the program's last optimal basis, and then breaks
-    ties among optima by a fixed generic cost over the optimal face.  So a cold solve, a solve warm-started
-    from another instant's basis and solves on threads sharing one program
-    all return the same point, and its objective is ``linprog``'s optimum.
+    A solve starts on the handles the program's last solved instant left,
+    and then breaks ties among optima by a fixed generic cost over the
+    optimal face.  So a cold solve, a solve warm-started on another
+    instant's handles and solves on threads sharing one program all
+    return the same point, and its objective is ``linprog``'s optimum.
     """
 
     def test_objective_is_linprogs_optimum(self, instants):
@@ -264,17 +267,17 @@ class TestCanonicalRoot:
             assert same_vertex(warm(prob, other), cold(prob))
 
     def test_threads_sharing_a_program_get_the_cold_vertex(self, instants, monkeypatch):
-        # Solves on many threads each see their own right-hand side in the
-        # shared model, never another's, and start from whatever basis
-        # another thread left behind.  A pause inside passModel lets other
-        # threads run while the model is being read.
-        class SlowPass:
+        # Solves on many threads each see their own right-hand side on the
+        # shared handles, never another's, and start from whatever state
+        # another thread left there.  A pause inside every HiGHS run lets
+        # other threads run between a solve's bound changes and its reads.
+        class SlowRun:
             def __init__(self):
                 self.highs = real._Highs()
 
-            def passModel(self, lp):
+            def run(self):
                 time.sleep(1e-4)
-                return self.highs.passModel(lp)
+                return self.highs.run()
 
             def __getattr__(self, name):
                 return getattr(self.highs, name)
@@ -284,12 +287,48 @@ class TestCanonicalRoot:
         # Distinct vertices, so a thread that read another's bounds would show.
         assert len({np.round(x).tobytes() for x in want}) > max(1, len(instants) // 2)
         real = ilp._highs
-        monkeypatch.setattr(ilp, "_highs", types.SimpleNamespace(**{**vars(real), "_Highs": SlowPass}))
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(_solve_root, prob) for prob in probs * 3]
-            got = [f.result(timeout=120)[0] for f in futures]
+        monkeypatch.setattr(ilp, "_highs", types.SimpleNamespace(**{**vars(real), "_Highs": SlowRun}))
+        for prob in probs:    # so that every handle is loaded through the pause
+            prob.root.drop()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(_solve_root, prob) for prob in probs * 3]
+                got = [f.result(timeout=120)[0] for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
         for x, expected in zip(got, want * 3):
             assert same_vertex(x, expected)
+
+    def test_instants_in_order_and_reversed_get_their_cold_vertices(self, seed0_period):
+        # One program solves the seed-0 period's solver instants in run
+        # order and then backwards, each on the handles the one before
+        # left: its row bounds, basis and factor, and the face's pins.
+        # No solve falls back to fresh handles, which would hide a stale one.
+        probs = [prob for prob, _ in period_instants(seed0_period)]
+        root = probs[0].root
+        assert all(prob.root is root for prob in probs)
+        want = [cold(prob) for prob in probs]
+        root.drop()
+        _solve_root(probs[0])
+        handles = root.lp, root.face
+        for prob, expected in zip(probs + probs[::-1], want + want[::-1]):
+            assert same_vertex(_solve_root(prob)[0], expected)
+            assert (root.lp, root.face) == handles
+
+    def test_an_infeasible_instant_leaves_the_program_cold(self):
+        # A right-hand side with no point raises and drops the program's
+        # handles, and the next instant still gets its cold vertex.
+        (prob, other), = step76_instants()
+        want = cold(other)
+        b = prob.b.copy()
+        b[np.flatnonzero(prob.root.sense == "L")[0]] = -1.0   # a station's stock below zero
+        cold(prob)
+        with pytest.raises(InfeasibleError):
+            _solve_root(prob.with_rhs(b))
+        assert prob.root.lp is None and prob.root.face is None
+        assert same_vertex(_solve_root(other)[0], want)
 
     def test_tied_optima_resolve_to_one_vertex(self):
         # min x0 + x1 subject to x0 + x1 >= 3, x0 <= u0, x1 <= u1.  With
@@ -331,10 +370,14 @@ class TestCanonicalRoot:
     def test_a_failed_tie_break_falls_back_to_the_cold_vertex(self, monkeypatch):
         # If the tie-break solve never reaches an optimum, the root LP is
         # solved again from scratch and that vertex is returned, not an
-        # error, from a warm start as from a cold one.
-        monkeypatch.setattr(ilp, "_canonical", lambda *args: None)
+        # error, from a warm start as from a cold one.  The next instant,
+        # with the tie-break working again, gets its own cold vertex.
         (prob, other), = step76_instants()
+        want_next = cold(other)
+        monkeypatch.setattr(ilp, "_canonical", lambda *args: (None, 0))
         want = float(prob.c @ linprog_root(prob))
         x = cold(prob)
         assert abs(float(prob.c @ x) - want) <= 1e-9 * abs(want)
         assert same_vertex(warm(prob, other), x)
+        monkeypatch.undo()
+        assert same_vertex(_solve_root(other)[0], want_next)
