@@ -42,11 +42,6 @@ from .sim import (
     sweep_epsilon,
 )
 
-_FLAG_KEYS = {"no-verify-plans"}
-_TRUE = {"true", "yes", "on", "1"}
-_FALSE = {"false", "no", "off", "0"}
-
-
 def _read_config(path: str) -> list[str]:
     """Turn a config file into CLI tokens, inserted ahead of real flags."""
     tokens: list[str] = []
@@ -61,14 +56,7 @@ def _read_config(path: str) -> list[str]:
             if not eq or not key or not value:
                 raise InvalidInputError(
                     f"{path}: line {lineno}: expected 'key = value', got {raw.strip()!r}")
-            if key in _FLAG_KEYS:
-                if value.lower() in _TRUE:
-                    tokens.append(f"--{key}")
-                elif value.lower() not in _FALSE:
-                    raise InvalidInputError(
-                        f"{path}: line {lineno}: {key} takes true/false")
-            else:
-                tokens.extend([f"--{key}", value])
+            tokens.extend([f"--{key}", value])
     return tokens
 
 
@@ -127,8 +115,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                         "run with exit code 3")
     p.add_argument("--gp-max-iters", type=int, default=None)
     _add_gp_jobs(p)
-    p.add_argument("--no-verify-plans", action="store_true",
-                   help="skip integer re-verification of each plan")
 
 
 def _gp_train_config(args):
@@ -152,7 +138,6 @@ def _run_config(args) -> RunConfig:
         solver=SolverConfig(time_limit_s=args.time_limit),
         gp_train=_gp_train_config(args),
         gp_jobs=args.gp_jobs,
-        check_invariants=not args.no_verify_plans,
     )
 
 
@@ -275,7 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amodcc",
         description="Station-based fleet rebalancing: partition, forecast, "
-                    "optimize, simulate.")
+                    "optimize, simulate.",
+        epilog="Every subcommand also takes --config FILE with 'key = value' lines "
+               "(long option names); explicit flags win over the file.  Every plan "
+               "is verified before a run applies it.  Exit codes: 0 success, "
+               "2 invalid input, 3 solver or numerical failure, 4 I/O failure.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("partition", help="cluster trip endpoints into stations")

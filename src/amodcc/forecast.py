@@ -5,9 +5,10 @@ zero-mean GP with a locally periodic kernel (RBF x Periodic, 24 h period).
 Flows with constant history get a constant fallback model with zero
 predictive spread.  Flow fits are independent, so the bank can train them in
 worker processes (one per usable core in runs and on the command line),
-one flow per task.  A worker sends back the kept fit's hyperparameters
-only; this process rebuilds each posterior the way :func:`load_bank`
-does, so the bank is bit-identical however many workers train it.
+one flow per task.  A worker only fits, and sends back each start's
+hyperparameters; this process builds each start's posterior the way
+:func:`load_bank` does, scores it and keeps one, so the bank is
+bit-identical however many workers train it.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ def bank_train_config() -> TrainConfig:
 
 # The two starts of every flow fit, in the order ties are broken.
 STARTS = ("local", "wide")
+# Starts are fitted on each series thinned to about this many samples.
+FIT_POINTS = 256
 
 
 @dataclass
@@ -121,26 +124,19 @@ def _posterior(t_hours: np.ndarray, resid: np.ndarray, kernel: LocallyPeriodicKe
 
 
 def _fit_flow(y: np.ndarray, t_hours: np.ndarray, stride: int, cfg: TrainConfig
-              ) -> tuple[LocallyPeriodicKernel, float, bool, int, str]:
-    """Fit the flow with count series ``y`` from both starts.
+              ) -> tuple[tuple[LocallyPeriodicKernel, float, bool, int], ...]:
+    """Fit the flow with count series ``y`` from each start, in
+    :data:`STARTS` order, on the series thinned by ``stride``.
 
-    Each start is fitted on the thinned series and scored by its
-    posterior's LML on the full window; the flow keeps the higher one
-    (the local start on a tie).  Returns the kept fit's ``(kernel,
-    noise_var, converged, n_iters, start)``, under 1 KB pickled,
-    with ``start`` in :data:`STARTS`.  Module level, so a worker process
-    can run it.
+    Returns each start's ``(kernel, noise_var, converged, n_iters)``:
+    hyperparameters and diagnostics only, under 1 KB pickled.  Module
+    level, so a worker process can run it.
     """
     resid = y - float(y.mean())
     var = float(y.var())
     sub = GPTrainingSet(t_hours[::stride], resid[::stride], noise_var=0.1 * var)
-    best, best_lml = None, None
-    for start, init in zip(STARTS, (default_kernel(var), wide_kernel(var))):
-        fit = train(sub, init, cfg)
-        lml = _posterior(t_hours, resid, fit.kernel, fit.noise_var).lml
-        if best is None or lml > best_lml:
-            best, best_lml = (fit.kernel, fit.noise_var, fit.converged, fit.n_iters, start), lml
-    return best
+    fits = (train(sub, init, cfg) for init in (default_kernel(var), wide_kernel(var)))
+    return tuple((fit.kernel, fit.noise_var, fit.converged, fit.n_iters) for fit in fits)
 
 
 def train_bank(
@@ -152,7 +148,6 @@ def train_bank(
     trained_at: float,
     cfg: TrainConfig | None = None,
     n_jobs: int = 1,
-    fit_points: int = 256,
 ) -> ForecastBank:
     """Fit one GP per flow from per-interval counts.
 
@@ -163,20 +158,20 @@ def train_bank(
     The likelihood surface is multi-modal: started locally, the fit can
     settle on a short-envelope mode that never looks a full day back.
     Each flow therefore trains from both the local and the wide-envelope
-    start and keeps whichever likelihood wins (the local one on a tie).
-    Hyperparameters are fitted on a series thinned to about
-    ``fit_points`` samples (the sweep is cubic in length); the kept
-    posterior is rebuilt on the full window.
+    start.  Hyperparameters are fitted on a series thinned to about
+    :data:`FIT_POINTS` samples (the sweep is cubic in length).  Each
+    start's posterior is then built once on the full window, and the
+    flow keeps the one with the higher likelihood (the local one on a
+    tie).
 
     Each fit runs on its own (:func:`~amodcc.gp.train`).  ``n_jobs > 1``
     hands the flows, one task each and in flow order, to that many forked
     worker processes; with ``n_jobs=1``, or where ``fork`` does not exist,
-    the same function fits them in this process.  Only the kept
-    hyperparameters come back, and this process rebuilds each posterior
-    on the full window as :func:`load_bank` does.  A fit does not depend
-    on which process runs it, so the bank is bit-identical for every
-    ``n_jobs``.  Errors raised in a worker reach the caller with their own
-    class.
+    the same function fits them in this process.  Only hyperparameters
+    come back, and this process builds every posterior from them as
+    :func:`load_bank` does.  A fit does not depend on which process runs
+    it, so the bank is bit-identical for every ``n_jobs``.  Errors raised
+    in a worker reach the caller with their own class.
     """
     counts = np.asarray(counts)
     if counts.ndim != 3 or counts.shape[0] != counts.shape[1]:
@@ -187,11 +182,9 @@ def train_bank(
     cfg = cfg or bank_train_config()
     n = counts.shape[0]
 
-    if fit_points < 8:
-        raise InvalidInputError(f"fit_points must be >= 8, got {fit_points}")
     if n_jobs < 1:
         raise InvalidInputError(f"n_jobs must be >= 1, got {n_jobs}")
-    stride = max(1, -(-t_hours.size // fit_points))
+    stride = max(1, -(-t_hours.size // FIT_POINTS))
 
     series = counts.astype(float)
     models = [[FlowModel(center=float(series[i, j].mean())) for j in range(n)]
@@ -199,11 +192,15 @@ def train_bank(
     flows = [(i, j) for i in range(n) for j in range(n) if float(series[i, j].var()) != 0.0]
 
     def keep(results):
-        # Rebuilt as each result arrives, while the workers fit the rest.
-        for (i, j), (kernel, noise_var, converged, n_iters, start) in zip(flows, results):
+        # Built and scored as each result arrives, while the workers fit the rest.
+        for (i, j), fits in zip(flows, results):
             model = models[i][j]
-            model.gp = _posterior(t_hours, series[i, j] - model.center, kernel, noise_var)
-            model.gp.converged, model.gp.n_iters, model.start = converged, n_iters, start
+            resid = series[i, j] - model.center
+            for start, (kernel, noise_var, converged, n_iters) in zip(STARTS, fits):
+                gp = _posterior(t_hours, resid, kernel, noise_var)
+                if model.gp is None or gp.lml > model.gp.lml:
+                    gp.converged, gp.n_iters = converged, n_iters
+                    model.gp, model.start = gp, start
 
     fit = partial(_fit_flow, t_hours=t_hours, stride=stride, cfg=cfg)
     rows = [series[i, j] for i, j in flows]
@@ -340,7 +337,7 @@ def load_bank(path: str, counts: np.ndarray, t_hours: np.ndarray) -> ForecastBan
     posterior is rebuilt against ``counts``/``t_hours`` the way
     :func:`train_bank` builds it, so the history must cover the same
     training window the file records.  A flow block whose likelihood is
-    not finite is invalid input.
+    not finite, or a second block for the same pair, is invalid input.
     """
     counts = np.asarray(counts)
     t_hours = np.asarray(t_hours, dtype=float).ravel()
@@ -359,8 +356,11 @@ def load_bank(path: str, counts: np.ndarray, t_hours: np.ndarray) -> ForecastBan
                 if key == "flow":
                     if parts[3] not in ("const", "gp"):
                         raise ValueError(f"unknown flow kind {parts[3]!r}")
+                    pair = (int(parts[1]), int(parts[2]))
+                    if pair in flows:
+                        raise ValueError(f"repeated flow, first at line {flows[pair]['_line']}")
                     current = {"_kind": parts[3], "_line": str(lineno)}
-                    flows[(int(parts[1]), int(parts[2]))] = current
+                    flows[pair] = current
                 elif key == "end":
                     current = None
                 elif current is not None:

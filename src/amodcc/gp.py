@@ -363,6 +363,10 @@ def lml_gradient(
 # --- training -----------------------------------------------------------------
 
 
+# Step halvings the line search tries per iteration before the fit stops.
+MAX_HALVINGS = 25
+
+
 @dataclass
 class TrainConfig:
     """Gradient-ascent budget for hyperparameter search."""
@@ -370,9 +374,7 @@ class TrainConfig:
     max_iters: int = 50
     learning_rate: float = 0.1
     tolerance: float = 1e-3      # stop when the gradient 2-norm drops below
-    train_noise: bool = True
-    max_halvings: int = 25
-    freeze: tuple[str, ...] = ()   # parameter names held at their init values
+    freeze: tuple[str, ...] = ()   # PARAM_NAMES or "noise_var", held at their init
 
     def validate(self) -> None:
         if self.max_iters < 0 or self.learning_rate <= 0 or self.tolerance < 0:
@@ -402,7 +404,7 @@ def train(data: GPTrainingSet, init: LocallyPeriodicKernel,
 
     A step-halving line search: a step is accepted only if it strictly
     improves the LML (then the next first step is ``min(1.5 step, 10)``),
-    with at most ``max_halvings`` tries per iteration.  The fit stops once
+    with at most :data:`MAX_HALVINGS` tries per iteration.  The fit stops once
     its gradient 2-norm drops below ``tolerance``, once no try improves, or
     after ``max_iters`` iterations.  The accepted trace is non-decreasing,
     so the result is never worse than its initialization; with
@@ -411,11 +413,8 @@ def train(data: GPTrainingSet, init: LocallyPeriodicKernel,
     """
     cfg = cfg or TrainConfig()
     cfg.validate()
-    theta = np.array(init.log_params())
-    names = list(PARAM_NAMES)
-    if cfg.train_noise:
-        theta = np.append(theta, math.log(data.noise_var))
-        names.append("noise_var")
+    theta = np.array(init.log_params() + [math.log(data.noise_var)])
+    names = [*PARAM_NAMES, "noise_var"]
     unknown = set(cfg.freeze) - set(names)
     if unknown:
         raise InvalidInputError(f"cannot freeze unknown parameters {sorted(unknown)}")
@@ -428,7 +427,7 @@ def train(data: GPTrainingSet, init: LocallyPeriodicKernel,
         or an LML that is not finite."""
         try:
             kern = init.with_log_params(theta)
-            noise = math.exp(theta[-1]) if cfg.train_noise else data.noise_var
+            noise = math.exp(theta[-1])
         except (OverflowError, InvalidInputError):
             return None
         if not (noise > 0 and math.isfinite(noise)):
@@ -445,13 +444,13 @@ def train(data: GPTrainingSet, init: LocallyPeriodicKernel,
     trace = [point.lml]
     lr, iters, converged = cfg.learning_rate, 0, False
     while iters < cfg.max_iters:
-        grad = mask * _gradient(gaps, point, cfg.train_noise)
+        grad = mask * _gradient(gaps, point, include_noise=True)
         if float(np.linalg.norm(grad)) < cfg.tolerance:
             converged = True
             break
         iters += 1
         step = lr
-        for _ in range(cfg.max_halvings):
+        for _ in range(MAX_HALVINGS):
             trial = theta + step * grad
             cand = at(trial)
             if cand is not None and cand.lml > point.lml:

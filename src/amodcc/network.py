@@ -29,16 +29,19 @@ def project_lonlat(lon, lat, lon0: float, lat0: float):
     return x, y
 
 
+MAX_LLOYD_ITERS = 100     # iteration cap of kmeans_partition
+
+
 def kmeans_partition(
     points: np.ndarray,
     n_stations: int,
     seed: int,
-    max_iter: int = 100,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cluster request points into station regions.
 
-    Lloyd's algorithm with k-means++ seeding.  Deterministic for a fixed
-    seed.  Emptied clusters are re-seeded to the point farthest from its
+    Lloyd's algorithm with k-means++ seeding, for at most
+    :data:`MAX_LLOYD_ITERS` rounds.  Deterministic for a fixed seed.
+    Emptied clusters are re-seeded to the point farthest from its
     current centroid, so every station region ends up non-empty.
 
     Parameters
@@ -46,7 +49,6 @@ def kmeans_partition(
     points : (M, 2) array of planar coordinates.
     n_stations : number of clusters k, 2 <= k <= number of distinct points.
     seed : seed for the k-means++ draws.
-    max_iter : Lloyd iteration cap.
 
     Returns
     -------
@@ -70,7 +72,7 @@ def kmeans_partition(
     centroids = _kmeans_pp_seed(pts, n_stations, rng)
 
     labels = _nearest(pts, centroids)
-    for _ in range(max_iter):
+    for _ in range(MAX_LLOYD_ITERS):
         for k in range(n_stations):
             members = pts[labels == k]
             if members.shape[0] == 0:
@@ -286,11 +288,19 @@ def save_network(path: str, net: StationNetwork) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _put(entries: dict, key, value, name: str) -> None:
+    """Record one indexed line's value; an index given twice is an error."""
+    if key in entries:
+        raise ValueError(f"repeated {name} {key}")
+    entries[key] = value
+
+
 def load_network(path: str) -> StationNetwork:
     """Read a network file written by :func:`save_network`.
 
     Explicit travel matrices, when present, override the Euclidean builder;
-    kappa is always rebuilt from the effective travel times.
+    kappa is always rebuilt from the effective travel times.  A centroid
+    or travel-matrix entry given twice is invalid input.
     """
     n = None
     step_seconds = None
@@ -321,13 +331,13 @@ def load_network(path: str) -> StationNetwork:
                     if len(parts) != 3:
                         raise ValueError("projection needs lon0 lat0")
                 elif key == "centroid":
-                    centroids[int(parts[1])] = (float(parts[2]), float(parts[3]))
+                    _put(centroids, int(parts[1]), (float(parts[2]), float(parts[3])), key)
                     if len(parts) != 4:
                         raise ValueError("centroid needs index x y")
                 elif key == "travel_time":
-                    time_entries[(int(parts[1]), int(parts[2]))] = float(parts[3])
+                    _put(time_entries, (int(parts[1]), int(parts[2])), float(parts[3]), key)
                 elif key == "travel_distance":
-                    dist_entries[(int(parts[1]), int(parts[2]))] = float(parts[3])
+                    _put(dist_entries, (int(parts[1]), int(parts[2])), float(parts[3]), key)
                 else:
                     raise ValueError(f"unknown key {key!r}")
             except (IndexError, ValueError) as exc:

@@ -156,7 +156,6 @@ class RunConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     gp_train: TrainConfig | None = None
     gp_jobs: int = field(default_factory=usable_cores)   # bank worker processes
-    check_invariants: bool = True
 
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
@@ -543,8 +542,7 @@ class _Run:
         self.solver_wall.append(plan.wall_seconds)
         self.solver_nodes.append(plan.nodes)
         self.solver_iterations.append(plan.iterations)
-        if self.cfg.check_invariants:
-            plan.verify_against(self.net, state, outstanding, demand)
+        plan.verify_against(self.net, state, outstanding, demand)
 
         # Each station sends its idle vehicles, in id order, to the planned
         # destinations in ascending order; trips past the pool are clamped.

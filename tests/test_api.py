@@ -5,6 +5,9 @@ missing one only as "not run", so a rename in ``src/`` would otherwise
 pass unnoticed.  The tracer's table is read from its source, not
 imported.  The simulator must also keep calling the wrapped dispatch
 function by its module global, or the tracer would count no dispatches.
+The tracer's hooks read fields of what the wrapped functions return;
+only a traced benchmark run executes them, so one test runs them here on
+a short period.
 """
 
 import ast
@@ -16,9 +19,11 @@ import numpy as np
 import amodcc
 from amodcc import sim
 from amodcc.demand import DemandFlow, synth_demand
+from amodcc.gp import TrainConfig
 from amodcc.network import StationNetwork
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_every_public_name_resolves():
@@ -79,3 +84,46 @@ def test_dispatch_goes_through_the_sim_module_global(monkeypatch):
     m = sim.run_simulation(sc, sim.RunConfig(controller="gbm"))
     assert m.served > 0
     assert len(pairs) == m.served + m.assigned_end
+
+
+def test_tracer_hooks_read_what_the_program_returns(monkeypatch):
+    # The hooks read bank.models[..].gp, build_problem(...).a, the c, a,
+    # senses, b, lb and ub of each problem passed to mpc.solve_ilp and the
+    # x, objective, status and nodes of its result; the benchmark's
+    # observer reads snap.tick and snap.leg_counts.  A field renamed in
+    # src/ must fail here, not only in a traced benchmark run.
+    from test_golden import HISTORY_DAYS, golden_inputs
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    checks = importlib.import_module("checks")
+    tracing = importlib.import_module("tracing")
+
+    sc, bank = golden_inputs()
+    ticks = []
+
+    def on_tick(snap):
+        ticks.append(snap.tick)
+        checks.legs_sum_to_fleet(snap.leg_counts, sc.fleet_size)
+
+    rng = np.random.default_rng(4)
+    counts = rng.poisson(2.0, (2, 2, 96))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sim.run_simulation(sc, sim.RunConfig(controller="ccmpc", train_window_days=HISTORY_DAYS),
+                           bank=bank, on_tick=on_tick)
+        sim.train_bank(counts, np.arange(96) * 0.25 - 23.875, 900.0, series_origin=0.0,
+                       window=(-86_400.0, 0.0), trained_at=0.0,
+                       cfg=TrainConfig(max_iters=2, freeze=("b.period",)), n_jobs=1)
+        sim.run_simulation(sc, sim.RunConfig(controller="gbm", train_window_days=HISTORY_DAYS),
+                           on_tick=on_tick)
+    finally:
+        tracer.uninstall()
+    assert tracer.errors == []
+    assert tracer.missing == set()
+    assert [label for label in tracing.WRAPPED
+            if label != "gp.gram_matrix" and not tracer.spans[label]] == []
+    assert tracer.flows_fitted == 4 and tracer.problem_shape is not None
+    assert ticks.count(0) == 2
+    metrics = tracer.metrics([], [], len(ticks), 0.0, 0.0, 0.0)
+    assert set(metrics) == set(tracing.NEEDS)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -220,6 +221,73 @@ def test_bad_bank_files_exit_2(city, tmp_path, capsys):
         capsys.readouterr()
         assert main(simulate + [str(bad)]) == 2, (key, value)
         assert f"flow block at line {flow + 1}" in capsys.readouterr().err, (key, value)
+
+
+def test_repeated_bank_block_exits_2(city, tmp_path, capsys):
+    # A second block for a station pair is invalid input (exit code 2),
+    # and the message names the line where the second block starts.
+    root, trips, net = city
+    good = tmp_path / "bank.txt"
+    assert main(["train", "--network", net, "--trips", trips,
+                 "--train-end", "21600", "--window-days", "0.25",
+                 "--gp-max-iters", "0", "--out", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    at = next(k for k, ln in enumerate(lines) if ln.startswith("flow"))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines + lines[at:lines.index("end", at) + 1]) + "\n")
+    capsys.readouterr()
+    assert main(["simulate", "--network", net, "--trips", trips,
+                 "--start", "21600", "--end", "43200", "--fleet", "5",
+                 "--window-days", "0.25", "--bank", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {len(lines) + 1}" in err and "repeated flow" in err
+
+
+def test_plan_verification_has_no_off_switch(tmp_path):
+    # Every plan is verified: the old opt-out is an unknown option, on
+    # the command line and in a config file (argparse exits with 2).
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--benchmark", "0", "--no-verify-plans"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("no-verify-plans = true\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg), "--benchmark", "0"])
+    assert exc.value.code == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """Every ``amodcc`` command in the README's fenced blocks, its
+    backslash-continued lines joined, split into arguments."""
+    commands, fenced, pending = [], False, ""
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.lstrip().startswith("```"):
+            fenced, pending = not fenced, ""
+            continue
+        if not fenced:
+            continue
+        line = pending + line.strip()
+        if line.endswith("\\"):
+            pending = line[:-1] + " "
+            continue
+        pending = ""
+        if line.startswith("amodcc "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    # Parsed, not run: documentation that still uses a removed option or
+    # subcommand fails here.
+    commands = readme_commands()
+    assert len(commands) >= 6
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
 
 
 class _Captured(Exception):

@@ -59,10 +59,6 @@ def test_bank_input_validation():
     with pytest.raises(InvalidInputError, match="length"):
         train_bank(np.zeros((2, 2, 10)), np.arange(9), INTERVAL,
                    series_origin=0.0, window=(0.0, 1.0), trained_at=1.0)
-    with pytest.raises(InvalidInputError, match="fit_points"):
-        train_bank(np.zeros((2, 2, 10)), np.arange(10), INTERVAL,
-                   series_origin=0.0, window=(0.0, 1.0), trained_at=1.0,
-                   fit_points=4)
     with pytest.raises(InvalidInputError, match="n_jobs"):
         train_bank(np.zeros((2, 2, 10)), np.arange(10), INTERVAL,
                    series_origin=0.0, window=(0.0, 1.0), trained_at=1.0, n_jobs=0)
@@ -186,12 +182,14 @@ def same_model(a, b):
         assert np.array_equal(a.gp.L, b.gp.L) and np.array_equal(a.gp.alpha, b.gp.alpha)
 
 
-def test_bank_does_not_depend_on_its_batches():
+def test_bank_does_not_depend_on_its_batches(monkeypatch):
     # Three stations over two days: every flow busy, some with a daily
-    # bump.  Worker processes train the flows one task each (three
-    # workers: more than this machine class's two cores; five for the
-    # four flows of the top-left 2 x 2 bank); a flow trained on its own
-    # must come out exactly as it does inside the whole bank.
+    # bump, fitted on series thinned to 48 points.  Worker processes
+    # train the flows one task each (three workers: more than this
+    # machine class's two cores; five for the four flows of the top-left
+    # 2 x 2 bank); a flow trained on its own must come out exactly as it
+    # does inside the whole bank.
+    monkeypatch.setattr(forecast, "FIT_POINTS", 48)
     rng = np.random.default_rng(8)
     m = 2 * 96
     t = (np.arange(m) + 0.5) * INTERVAL / 3600.0 - 48.0
@@ -199,7 +197,7 @@ def test_bank_does_not_depend_on_its_batches():
     counts = rng.poisson(np.where(bump, 4.0, 1.0) * rng.uniform(0.3, 1.5, (3, 3, 1)))
     kw = dict(interval_seconds=INTERVAL, series_origin=ORIGIN,
               window=(ORIGIN - 2 * 86_400.0, ORIGIN), trained_at=ORIGIN,
-              cfg=dataclasses.replace(bank_train_config(), max_iters=6), fit_points=48)
+              cfg=dataclasses.replace(bank_train_config(), max_iters=6))
     one = train_bank(counts, t, n_jobs=1, **kw)
     split = [train_bank(counts, t, n_jobs=jobs, **kw) for jobs in (2, 3)]
     few = train_bank(counts[:2, :2], t, n_jobs=5, **kw)
@@ -217,15 +215,19 @@ def test_bank_does_not_depend_on_its_batches():
 
 
 def test_worker_sends_back_hyperparameters_only(planted_bank):
-    # A bank worker's result for one flow is the kept fit's
-    # hyperparameters, diagnostics and start, not its factor; the bank
-    # rebuilds the posterior from them.
+    # A bank worker's result for one flow is each start's fitted
+    # hyperparameters and diagnostics, in STARTS order, not a factor; the
+    # bank builds and scores both posteriors from them and keeps one.
     y = planted_counts()[0, 1].astype(float)
     result = forecast._fit_flow(y, hour_axis(), 2, bank_train_config())
     assert len(pickle.dumps(result)) < 1024
+    assert len(result) == len(STARTS)
     model = planted_bank.models[0][1]
-    assert result == (model.gp.kernel, model.gp.noise_var, model.gp.converged,
-                      model.gp.n_iters, model.start)
+    assert model.start == "wide"
+    assert result[1] == (model.gp.kernel, model.gp.noise_var, model.gp.converged,
+                         model.gp.n_iters)
+    kernel, noise_var = result[0][:2]
+    assert forecast._posterior(hour_axis(), y - y.mean(), kernel, noise_var).lml < model.gp.lml
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -387,3 +389,19 @@ def test_load_rejects_damaged_files(tmp_path, planted_bank):
     (tmp_path / "truncated.txt").write_text("\n".join(lines[:first_flow]) + "\n")
     with pytest.raises(InvalidInputError, match="one flow block"):
         load_bank(str(tmp_path / "truncated.txt"), planted_counts(), hour_axis())
+
+
+def test_load_rejects_a_repeated_flow_block(tmp_path):
+    # A second block for a pair that already has one is invalid input,
+    # not an override; the message names the second block's line.
+    _, counts, t = seed0_3day_history()
+    lines = PINNED.read_text().splitlines()
+    at = lines.index("flow 0 1 gp")
+    block = [("center 123.0" if ln.startswith("center") else ln)
+             for ln in lines[at:lines.index("end", at) + 1]]
+    path = tmp_path / "repeated.txt"
+    path.write_text("\n".join(lines + block) + "\n")
+    with pytest.raises(InvalidInputError,
+                       match=f"line {len(lines) + 1}: 'flow 0 1 gp' "
+                             f"\\(repeated flow, first at line {at + 1}\\)"):
+        load_bank(str(path), counts, t)

@@ -371,7 +371,7 @@ class TestTraining:
     def test_noise_can_be_frozen(self):
         rng = np.random.default_rng(3)
         data = random_dataset(rng, 15, noise_var=0.123)
-        fit = train(data, smooth_kernel(1.0), TrainConfig(max_iters=10, train_noise=False))
+        fit = train(data, smooth_kernel(1.0), TrainConfig(max_iters=10, freeze=("noise_var",)))
         assert fit.noise_var == pytest.approx(0.123)
 
 

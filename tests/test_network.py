@@ -220,6 +220,20 @@ class TestStationNetwork:
         assert np.array_equal(loaded.kappa, net.kappa)
         assert not hasattr(loaded, "bbox")
 
+    def test_repeated_entries_are_rejected(self, tmp_path):
+        # A second line for a centroid or a travel-matrix entry is invalid
+        # input, not an override; the message names its line.
+        head = "stations 2\nstep_seconds 900.0\nspeed_mps 10.0\ncentroid 0 0.0 0.0\n"
+        path = tmp_path / "net.txt"
+        path.write_text(head + "centroid 1 1000.0 0.0\ncentroid 1 2000.0 0.0\n")
+        with pytest.raises(InvalidInputError, match="line 6: .*repeated centroid 1"):
+            load_network(str(path))
+        times = "".join(f"travel_time {i} {j} {100.0 * (i != j)}\n"
+                        for i in range(2) for j in range(2))
+        path.write_text(head + "centroid 1 1000.0 0.0\n" + times + "travel_time 0 1 50.0\n")
+        with pytest.raises(InvalidInputError, match=r"line 10: .*repeated travel_time \(0, 1\)"):
+            load_network(str(path))
+
     def test_validation_catches_nonzero_diagonal(self):
         c = np.array([[0.0, 0.0], [1000.0, 0.0]])
         t, d, kappa = build_travel_matrices(c, 10.0, 900.0)
