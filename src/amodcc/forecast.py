@@ -337,7 +337,8 @@ def load_bank(path: str, counts: np.ndarray, t_hours: np.ndarray) -> ForecastBan
     posterior is rebuilt against ``counts``/``t_hours`` the way
     :func:`train_bank` builds it, so the history must cover the same
     training window the file records.  A flow block whose likelihood is
-    not finite, or a second block for the same pair, is invalid input.
+    not finite, a second block for the same pair, or a header or block
+    key given twice is invalid input.
     """
     counts = np.asarray(counts)
     t_hours = np.asarray(t_hours, dtype=float).ravel()
@@ -364,7 +365,12 @@ def load_bank(path: str, counts: np.ndarray, t_hours: np.ndarray) -> ForecastBan
                 elif key == "end":
                     current = None
                 elif current is not None:
+                    if key in current:
+                        raise ValueError(
+                            f"repeated {key} in the flow block at line {current['_line']}")
                     current[key] = parts[1]
+                elif key in header:
+                    raise ValueError(f"repeated {key}")
                 elif key == "stations":
                     header["stations"] = int(parts[1])
                 elif key == "interval_seconds":

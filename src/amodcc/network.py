@@ -299,8 +299,8 @@ def load_network(path: str) -> StationNetwork:
     """Read a network file written by :func:`save_network`.
 
     Explicit travel matrices, when present, override the Euclidean builder;
-    kappa is always rebuilt from the effective travel times.  A centroid
-    or travel-matrix entry given twice is invalid input.
+    kappa is always rebuilt from the effective travel times.  A header
+    key, centroid or travel-matrix entry given twice is invalid input.
     """
     n = None
     step_seconds = None
@@ -309,6 +309,7 @@ def load_network(path: str) -> StationNetwork:
     centroids: dict[int, tuple[float, float]] = {}
     time_entries: dict[tuple[int, int], float] = {}
     dist_entries: dict[tuple[int, int], float] = {}
+    header_lines: dict[str, int] = {}
 
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -318,6 +319,10 @@ def load_network(path: str) -> StationNetwork:
             parts = line.split()
             try:
                 key = parts[0]
+                if key in ("stations", "step_seconds", "speed_mps", "projection"):
+                    if key in header_lines:
+                        raise ValueError(f"repeated {key}, first at line {header_lines[key]}")
+                    header_lines[key] = lineno
                 if key == "stations":
                     n = int(parts[1])
                 elif key == "step_seconds":

@@ -34,12 +34,14 @@ Controllers:
 * ``ccmpc``  - forecast-driven optimizer with a tunable risk level.
 * ``fixed``  - same optimizer on the previous interval's realized counts.
 * ``oracle`` - same optimizer on the true future counts.
-* ``gbm``    - no rebalancing; global nearest matching every tick.
+* ``gbm``    - no rebalancing; dispatch only.
 
 The first three differ only in the forecast they plan on: ``fixed`` and
 ``oracle`` read counts with zero spread, whose quantile is the count
-itself.  They dispatch per station (the optimizer owns cross-station
-movement); ``gbm`` matches any vehicle to any request.
+itself.  Every controller dispatches the same way: each tick, one
+minimum-distance matching of all idle vehicles to all waiting requests,
+whatever their stations.  The optimizer plans station-to-station
+rebalancing only; the next control step sees where pickups took vehicles.
 """
 
 from __future__ import annotations
@@ -430,33 +432,18 @@ class _Run:
         self._set_status(rid, 2)
         heapq.heappush(self.ends, (pickup_end, v))
 
-    def _match(self, idle: np.ndarray, reqs: list[int], now: float) -> None:
-        pairs = assign_pickups(self.xy.take(idle, axis=0),
-                               self.origins.take(reqs, axis=0))
-        for vi, ri in pairs:
-            self._start_pickup(int(idle[vi]), reqs[ri], now)
-
     def _dispatch(self, now: float) -> None:
+        """Match idle vehicles, in id order, to waiting requests, in admission order."""
         waiting = self.waiting
         if not waiting:
             return
         idle = (self.leg == IDLE).nonzero()[0]
         if not len(idle):
             return
-        if self.cfg.controller == "gbm":
-            self._match(idle, waiting, now)
-        else:
-            # Stations in ascending order; within one, idle vehicles in id
-            # order and requests in admission order.
-            by_origin: dict[int, list[int]] = {}
-            o_st = self.req_o_st
-            for r in waiting:
-                by_origin.setdefault(o_st[r], []).append(r)
-            idle_st = self.station.take(idle)
-            for st in sorted(by_origin):
-                pool = idle[idle_st == st]
-                if len(pool):
-                    self._match(pool, by_origin[st], now)
+        pairs = assign_pickups(self.xy.take(idle, axis=0),
+                               self.origins.take(waiting, axis=0))
+        for vi, ri in pairs:
+            self._start_pickup(int(idle[vi]), waiting[ri], now)
         status = self.req_status
         self.waiting = [r for r in waiting if status[r] == 1]
 

@@ -15,6 +15,7 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import amodcc
 from amodcc import sim
@@ -61,9 +62,11 @@ def test_benchmark_tracer_targets_exist():
     assert missing == []
 
 
-def test_dispatch_goes_through_the_sim_module_global(monkeypatch):
+@pytest.mark.parametrize("controller", sim.CONTROLLERS)
+def test_dispatch_goes_through_the_sim_module_global(controller, monkeypatch):
     # The tracer counts dispatches by wrapping ``amodcc.sim.assign_pickups``;
     # a dispatch path that bypasses the module global would read 0 there.
+    # Every pickup that any controller starts goes through it.
     pairs = []
     assign = sim.assign_pickups
 
@@ -81,7 +84,7 @@ def test_dispatch_goes_through_the_sim_module_global(monkeypatch):
                         profile=[(0.0, 24.0, 20.0)])]
     sc = sim.Scenario(network=net, trips=synth_demand(flows, 0.0, 0.25, seed=11),
                       sim_start=0.0, sim_end=6 * 3600.0, fleet_size=4)
-    m = sim.run_simulation(sc, sim.RunConfig(controller="gbm"))
+    m = sim.run_simulation(sc, sim.RunConfig(controller=controller))
     assert m.served > 0
     assert len(pairs) == m.served + m.assigned_end
 

@@ -224,8 +224,9 @@ def test_bad_bank_files_exit_2(city, tmp_path, capsys):
 
 
 def test_repeated_bank_block_exits_2(city, tmp_path, capsys):
-    # A second block for a station pair is invalid input (exit code 2),
-    # and the message names the line where the second block starts.
+    # A second block for a station pair, a second header line or a second
+    # line for a key inside one flow block is invalid input (exit code 2),
+    # not an override, and the message names the second one's line.
     root, trips, net = city
     good = tmp_path / "bank.txt"
     assert main(["train", "--network", net, "--trips", trips,
@@ -233,14 +234,21 @@ def test_repeated_bank_block_exits_2(city, tmp_path, capsys):
                  "--gp-max-iters", "0", "--out", str(good)]) == 0
     lines = good.read_text().splitlines()
     at = next(k for k, ln in enumerate(lines) if ln.startswith("flow"))
-    bad = tmp_path / "bad.txt"
-    bad.write_text("\n".join(lines + lines[at:lines.index("end", at) + 1]) + "\n")
-    capsys.readouterr()
-    assert main(["simulate", "--network", net, "--trips", trips,
-                 "--start", "21600", "--end", "43200", "--fleet", "5",
-                 "--window-days", "0.25", "--bank", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert f"line {len(lines) + 1}" in err and "repeated flow" in err
+    trained = next(ln for ln in lines if ln.startswith("trained_at"))
+    center = next(k for k in range(at, len(lines)) if lines[k].startswith("center"))
+    cases = [(lines + lines[at:lines.index("end", at) + 1], len(lines) + 1, "repeated flow"),
+             (lines[:at] + [trained] + lines[at:], at + 1, "repeated trained_at"),
+             (lines[:center + 1] + lines[center:], center + 2,
+              f"repeated center in the flow block at line {at + 1}")]
+    for edited, lineno, what in cases:
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(edited) + "\n")
+        capsys.readouterr()
+        assert main(["simulate", "--network", net, "--trips", trips,
+                     "--start", "21600", "--end", "43200", "--fleet", "5",
+                     "--window-days", "0.25", "--bank", str(bad)]) == 2, what
+        err = capsys.readouterr().err
+        assert f"line {lineno}:" in err and what in err, err
 
 
 def test_plan_verification_has_no_off_switch(tmp_path):

@@ -405,3 +405,24 @@ def test_load_rejects_a_repeated_flow_block(tmp_path):
                        match=f"line {len(lines) + 1}: 'flow 0 1 gp' "
                              f"\\(repeated flow, first at line {at + 1}\\)"):
         load_bank(str(path), counts, t)
+
+
+def test_load_rejects_repeated_keys(tmp_path):
+    # A second header line (trained_at) or a second center or noise_var
+    # line inside one flow block is invalid input, not an override; the
+    # message names the repeated line, and for a block the line it starts.
+    _, counts, t = seed0_3day_history()
+    lines = PINNED.read_text().splitlines()
+    path = tmp_path / "repeated.txt"
+    path.write_text("\n".join(lines + ["trained_at 123.0"]) + "\n")
+    with pytest.raises(InvalidInputError,
+                       match=f"line {len(lines) + 1}: 'trained_at 123.0' \\(repeated trained_at\\)"):
+        load_bank(str(path), counts, t)
+    at = lines.index("flow 0 1 gp")
+    for key in ("center", "noise_var"):
+        edited = list(lines)
+        edited.insert(at + 1, f"{key} 1.0")
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(InvalidInputError,
+                           match=f"repeated {key} in the flow block at line {at + 1}"):
+            load_bank(str(path), counts, t)

@@ -232,7 +232,7 @@ def period_instants(seed0_period):
     _, instants = seed0_period
     probs = [program.problem(state, outstanding, demand)
              for program, state, outstanding, demand, plan in instants if plan.nodes]
-    assert len(probs) == 12
+    assert len(probs) == 8
     return list(zip(probs, probs[-1:] + probs[:-1]))
 
 

@@ -221,7 +221,8 @@ class TestStationNetwork:
         assert not hasattr(loaded, "bbox")
 
     def test_repeated_entries_are_rejected(self, tmp_path):
-        # A second line for a centroid or a travel-matrix entry is invalid
+        # A second line for a centroid, a travel-matrix entry or a header
+        # key (stations, step_seconds, speed_mps, projection) is invalid
         # input, not an override; the message names its line.
         head = "stations 2\nstep_seconds 900.0\nspeed_mps 10.0\ncentroid 0 0.0 0.0\n"
         path = tmp_path / "net.txt"
@@ -232,6 +233,15 @@ class TestStationNetwork:
                         for i in range(2) for j in range(2))
         path.write_text(head + "centroid 1 1000.0 0.0\n" + times + "travel_time 0 1 50.0\n")
         with pytest.raises(InvalidInputError, match=r"line 10: .*repeated travel_time \(0, 1\)"):
+            load_network(str(path))
+        for at, again in enumerate(["stations 3", "step_seconds 600.0", "speed_mps 5.0"]):
+            path.write_text(head + "centroid 1 1000.0 0.0\n" + again + "\n")
+            with pytest.raises(InvalidInputError, match=f"line 6: .*repeated "
+                               f"{again.split()[0]}, first at line {at + 1}"):
+                load_network(str(path))
+        path.write_text("projection 0.0 0.0\n" + head + "projection 1.0 1.0\n")
+        with pytest.raises(InvalidInputError,
+                           match="line 6: .*repeated projection, first at line 1"):
             load_network(str(path))
 
     def test_validation_catches_nonzero_diagonal(self):

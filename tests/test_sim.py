@@ -221,6 +221,22 @@ def test_leg_started_while_completing_waits_for_the_next_tick():
     assert m.customer_m == 0.0
 
 
+@pytest.mark.parametrize("controller", sim.CONTROLLERS)
+def test_request_is_matched_across_stations_on_its_first_tick(controller):
+    # The one vehicle idles at station 0 and the request waits at station
+    # 1.  Every controller dispatches over the whole fleet, so the pickup
+    # starts on the admitting tick, before any plan could move the vehicle.
+    sc = Scenario(network=two_station_net(), trips=table([(0.0, B, A)]),
+                  sim_start=0.0, sim_end=600.0, fleet_size=1,
+                  initial_positions=[0])
+    snaps = []
+    m = run_simulation(sc, RunConfig(controller=controller), on_tick=snaps.append)
+    assert snaps[0].leg_counts["pickup"] == 1
+    assert snaps[0].status_counts.tolist() == [0, 0, 1, 0, 0]
+    assert m.waits.tolist() == [300.0]
+    assert m.pickup_m == 3000.0 and m.rebalance_m == 0.0
+
+
 def test_runs_are_deterministic():
     flows = [DemandFlow(origin=A, dest=B, spread=400.0,
                         profile=[(0.0, 24.0, 30.0)]),
