@@ -25,11 +25,23 @@ U(1, 2) draws from a fixed seed, one per column.  The minimiser is
 unique, so the root vertex is a function of the instant alone, not of
 the solver's path: a one-shot solve gets cold what a run gets warm.  A
 reduced cost or dual counts as nonzero above HiGHS's own dual
-feasibility tolerance, taken relative to the largest cost.  Should the
-second solve fail, both handles are dropped and the root LP is solved
+feasibility tolerance, taken relative to the largest cost.  HiGHS
+reports a zero dual for every basic column and row, and an optimum puts
+a column with a positive reduced cost at its lower bound and one with a
+negative at its upper, so the pins are read off the duals alone.  Should
+the second solve fail, both handles are dropped and the root LP is solved
 again from scratch and, failing a second tie-break too, that cold vertex
 is returned as it is.  Any error inside a solve drops both handles too,
 so the next instant starts cold.
+
+A problem may name, per row, a pivot column: one that the row fixes
+once the other columns are set, as a stock is fixed by the flows through
+its balance row.  A pivot column gets a zero tie cost, so the face's
+minimiser in the other columns does not depend on it, and a cold solve
+starts from the basis where each pivot column is basic in its row and
+every other row's slack is basic.  With non-negative costs that basis is
+dual feasible, so dual simplex starts there instead of pivoting each of
+those columns in from the all-slack basis.
 
 When that vertex is integral, which is the common case for the rebalancing
 programs, it is the plan.  Otherwise one ``scipy.optimize.milp`` call
@@ -151,6 +163,7 @@ class _RootLp:
     cols: tuple[np.ndarray, np.ndarray]
     tie_cost: np.ndarray
     dual_tol: float
+    start: _highs.HighsBasis | None   # the cold solve's first basis, None for HiGHS's own
     lock: threading.Lock = field(default_factory=threading.Lock)
     lp: _Handle | None = None
     face: _Handle | None = None
@@ -180,9 +193,24 @@ def _root_lp(prob: IlpProblem) -> _RootLp:
     cols = _finite(prob.lb), _finite(prob.ub)
     lp.col_lower_, lp.col_upper_ = cols
     tie_cost = np.random.default_rng(_TIE_SEED).uniform(1.0, 2.0, n_cols)
+    start = None
+    if prob.pivots is not None:
+        # A pivot column is fixed by the other columns, so it adds nothing
+        # to the tie cost and the face's minimiser in the others stays put.
+        pivots = prob.pivots[prob.pivots >= 0].tolist()
+        tie_cost[pivots] = 0.0
+        basic, lower = _highs.HighsBasisStatus.kBasic, _highs.HighsBasisStatus.kLower
+        col_status = [lower] * n_cols
+        for j in pivots:
+            col_status[j] = basic
+        start = _highs.HighsBasis()
+        start.col_status = col_status
+        start.row_status = [basic if j < 0 else lower for j in prob.pivots.tolist()]
+        start.valid = True
+        start.alien = False
     scale = float(np.abs(prob.c).max(initial=0.0)) or 1.0
     return _RootLp(sense=np.asarray(prob.senses), model=lp, cols=cols, tie_cost=tie_cost,
-                   dual_tol=_DUAL_TOL * scale)
+                   dual_tol=_DUAL_TOL * scale, start=start)
 
 
 def _check_rhs(b: np.ndarray) -> None:
@@ -200,6 +228,8 @@ class IlpProblem:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    pivots: np.ndarray | None = None   # per row, a column that row fixes once the
+                                       # others are set, or -1 (see _root_lp)
     root: _RootLp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -221,6 +251,12 @@ class IlpProblem:
             raise InvalidInputError("lower bounds must be finite")
         if np.any(np.isnan(self.ub)):
             raise InvalidInputError("upper bounds must not be NaN")
+        if self.pivots is not None:
+            self.pivots = np.asarray(self.pivots, dtype=np.int64)
+            named = self.pivots[self.pivots >= 0]
+            if (self.pivots.shape != (m,) or np.any(self.pivots < -1) or np.any(named >= n)
+                    or np.unique(named).size != named.size):
+                raise InvalidInputError("pivots must name a distinct column, or -1, per row")
         if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.a.data))):
             raise InvalidInputError("costs and row coefficients must be finite")
         _check_rhs(self.b)
@@ -278,8 +314,9 @@ def _optimum(root: _RootLp, lower: np.ndarray, upper: np.ndarray) -> int:
     it solved: the costs never change, so that basis stays dual feasible
     and only the new right-hand side has to be repaired.  Without one, or
     when the warm solve ends anywhere but at an optimum, both handles are
-    dropped and the LP is solved from scratch on a fresh handle, whose
-    status decides the error.
+    dropped and the LP is solved from scratch on a fresh handle, from
+    ``root.start`` if the problem names pivots, and its status decides
+    the error.
     """
     if root.lp is not None:
         root.lp.set_rows(lower, upper)
@@ -288,6 +325,8 @@ def _optimum(root: _RootLp, lower: np.ndarray, upper: np.ndarray) -> int:
             return iterations
         root.drop()
     root.lp = _Handle(root, _LP_OPTIONS, lower, upper)
+    if root.start is not None:
+        root.lp.highs.setBasis(root.start)
     status, iterations = root.lp.run()
     if status == _highs.HighsModelStatus.kInfeasible:
         raise InfeasibleError("no integer-feasible point")
@@ -306,24 +345,25 @@ def _canonical(root: _RootLp, lower: np.ndarray,
     Whatever optimum ``root.lp`` holds, its reduced costs and row duals
     describe the whole optimal face: a column with a nonzero reduced cost
     stays at the bound where it sits, and an inequality row with a
-    nonzero dual at its activity, in every optimum.  The face handle pins
-    those, releases what the last instant pinned and nothing pins now,
+    nonzero dual at its activity, in every optimum.  The duals alone say
+    which those are and where they sit.  The face handle pins those,
+    releases what the last instant pinned and nothing pins now,
     and minimises the generic ``tie_cost`` over what is left with primal
     simplex, from the optimal basis of ``root.lp``.  That gives the face's
     one minimiser; None if the solve does not reach an optimum.
     """
-    lp, n = root.lp.highs, root.tie_cost.size
+    lp = root.lp.highs
     sol = lp.getSolution()
-    x, d, y = np.asarray(sol.col_value), np.asarray(sol.col_dual), np.asarray(sol.row_dual)
-    nonbasic = np.ones(n + lower.size, dtype=bool)
-    basic = lp.getBasicVariables()[1]               # column j, or row i as -1 - i
-    nonbasic[np.where(basic >= 0, basic, n - 1 - basic)] = False
+    d, y = np.asarray(sol.col_dual), np.asarray(sol.row_dual)
+    # HiGHS reports a zero dual for every basic column and row, so a nonzero
+    # one is nonbasic, and by dual feasibility a column with a positive
+    # reduced cost sits at its lower bound and one with a negative at its upper.
     lb, ub = root.cols
-    pin = nonbasic[:n] & (np.abs(d) > root.dual_tol)
-    at = np.where(np.abs(x - lb) <= np.abs(x - ub), lb, ub)
+    pin = np.abs(d) > root.dual_tol
+    at = np.where(d > 0, lb, ub)
     col_lower, col_upper = np.where(pin, at, lb), np.where(pin, at, ub)
     # An inequality row has one finite bound, and a pinned one sits there.
-    pin = nonbasic[n:] & (np.abs(y) > root.dual_tol) & (lower != upper)
+    pin = (np.abs(y) > root.dual_tol) & (lower != upper)
     at = np.where(np.isinf(lower), upper, lower)
     row_lower, row_upper = np.where(pin, at, lower), np.where(pin, at, upper)
     if root.face is None:

@@ -8,6 +8,14 @@ movement is free; the objective trades rebalancing distance against
 backlog and late-pickup penalties.  Only the first rebalancing step is
 ever executed; the rest of the plan exists to price the future.
 
+Vehicle availability is a state: one stock column per station and step,
+after the flow columns, counts the vehicles a station holds once that
+step's trips have left and landed.  One balance row per station and step
+carries it from the step before, and its lower bound 0 keeps departures
+within the vehicles there.  The flows fix every stock, so the stocks
+cost nothing, carry no tie cost and start the solver's cold basis as its
+basic columns (:mod:`amodcc.ilp`).
+
 The rows, costs and bounds depend only on the network, the horizon and
 the weights, so :func:`build_problem` assembles them once per run; each
 control instant supplies only the right-hand side.
@@ -48,8 +56,9 @@ REBALANCE, CUSTOMER, BACKLOG, PICKUP = range(4)
 def columns(n: int, horizon: int) -> np.ndarray:
     """Column ids of the four flow tensors, indexed ``[kind, i, j, k]``.
 
-    The one statement of the column layout: kind-major, then origin,
-    destination and step.  Both assembly and plan read-out index with it.
+    The one statement of the flow columns' layout: kind-major, then
+    origin, destination and step.  Both assembly and plan read-out index
+    with it.  The stock columns follow, station-major, then step.
     """
     return np.arange(4 * n * n * (horizon + 1)).reshape(4, n, n, horizon + 1)
 
@@ -136,14 +145,20 @@ def build_problem(network: StationNetwork, horizon: int,
     # Row ids of the four blocks, in row order.
     first = np.arange(n * n).reshape(n, n)
     queue = first.size + np.arange(n * n * horizon).reshape(n, n, horizon)
-    avail = first.size + queue.size + np.arange(n * steps).reshape(n, steps)
-    done = first.size + queue.size + avail.size + np.arange(n * n).reshape(n, n)
+    balance = first.size + queue.size + np.arange(n * steps).reshape(n, steps)
+    done = first.size + queue.size + balance.size + np.arange(n * n).reshape(n, n)
+    # One stock column per station and step, after the flow columns: the
+    # vehicles a station holds once step k's trips have left and landed.
+    stock = x.size + np.arange(n * steps).reshape(n, steps)
+    n_cols = x.size + stock.size
 
-    # Vehicle availability at (i, k) counts, for every j != i, the trips
-    # i -> j that depart at sigma <= k and the trips j -> i that land by k.
-    i, k, j, sig = np.ogrid[:n, :steps, :n, :steps]
-    di, dk, dj, ds = np.nonzero((sig <= k) & (j != i))
-    li, lk, lj, ls = np.nonzero((sig <= k - network.kappa[j, i]) & (j != i))
+    # A trip i -> j (j != i) leaves i at its step; the trip lj -> li that
+    # departs at ls lands at lk = ls + kappa[lj, li], if inside the horizon.
+    off = ~np.eye(n, dtype=bool)
+    oi, oj = np.nonzero(off)
+    lj, li, ls = np.nonzero((np.arange(steps) + network.kappa[:, :, None] < steps)
+                            & off[:, :, None])
+    lk = ls + network.kappa[lj, li]
 
     terms = [  # (row ids, column ids, coefficient), broadcast together
         # Pickups of already-waiting requests either move now or queue.
@@ -156,10 +171,13 @@ def build_problem(network: StationNetwork, horizon: int,
         (queue, x[BACKLOG, :, :, 1:], 1.0),
         (queue, x[BACKLOG, :, :, :-1], -1.0),
         (queue, x[PICKUP, :, :, 1:], -1.0),
-        # Vehicle availability: cumulative departures from a station never
-        # exceed its opening stock plus everything that has landed by then.
-        (avail[di, dk], moves[:, di, dj, ds], 1.0),
-        (avail[li, lk], moves[:, lj, li, ls], -1.0),
+        # Stock balance: a station's stock is the last step's, plus what
+        # lands and arrives, minus what departs; its lower bound 0 keeps
+        # departures within the vehicles there.
+        (balance, stock, 1.0),
+        (balance[:, 1:], stock[:, :-1], -1.0),
+        (balance[oi], moves[:, oi, oj], 1.0),
+        (balance[li, lk], moves[:, lj, li, ls], -1.0),
         # Every waiting request gets picked up somewhere in the horizon.
         (done[:, :, None], x[PICKUP], 1.0),
     ]
@@ -169,27 +187,31 @@ def build_problem(network: StationNetwork, horizon: int,
         rows.append(row_ids.ravel())
         cols.append(col_ids.ravel())
         vals.append(np.full(col_ids.size, coef))
-    n_rows = first.size + queue.size + avail.size + done.size
+    n_rows = first.size + queue.size + balance.size + done.size
     a = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n_rows, x.size)).tocsr()
-    senses = ["E"] * (first.size + queue.size) + ["L"] * avail.size + ["E"] * done.size
+                          shape=(n_rows, n_cols)).tocsr()
 
-    c = np.zeros(x.size)
+    c = np.zeros(n_cols)
     c[x[REBALANCE]] = reb_w
     c[x[BACKLOG]] = backlog_w
     c[x[PICKUP]] = pickup_w
 
     diag = np.arange(n)
-    ub = np.full(x.size, np.inf)
+    ub = np.full(n_cols, np.inf)
     ub[moves[:, diag, diag]] = 0.0
 
-    base = IlpProblem(c=c, a=a, senses=senses, b=np.zeros(n_rows),
-                      lb=np.zeros(x.size), ub=ub)
+    # The flows fix every stock through its balance row: the solver's cold
+    # start makes each stock basic there, and ties are broken on the flows.
+    pivots = np.full(n_rows, -1)
+    pivots[balance] = stock
+    base = IlpProblem(c=c, a=a, senses=["E"] * n_rows, b=np.zeros(n_rows),
+                      lb=np.zeros(n_cols), ub=ub, pivots=pivots)
     # With a price on every move and on every late pickup, any plan but
     # the zero-cost one costs more than it does (RebalanceProgram._certified).
-    strict = bool(np.all(reb_w[~np.eye(n, dtype=bool)] > 0) and pickup_w[1] > pickup_w[0])
+    strict = bool(np.all(reb_w[off] > 0) and pickup_w[1] > pickup_w[0])
+    landings = np.ravel_multi_index((lj, li, ls), x.shape[1:]), li * steps + lk
     return RebalanceProgram(network=network, horizon=horizon, base=base,
-                            zero_cost_unique=strict)
+                            zero_cost_unique=strict, landings=landings)
 
 
 @dataclass
@@ -209,6 +231,8 @@ class RebalanceProgram:
     horizon: int
     base: IlpProblem
     zero_cost_unique: bool
+    landings: tuple[np.ndarray, np.ndarray]   # flat (j, i, sigma) of each trip landing
+                                              # in the horizon, and flat (i, k) it lands at
 
     @property
     def a(self) -> sparse.csr_matrix:
@@ -221,7 +245,9 @@ class RebalanceProgram:
 
         ``demand[i, j, k]`` is the integer request count the plan must
         cover in horizon step k >= 1 (slice k = 0 is ignored; requests
-        already waiting enter through ``outstanding`` instead).
+        already waiting enter through ``outstanding`` instead).  Each
+        balance row gets the vehicles arriving at its station and step,
+        plus the idle ones at step 0.
         """
         n = self.network.n_stations
         demand = np.asarray(demand)
@@ -240,9 +266,10 @@ class RebalanceProgram:
             raise InvalidInputError("outstanding must be non-negative, zero diagonal")
         if state.idle.shape != (n,):
             raise InvalidInputError("fleet state does not match the network size")
-        stock = state.idle[:, None] + np.cumsum(state.arrival_counts(self.horizon), axis=1)
+        inflow = state.arrival_counts(self.horizon)
+        inflow[:, 0] += state.idle
         return np.concatenate([np.zeros(n * n), demand[:, :, 1:].ravel(),
-                               stock.ravel(), outstanding.ravel()], dtype=float)
+                               inflow.ravel(), outstanding.ravel()], dtype=float)
 
     def problem(self, state: FleetState, outstanding: np.ndarray,
                 demand: np.ndarray) -> IlpProblem:
@@ -281,10 +308,20 @@ class RebalanceProgram:
         if not self.zero_cost_unique:
             return None
         t0 = time.perf_counter()
-        cols = columns(self.network.n_stations, self.horizon)
+        n, steps = self.network.n_stations, self.horizon + 1
+        cols = columns(n, self.horizon)
+        served = np.array(demand, dtype=float)
+        served[:, :, 0] = outstanding
         x = np.zeros(prob.n_vars)
-        x[cols[CUSTOMER]] = demand
-        x[cols[CUSTOMER, :, :, 0]] = x[cols[PICKUP, :, :, 0]] = outstanding
+        x[cols[CUSTOMER]] = served
+        x[cols[PICKUP, :, :, 0]] = outstanding
+        # Its stocks, by the balance rows: what arrives (the idle fleet at
+        # step 0) and lands, less what departs, summed over the steps.  The
+        # balance rows follow the N*N first-step and N*N*T queue rows.
+        inflow = prob.b[n * n * steps:(n * n + n) * steps].reshape(n, steps)
+        src, dst = self.landings
+        landed = np.bincount(dst, served.ravel()[src], n * steps).reshape(n, steps)
+        x[cols.size:] = np.cumsum(inflow + landed - served.sum(axis=1), axis=1).ravel()
         if not _check_rows(prob, x):
             return None
         return IlpSolution(x=x, objective=float(prob.c @ x), status="optimal",

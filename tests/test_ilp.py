@@ -195,6 +195,16 @@ class TestInputs:
         with pytest.raises(InvalidInputError, match="NaN"):
             make_problem([1.0], [[1.0]], ["L"], [1.0], ub=[np.nan])
 
+    @pytest.mark.parametrize("pivots", [[0], [0, 1, -1], [2, -1], [-2, 0], [1, 1]])
+    def test_rejects_pivots_that_are_not_one_distinct_column_or_minus_one_per_row(
+            self, pivots):
+        fields = dict(c=np.ones(2), a=sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, -1.0]])),
+                      senses=["E", "E"], b=np.array([2.0, 0.0]), lb=np.zeros(2),
+                      ub=np.full(2, np.inf))
+        assert solve_ilp(IlpProblem(**fields, pivots=[1, -1])).objective == 2.0
+        with pytest.raises(InvalidInputError, match="pivots"):
+            IlpProblem(**fields, pivots=pivots)
+
 
 def cold(prob):
     """The root vertex solved from scratch, as a one-shot solve would: the
@@ -301,6 +311,23 @@ class TestCanonicalRoot:
         for x, expected in zip(got, want * 3):
             assert same_vertex(x, expected)
 
+    def test_duals_alone_say_what_is_nonbasic_and_at_which_bound(self, instants):
+        # The tie-break reads its pins off the duals alone.  That holds
+        # because HiGHS reports an exact zero dual for every basic column and
+        # row, and an optimum puts a column with a positive reduced cost at
+        # its lower bound and one with a negative reduced cost at its upper.
+        for prob, _ in instants:
+            cold(prob)
+            lp = prob.root.lp.highs
+            sol = lp.getSolution()
+            x, d, y = (np.asarray(v) for v in (sol.col_value, sol.col_dual, sol.row_dual))
+            basic = lp.getBasicVariables()[1]
+            assert np.all(d[basic[basic >= 0]] == 0.0)
+            assert np.all(y[-1 - basic[basic < 0]] == 0.0)
+            tol = prob.root.dual_tol
+            assert np.array_equal(x[d > tol], prob.lb[d > tol])
+            assert np.array_equal(x[d < -tol], prob.ub[d < -tol])
+
     def test_instants_in_order_and_reversed_get_their_cold_vertices(self, seed0_period):
         # One program solves the seed-0 period's solver instants in run
         # order and then backwards, each on the handles the one before
@@ -323,7 +350,7 @@ class TestCanonicalRoot:
         (prob, other), = step76_instants()
         want = cold(other)
         b = prob.b.copy()
-        b[np.flatnonzero(prob.root.sense == "L")[0]] = -1.0   # a station's stock below zero
+        b[np.flatnonzero(prob.pivots >= 0)[0]] = -1.0   # station 0's opening stock below zero
         cold(prob)
         with pytest.raises(InfeasibleError):
             _solve_root(prob.with_rhs(b))

@@ -50,12 +50,21 @@ def reference_optimum(prob):
     return res.fun
 
 
-def plan_vector(plan):
-    """A plan's four tensors as one column vector, in the program's layout."""
+def plan_vector(plan, net, state):
+    """A plan's four tensors and the stocks they leave, as one column vector
+    in the program's layout: flows first, then each station's stock per step.
+    The stocks are counted here trip by trip, not through the program's rows."""
     n, _, steps = plan.rebalance.shape
-    x = np.zeros(4 * n * n * steps)
-    x[columns(n, steps - 1)] = np.stack([plan.rebalance, plan.customer, plan.backlog,
-                                         plan.pickup])
+    cols = columns(n, steps - 1)
+    x = np.zeros(cols.size + n * steps)
+    x[cols] = np.stack([plan.rebalance, plan.customer, plan.backlog, plan.pickup])
+    moves = plan.rebalance + plan.customer
+    inflow = state.arrival_counts(steps - 1)
+    inflow[:, 0] += state.idle
+    for j, i, k in zip(*np.nonzero(moves)):
+        if j != i and k + net.kappa[j, i] < steps:
+            inflow[i, k + net.kappa[j, i]] += moves[j, i, k]
+    x[cols.size:] = np.cumsum(inflow - moves.sum(axis=1), axis=1).ravel()
     return x
 
 
@@ -174,7 +183,23 @@ class TestBuildProblem:
         state = FleetState(idle=np.full(n, 3))
         prob = instant_problem(net, state, np.zeros((n, n), dtype=int),
                                zero_demand(n, horizon))
-        assert prob.n_vars == 4 * n * n * (horizon + 1) == 5200
+        # Four flow tensors, then one stock per station and step.
+        assert prob.n_vars == 4 * n * n * (horizon + 1) + n * (horizon + 1) == 5330
+
+    def test_flow_columns_keep_their_tie_costs_and_stocks_have_none(self):
+        # The stock columns come after the flows, so each flow column keeps
+        # the generic tie cost it drew when the flows were all the columns.
+        # A stock is fixed by the flows, so it gets no tie cost of its own.
+        n, horizon = 10, 12
+        net = line_network(n, spacing_m=2000.0)
+        prob = build_problem(net, horizon, CostWeights.defaults(net, horizon)).base
+        flows = columns(n, horizon).size
+        tie = prob.root.tie_cost
+        assert np.array_equal(tie[:flows], np.random.default_rng(0).uniform(1.0, 2.0, flows))
+        assert np.all(tie[flows:] == 0.0) and tie.size - flows == n * (horizon + 1)
+        assert np.array_equal(np.flatnonzero(prob.pivots >= 0),
+                              n * n * (horizon + 1) + np.arange(n * (horizon + 1)))
+        assert np.array_equal(prob.pivots[prob.pivots >= 0], np.arange(flows, tie.size))
 
     def test_index_map_matches_plan_reshape(self):
         # columns is the one statement of the layout: kind-major, then
@@ -213,9 +238,15 @@ class TestBuildProblem:
         assert np.all(ub[:, off] == np.inf)
 
     def test_rows_match_dense_oracle(self):
-        # Every row, coefficient, right-hand side and sense, in row order,
-        # against a dense matrix written out row by row.  The travel steps
-        # are asymmetric and range from 1 to 3, and vehicles are in transit,
+        # Every row, coefficient, right-hand side and sense, against dense
+        # rows written out one by one.  Vehicle availability is written the
+        # cumulative way: at (i, k), every trip out of i that departed by k,
+        # less every trip into i that landed by k, is at most the opening
+        # stock plus what arrived by k.  The program's balance rows, summed
+        # over steps 0..k, must give exactly that row in the flow columns
+        # and the stock (i, k) alone in the stock columns, which the lower
+        # bound 0 then turns into the same inequality.  The travel steps are
+        # asymmetric and range from 1 to 3, and vehicles are in transit,
         # one of them landing past the horizon.
         n, horizon = 4, 4
         steps = horizon + 1
@@ -233,30 +264,28 @@ class TestBuildProblem:
         demand[idx, idx, :] = 0
         out[idx, idx] = 0
         prob = instant_problem(net, state, out, demand)
+        flows = 4 * n * n * steps
 
         def col(kind, i, j, k):
             return ((kind * n + i) * n + j) * steps + k
 
-        rows, b, senses = [], [], []
-
-        def row(terms, rhs, sense):
-            r = np.zeros(4 * n * n * steps)
+        def row(terms, rhs):
+            r = np.zeros(flows)
             for kind, i, j, k, v in terms:
                 r[col(kind, i, j, k)] += v
-            rows.append(r)
-            b.append(rhs)
-            senses.append(sense)
+            return r, rhs
 
+        first, queue, avail, done = [], [], [], []
         for i in range(n):
             for j in range(n):
-                row([(PICKUP, i, j, 0, 1), (CUSTOMER, i, j, 0, -1),
-                     (BACKLOG, i, j, 0, -1)], 0, "E")
+                first.append(row([(PICKUP, i, j, 0, 1), (CUSTOMER, i, j, 0, -1),
+                                  (BACKLOG, i, j, 0, -1)], 0))
         for i in range(n):
             for j in range(n):
                 for k in range(1, steps):
-                    row([(CUSTOMER, i, j, k, 1), (BACKLOG, i, j, k, 1),
-                         (BACKLOG, i, j, k - 1, -1), (PICKUP, i, j, k, -1)],
-                        demand[i, j, k], "E")
+                    queue.append(row([(CUSTOMER, i, j, k, 1), (BACKLOG, i, j, k, 1),
+                                      (BACKLOG, i, j, k - 1, -1), (PICKUP, i, j, k, -1)],
+                                     demand[i, j, k]))
         for i in range(n):
             for k in range(steps):
                 terms = []
@@ -269,17 +298,34 @@ class TestBuildProblem:
                         if sig + kappa[j, i] <= k:
                             terms += [(REBALANCE, j, i, sig, -1), (CUSTOMER, j, i, sig, -1)]
                 landed = sum(1 for st, t in state.arrivals if st == i and t <= k)
-                row(terms, state.idle[i] + landed, "L")
+                avail.append(row(terms, state.idle[i] + landed))
         for i in range(n):
             for j in range(n):
-                row([(PICKUP, i, j, k, 1) for k in range(steps)], out[i, j], "E")
+                done.append(row([(PICKUP, i, j, k, 1) for k in range(steps)], out[i, j]))
 
-        expected = np.array(rows)
-        assert prob.a.shape == expected.shape
-        assert np.array_equal(prob.a.toarray(), expected)
-        assert prob.a.nnz == np.count_nonzero(expected)
-        assert np.array_equal(prob.b, np.array(b, dtype=float))
-        assert prob.senses == senses
+        a, b = prob.a.toarray(), prob.b
+        assert a.shape == (len(first) + len(queue) + len(avail) + len(done),
+                           flows + n * steps)
+        assert prob.senses == ["E"] * a.shape[0]
+        lo, hi = len(first) + len(queue), len(first) + len(queue) + len(avail)
+        other, rest = np.r_[:lo, hi:a.shape[0]], first + queue + done
+        assert np.array_equal(a[other, :flows], np.array([r for r, _ in rest]))
+        assert np.all(a[other, flows:] == 0)
+        assert np.array_equal(b[other], np.array([v for _, v in rest], dtype=float))
+        summed = np.cumsum(a[lo:hi].reshape(n, steps, -1), axis=1).reshape(n * steps, -1)
+        assert np.array_equal(summed[:, :flows], np.array([r for r, _ in avail]))
+        assert np.array_equal(summed[:, flows:], np.eye(n * steps))
+        assert np.array_equal(np.cumsum(b[lo:hi].reshape(n, steps), axis=1).ravel(),
+                              np.array([v for _, v in avail], dtype=float))
+        assert np.all(prob.lb == 0.0) and np.all(prob.ub[flows:] == np.inf)
+        assert np.all(prob.c[flows:] == 0.0)
+        # Each balance row holds its stock, the step before's, and each
+        # trip's departure or landing once: no cumulative sums.
+        assert prob.a.nnz == np.count_nonzero(a)
+        landing = sum(1 for j in range(n) for i in range(n) for sig in range(steps)
+                      if j != i and sig + kappa[j, i] < steps)
+        assert np.count_nonzero(a[lo:hi]) == (n * steps + n * horizon
+                                              + 2 * (n * (n - 1) * steps + landing))
 
     def test_rejects_fractional_or_negative_demand(self):
         net = line_network(2)
@@ -482,11 +528,11 @@ class TestSolvePlans:
             state = FleetState(idle=np.full(n, 8))    # enough for the zero-cost plan
             certified = strict.solve(state, out, demand)
             assert certified.nodes == 0
-            assert np.array_equal(plan_vector(certified),
+            assert np.array_equal(plan_vector(certified, net, state),
                                   solve_ilp(strict.problem(state, out, demand)).x)
             plan = program.solve(state, out, demand)
             assert plan.nodes >= 1
-            assert np.array_equal(plan_vector(plan),
+            assert np.array_equal(plan_vector(plan, net, state),
                                   solve_ilp(program.problem(state, out, demand)).x)
 
     def test_recorded_hard_step_is_solved_to_optimality(self):
@@ -536,7 +582,7 @@ def test_solved_plans_verify_and_a_moved_unit_does_not(instant, data):
     program = build_problem(net, horizon, CostWeights.defaults(net, horizon))
     plan = program.solve(state, out, demand)
     plan.verify_against(net, state, out, demand)
-    x = plan_vector(plan)
+    x = plan_vector(plan, net, state)
     assert plan.objective == float(program.base.c @ x)
 
     # A plan certified without the solver (nodes == 0) is the solver's own
