@@ -11,8 +11,8 @@ that differ from the ones it holds, and runs dual simplex on the root
 handle from the basis, factor and edge weights the program's last solved
 instant left there; the costs never change, so that basis stays dual
 feasible.  The first solve of a program, and any warm solve that ends
-anywhere but at an optimum, loads fresh handles and runs from scratch
-without presolve.
+anywhere but at an optimum, loads fresh handles and runs cold without
+presolve, from the pivots' basis below when the problem names one.
 
 Warm and cold solves land on different optima when optima tie, so the
 vertex is then made canonical.  The reduced costs and row duals of
@@ -34,14 +34,17 @@ again from scratch and, failing a second tie-break too, that cold vertex
 is returned as it is.  Any error inside a solve drops both handles too,
 so the next instant starts cold.
 
-A problem may name, per row, a pivot column: one that the row fixes
-once the other columns are set, as a stock is fixed by the flows through
-its balance row.  A pivot column gets a zero tie cost, so the face's
-minimiser in the other columns does not depend on it, and a cold solve
-starts from the basis where each pivot column is basic in its row and
-every other row's slack is basic.  With non-negative costs that basis is
-dual feasible, so dual simplex starts there instead of pivoting each of
-those columns in from the all-slack basis.
+A problem may name two things about its columns, and they are separate.
+Per row, a pivot column: a cold solve starts from the basis where each
+pivot is basic in its row and every other row's slack is basic.  The
+caller picks pivots that make this basis dual feasible, so dual simplex
+starts there with only primal infeasibilities to repair, instead of
+pivoting each of those columns in from the all-slack basis.  And the
+dependent columns: ones the rows fix once the other columns are set, as
+a stock is fixed by the flows through its balance row.  A dependent
+column gets a zero tie cost, so the face's minimiser in the other
+columns does not depend on it; every other column, pivot or not, keeps
+its draw.
 
 When that vertex is integral, which is the common case for the rebalancing
 programs, it is the plan.  Otherwise one ``scipy.optimize.milp`` call
@@ -193,15 +196,15 @@ def _root_lp(prob: IlpProblem) -> _RootLp:
     cols = _finite(prob.lb), _finite(prob.ub)
     lp.col_lower_, lp.col_upper_ = cols
     tie_cost = np.random.default_rng(_TIE_SEED).uniform(1.0, 2.0, n_cols)
+    if prob.dependent is not None:
+        # A dependent column is fixed by the other columns, so it adds nothing
+        # to the tie cost and the face's minimiser in the others stays put.
+        tie_cost[prob.dependent] = 0.0
     start = None
     if prob.pivots is not None:
-        # A pivot column is fixed by the other columns, so it adds nothing
-        # to the tie cost and the face's minimiser in the others stays put.
-        pivots = prob.pivots[prob.pivots >= 0].tolist()
-        tie_cost[pivots] = 0.0
         basic, lower = _highs.HighsBasisStatus.kBasic, _highs.HighsBasisStatus.kLower
         col_status = [lower] * n_cols
-        for j in pivots:
+        for j in prob.pivots[prob.pivots >= 0].tolist():
             col_status[j] = basic
         start = _highs.HighsBasis()
         start.col_status = col_status
@@ -228,8 +231,10 @@ class IlpProblem:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    pivots: np.ndarray | None = None   # per row, a column that row fixes once the
-                                       # others are set, or -1 (see _root_lp)
+    pivots: np.ndarray | None = None   # per row, the column basic in the cold solve's
+                                       # first basis, or -1 for the row's slack
+    dependent: np.ndarray | None = None   # columns the rows fix once the others are
+                                          # set: they carry no tie cost (see _root_lp)
     root: _RootLp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -257,6 +262,10 @@ class IlpProblem:
             if (self.pivots.shape != (m,) or np.any(self.pivots < -1) or np.any(named >= n)
                     or np.unique(named).size != named.size):
                 raise InvalidInputError("pivots must name a distinct column, or -1, per row")
+        if self.dependent is not None:
+            self.dependent = np.asarray(self.dependent, dtype=np.int64)
+            if np.any(self.dependent < 0) or np.any(self.dependent >= n):
+                raise InvalidInputError("dependent columns must be column ids")
         if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.a.data))):
             raise InvalidInputError("costs and row coefficients must be finite")
         _check_rhs(self.b)

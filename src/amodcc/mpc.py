@@ -13,8 +13,7 @@ after the flow columns, counts the vehicles a station holds once that
 step's trips have left and landed.  One balance row per station and step
 carries it from the step before, and its lower bound 0 keeps departures
 within the vehicles there.  The flows fix every stock, so the stocks
-cost nothing, carry no tie cost and start the solver's cold basis as its
-basic columns (:mod:`amodcc.ilp`).
+cost nothing and carry no tie cost (:mod:`amodcc.ilp`).
 
 The rows, costs and bounds depend only on the network, the horizon and
 the weights, so :func:`build_problem` assembles them once per run; each
@@ -28,7 +27,11 @@ weights leave no other plan at that cost, it is the unique optimum and
 is returned with 0 nodes and no solver call.  Every other instant goes
 to :func:`solve_ilp`, whose root LP starts from the basis the last
 solved instant of the run ended on and breaks ties by a fixed rule, so
-a plan depends on its instant, not on the instants before it.
+a plan depends on its instant, not on the instants before it.  A cold
+root LP starts from the zero-cost plan's basis: per row, the customer
+trip, stock or step-0 pickup that plan sets.  That basis is dual
+feasible for any valid weights, so the solver only repairs the stocks
+the plan drives below zero.
 
 Demand uncertainty enters through the right-hand side only: the service
 rows require enough capacity for the forecast's ``1 - epsilon`` quantile,
@@ -200,12 +203,19 @@ def build_problem(network: StationNetwork, horizon: int,
     ub = np.full(n_cols, np.inf)
     ub[moves[:, diag, diag]] = 0.0
 
-    # The flows fix every stock through its balance row: the solver's cold
-    # start makes each stock basic there, and ties are broken on the flows.
-    pivots = np.full(n_rows, -1)
+    # A cold solve starts at the zero-cost plan's basis (see _certified):
+    # per row, its customer trip, stock or step-0 pickup.  Only that pickup
+    # costs anything, so a move prices at its weight, a backlog at its
+    # weight and a later pickup at pickup_w[k] - pickup_w[0]: all >= 0, so
+    # the basis is dual feasible.  The flows fix every stock, so only the
+    # stocks carry no tie cost.
+    pivots = np.empty(n_rows, dtype=np.int64)
+    pivots[first] = x[CUSTOMER, :, :, 0]
+    pivots[queue] = x[CUSTOMER, :, :, 1:]
     pivots[balance] = stock
+    pivots[done] = x[PICKUP, :, :, 0]
     base = IlpProblem(c=c, a=a, senses=["E"] * n_rows, b=np.zeros(n_rows),
-                      lb=np.zeros(n_cols), ub=ub, pivots=pivots)
+                      lb=np.zeros(n_cols), ub=ub, pivots=pivots, dependent=stock.ravel())
     # With a price on every move and on every late pickup, any plan but
     # the zero-cost one costs more than it does (RebalanceProgram._certified).
     strict = bool(np.all(reb_w[off] > 0) and pickup_w[1] > pickup_w[0])

@@ -52,6 +52,7 @@ import heapq
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -292,13 +293,6 @@ class _Run:
         self.window_intervals = _whole_ticks(
             cfg.train_window_days * DAY, net.step_seconds, "training window")
 
-        sim_intervals = -(-self.n_ticks // self.step_ticks)
-        grid_origin = scenario.sim_start - cfg.train_window_days * DAY
-        self.grid = DemandGrid(
-            scenario.trips, net, grid_origin, net.step_seconds,
-            self.window_intervals + sim_intervals + cfg.horizon + 1)
-        self.t_hours = self.grid.midpoint_hours(scenario.sim_start)
-
         # The live requests, read one at a time as Python scalars; only
         # ``origins`` stays an array, for the dispatch gather.
         live = scenario.trips.window(scenario.sim_start, scenario.sim_end)
@@ -358,6 +352,17 @@ class _Run:
         self.solver_nodes: list[int] = []
         self.solver_iterations: list[int] = []
         self.clamped = 0
+
+    @cached_property
+    def grid(self) -> DemandGrid:
+        """Realized counts from the training window's start to one horizon
+        past the run's end.  Only ``fixed`` and ``oracle`` forecasts,
+        retraining and default placement read them, so the trips are
+        binned on first read, not for every run."""
+        sim_intervals = -(-self.n_ticks // self.step_ticks)
+        return DemandGrid(
+            self.sc.trips, self.net, self.sc.sim_start - self.cfg.train_window_days * DAY,
+            self.net.step_seconds, self.window_intervals + sim_intervals + self.cfg.horizon + 1)
 
     def _history_grid_or_none(self) -> DemandGrid | None:
         hist = self.grid.head(self.window_intervals)
@@ -459,7 +464,7 @@ class _Run:
                   self.grid.origin + end_m * self.grid.interval_seconds)
         return train_bank(
             self.grid.counts[:, :, start_m:end_m],
-            self.t_hours[start_m:end_m],
+            self.grid.midpoint_hours(self.sc.sim_start)[start_m:end_m],
             self.net.step_seconds,
             series_origin=self.sc.sim_start,
             window=window,

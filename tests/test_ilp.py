@@ -16,9 +16,9 @@ from scipy.optimize import linprog
 from amodcc import ilp
 from amodcc.errors import InfeasibleError, InvalidInputError, SolverError
 from amodcc.ilp import IlpProblem, SolverConfig, _solve_root, solve_ilp
-from amodcc.mpc import CostWeights, build_problem
-from amodcc.network import FleetState
-from amodcc.sim import benchmark_network
+from amodcc.mpc import CostWeights, build_problem, quantile_demand
+from amodcc.network import FleetState, StationNetwork
+from amodcc.sim import DemandGrid, benchmark_network, benchmark_scenario, initial_placement
 
 DATA = Path(__file__).parent / "data"
 
@@ -205,6 +205,17 @@ class TestInputs:
         with pytest.raises(InvalidInputError, match="pivots"):
             IlpProblem(**fields, pivots=pivots)
 
+    @pytest.mark.parametrize("dependent", [[-1], [2], [0, 2]])
+    def test_rejects_dependent_columns_that_are_not_column_ids(self, dependent):
+        fields = dict(c=np.ones(2), a=sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, -1.0]])),
+                      senses=["E", "E"], b=np.array([2.0, 0.0]), lb=np.zeros(2),
+                      ub=np.full(2, np.inf))
+        prob = IlpProblem(**fields, dependent=[1])
+        assert prob.root.tie_cost[1] == 0.0 < prob.root.tie_cost[0]
+        assert solve_ilp(prob).objective == 2.0
+        with pytest.raises(InvalidInputError, match="dependent"):
+            IlpProblem(**fields, dependent=dependent)
+
 
 def cold(prob):
     """The root vertex solved from scratch, as a one-shot solve would: the
@@ -350,7 +361,10 @@ class TestCanonicalRoot:
         (prob, other), = step76_instants()
         want = cold(other)
         b = prob.b.copy()
-        b[np.flatnonzero(prob.pivots >= 0)[0]] = -1.0   # station 0's opening stock below zero
+        n, _, steps = step76_inputs()[3].shape
+        # Station 0's opening balance row, after the N*N first-step and
+        # N*N*T queue rows: its stock below zero.
+        b[n * n * steps] = -1.0
         cold(prob)
         with pytest.raises(InfeasibleError):
             _solve_root(prob.with_rhs(b))
@@ -408,3 +422,83 @@ class TestCanonicalRoot:
         assert same_vertex(warm(prob, other), x)
         monkeypatch.undo()
         assert same_vertex(_solve_root(other)[0], want_next)
+
+
+def weighted_step76(kind):
+    """Step 76 under the default weights, or with every pickup priced from
+    step 0 on, or with free empty moves."""
+    _, state, outstanding, demand = step76_inputs()
+    net = benchmark_network()
+    horizon = demand.shape[2] - 1
+    w = CostWeights.defaults(net, horizon)
+    if kind == "priced step-0 pickups":
+        w.pickup_delay = w.pickup_delay + 0.5
+    elif kind == "free moves":
+        w.rebalance = np.zeros_like(w.rebalance)
+    return build_problem(net, horizon, w).problem(state, outstanding, demand)
+
+
+def city20_instant():
+    """The 08:00 instant of a 20-station city: a 5 x 4 grid jittered by up
+    to 500 m over the benchmark's 10 km square and seed-0 trips, 300
+    vehicles placed by the day before, and the hour's realized demand."""
+    jitter = np.random.default_rng(0).uniform(-500.0, 500.0, (20, 2))
+    gx, gy = np.meshgrid(np.linspace(1000.0, 9000.0, 5), np.linspace(1000.0, 9000.0, 4))
+    net = StationNetwork.from_centroids(np.column_stack([gx.ravel(), gy.ravel()]) + jitter,
+                                        speed_mps=10.0, step_seconds=900.0)
+    sc = benchmark_scenario(0, history_days=1.0, sim_days=1.0)
+    horizon = 12
+    history = DemandGrid(sc.trips, net, sc.sim_start - 86_400.0, 900.0, 96)
+    idle = np.bincount(initial_placement(net, 300, history), minlength=20)
+    live = DemandGrid(sc.trips, net, sc.sim_start + 8 * 3600.0, 900.0, horizon + 1)
+    demand = quantile_demand(live.counts, 0.0, 0.5)
+    demand[:, :, 0] = 0
+    program = build_problem(net, horizon, CostWeights.defaults(net, horizon))
+    return program.problem(FleetState(idle=idle), np.zeros((20, 20), dtype=int), demand)
+
+
+class TestColdBasis:
+    """A cold root LP starts at the basis of the instant's zero-cost plan.
+
+    Per row, that plan's customer trip, stock or step-0 pickup is basic.
+    The basis is dual feasible for any valid weights, so dual simplex only
+    repairs the stocks that plan drives below zero.
+    """
+
+    @pytest.mark.parametrize("kind", ["default", "priced step-0 pickups", "free moves"])
+    def test_the_cold_basis_is_dual_feasible_and_reaches_linprogs_optimum(self, kind):
+        prob = weighted_step76(kind)
+        basis = prob.a[:, prob.pivots].toarray()
+        y = np.linalg.solve(basis.T, prob.c[prob.pivots])
+        assert np.all(prob.c - prob.a.T @ y >= -1e-12)
+        want = float(prob.c @ linprog_root(prob))
+        assert abs(float(prob.c @ cold(prob)) - want) <= 1e-9 * abs(want)
+
+    def test_a_certified_instant_is_optimal_at_the_cold_basis(self, seed0_period):
+        # Certificate and cold basis describe one zero-cost plan: where the
+        # certificate holds, the cold solve has nothing to repair or break.
+        _, instants = seed0_period
+        certified = 0
+        for program, state, outstanding, demand, plan in instants:
+            if plan.nodes:
+                continue
+            prob = program.problem(state, outstanding, demand)
+            want = program._certified(prob, outstanding, demand)
+            prob.root.drop()
+            sol = solve_ilp(prob)
+            assert sol.iterations == 0
+            assert np.array_equal(sol.x, want.x)
+            certified += 1
+        assert certified == 16
+
+    def test_the_golden_periods_first_solver_instant_starts_near_its_optimum(
+            self, seed0_period):
+        # 1,100 iterations from the basis with only the stocks basic.
+        (prob, _), *_ = period_instants(seed0_period)
+        prob.root.drop()
+        assert _solve_root(prob)[1] < 100
+
+    def test_a_twenty_station_instant_solves_cold_in_few_iterations(self):
+        # 3,345 iterations from the basis with only the stocks basic.
+        prob = city20_instant()
+        assert _solve_root(prob)[1] < 2000

@@ -190,16 +190,22 @@ class TestBuildProblem:
         # The stock columns come after the flows, so each flow column keeps
         # the generic tie cost it drew when the flows were all the columns.
         # A stock is fixed by the flows, so it gets no tie cost of its own.
+        # The cold basis is the zero-cost plan's: per row, in row order, the
+        # first-step customer trip, the queue row's customer trip, the stock
+        # and the step-0 pickup.
         n, horizon = 10, 12
         net = line_network(n, spacing_m=2000.0)
         prob = build_problem(net, horizon, CostWeights.defaults(net, horizon)).base
-        flows = columns(n, horizon).size
+        x = columns(n, horizon)
+        flows = x.size
         tie = prob.root.tie_cost
+        stocks = np.arange(flows, tie.size)
         assert np.array_equal(tie[:flows], np.random.default_rng(0).uniform(1.0, 2.0, flows))
-        assert np.all(tie[flows:] == 0.0) and tie.size - flows == n * (horizon + 1)
-        assert np.array_equal(np.flatnonzero(prob.pivots >= 0),
-                              n * n * (horizon + 1) + np.arange(n * (horizon + 1)))
-        assert np.array_equal(prob.pivots[prob.pivots >= 0], np.arange(flows, tie.size))
+        assert np.all(tie[flows:] == 0.0) and stocks.size == n * (horizon + 1)
+        assert np.array_equal(prob.dependent, stocks)
+        assert np.array_equal(prob.pivots, np.concatenate([
+            x[CUSTOMER, :, :, 0].ravel(), x[CUSTOMER, :, :, 1:].ravel(), stocks,
+            x[PICKUP, :, :, 0].ravel()]))
 
     def test_index_map_matches_plan_reshape(self):
         # columns is the one statement of the layout: kind-major, then

@@ -7,6 +7,7 @@ synthetic workload with per-tick invariant assertions.
 """
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -459,6 +460,31 @@ def test_run_with_a_mid_run_retrain_repeats_exactly():
     assert np.array_equal(a.vehicle_m, b.vehicle_m)
     assert (a.served, a.assigned_end, a.waiting_end, a.clamped) == \
         (b.served, b.assigned_end, b.waiting_end, b.clamped)
+
+
+def test_only_runs_that_read_realized_counts_bin_the_trips(monkeypatch):
+    # Binning every trip into the demand grid is most of a run's set-up.
+    # Only fixed and oracle forecasts, retraining and default placement
+    # read it, so a run bins the trips on first read, and at most once.
+    sc = table_scenario()
+    cfg = RunConfig(horizon=4, train_window_days=1.0)
+    bank = _Run(sc, replace(cfg, controller="ccmpc"))._train(0)
+    placed = replace(sc, initial_positions=np.zeros(sc.fleet_size, dtype=int))
+    built = []
+    monkeypatch.setattr(sim, "DemandGrid", lambda *args: built.append(args) or DemandGrid(*args))
+
+    def grids(scenario, bank=None, **changes):
+        built.clear()
+        run_simulation(scenario, replace(cfg, **changes), bank=bank)
+        return len(built)
+
+    assert grids(placed, controller="gbm") == 0
+    assert grids(placed, bank, controller="ccmpc") == 0
+    assert grids(sc, controller="gbm") == 1                  # default placement
+    assert grids(placed, controller="fixed") == 1
+    assert grids(placed, controller="oracle") == 1
+    assert grids(placed, controller="ccmpc") == 1            # trains its first bank
+    assert grids(placed, bank, controller="ccmpc", gp_seconds=7_200.0) == 1
 
 
 # --- risk sweep -----------------------------------------------------------------
