@@ -1,18 +1,19 @@
 """Integer linear programs: canonical root LP on HiGHS, HiGHS MILP when it is fractional.
 
-Problems are all-integer minimizations over bounded-below variables.  Every
-solve starts with the LP relaxation: each :class:`IlpProblem` builds one
-HiGHS model of its rows, costs and bounds through SciPy's HiGHS bindings
-(``scipy.optimize._highspy``), shared by every right-hand side of the same
-program.  The program keeps two HiGHS handles loaded with that model for
-as long as it lives: a root handle with its costs and a face handle with
-the tie cost below.  A solve changes on each handle only the row bounds
-that differ from the ones it holds, and runs dual simplex on the root
-handle from the basis, factor and edge weights the program's last solved
-instant left there; the costs never change, so that basis stays dual
-feasible.  The first solve of a program, and any warm solve that ends
-anywhere but at an optimum, loads fresh handles and runs cold without
-presolve, from the pivots' basis below when the problem names one.
+Problems are all-integer minimizations over bounded-below variables.  A
+solve that the start basis below does not certify goes to the LP
+relaxation: each :class:`IlpProblem` builds one HiGHS model of its rows,
+costs and bounds through SciPy's HiGHS bindings (``scipy.optimize._highspy``),
+shared by every right-hand side of the same program.  The program keeps
+two HiGHS handles loaded with that model for as long as it lives: a root
+handle with its costs and a face handle with the tie cost below.  A solve
+changes on each handle only the row bounds that differ from the ones it
+holds, and runs dual simplex on the root handle from the basis, factor
+and edge weights the program's last solved instant left there; the costs
+never change, so that basis stays dual feasible.  The first solve of a
+program, and any warm solve that ends anywhere but at an optimum, loads
+fresh handles and runs cold without presolve, from the pivots' basis
+below when the problem names one.
 
 Warm and cold solves land on different optima when optima tie, so the
 vertex is then made canonical.  The reduced costs and row duals of
@@ -46,14 +47,23 @@ column gets a zero tie cost, so the face's minimiser in the other
 columns does not depend on it; every other column, pivot or not, keeps
 its draw.
 
-When that vertex is integral, which is the common case for the rebalancing
-programs, it is the plan.  Otherwise one ``scipy.optimize.milp`` call
-proves the integer optimum with a zero relative gap.  That call starts
-from scratch every time, so it does not depend on earlier instants either,
-but among tied integer optima it returns the one its own search meets
-first.  The time limit is only a safety stop: a MILP that reaches it
-raises :class:`SolverError` rather than returning an incumbent, so no plan
-depends on the speed of the machine.
+When every row names a pivot, the pivots' basis B is factored once per
+program and kept if it is strictly optimal: the reduced cost
+d = c - Aᵀ B⁻ᵀ c_B of every column off it that is not fixed, and of every
+inequality row's slack, exceeds the dual tolerance.  A solve first takes
+that basis's solution for its right-hand side, with every other column at
+its lower bound.  If it is integral and within the bounds, it is the LP's
+one optimum (Bertsimas & Tsitsiklis, *Introduction to Linear
+Optimization*, 1997, section 3.1) and so the plan, with no tie to break
+and no HiGHS run.  Otherwise, when the root vertex is integral, which is
+the common case for the rebalancing programs, it is the plan.  Otherwise
+one ``scipy.optimize.milp`` call proves the integer optimum with a zero
+relative gap.  That call starts from scratch every time, so it does not
+depend on earlier instants either, but among tied integer optima it
+returns the one its own search meets first.  The time limit is only a
+safety stop: a MILP that reaches it raises :class:`SolverError` rather
+than returning an incumbent, so no plan depends on the speed of the
+machine.
 """
 
 from __future__ import annotations
@@ -66,6 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse.linalg import splu
 
 from .errors import InfeasibleError, InvalidInputError, NumericalError, SolverError
 
@@ -157,8 +168,8 @@ class _RootLp:
     with ``tie_cost``, the fixed generic cost that picks one vertex of a
     tied optimal face.  Both are None until a solve loads them, and a
     failed solve drops both.  A solve holds ``lock`` from its first bound change to its last
-    read, so the solves of one program run one at a time.  ``dual_tol``
-    is the size above which a reduced cost or dual is taken as nonzero.
+    read and while it uses ``basis``, so one program's solves run one at a time.
+    ``dual_tol`` is the size above which a reduced cost or dual is taken as nonzero.
     """
 
     sense: np.ndarray            # the senses as an array
@@ -167,6 +178,7 @@ class _RootLp:
     tie_cost: np.ndarray
     dual_tol: float
     start: _highs.HighsBasis | None   # the cold solve's first basis, None for HiGHS's own
+    basis: tuple | None          # the pivots' factor and A_N lb_N, when strictly optimal
     lock: threading.Lock = field(default_factory=threading.Lock)
     lp: _Handle | None = None
     face: _Handle | None = None
@@ -211,9 +223,30 @@ def _root_lp(prob: IlpProblem) -> _RootLp:
         start.row_status = [basic if j < 0 else lower for j in prob.pivots.tolist()]
         start.valid = True
         start.alien = False
-    scale = float(np.abs(prob.c).max(initial=0.0)) or 1.0
+    dual_tol = _DUAL_TOL * (float(np.abs(prob.c).max(initial=0.0)) or 1.0)
     return _RootLp(sense=np.asarray(prob.senses), model=lp, cols=cols, tie_cost=tie_cost,
-                   dual_tol=_DUAL_TOL * scale, start=start)
+                   dual_tol=dual_tol, start=start, basis=_strict_basis(prob, a, dual_tol))
+
+
+def _strict_basis(prob: IlpProblem, a: sparse.csc_matrix, dual_tol: float) -> tuple | None:
+    """The factor of B = ``a[:, pivots]`` and the rows' activity A_N lb_N
+    of the other columns, if every row names a pivot and that basis is
+    strictly optimal at ``dual_tol``; else None."""
+    if prob.pivots is None or np.any(prob.pivots < 0):
+        return None
+    try:
+        factor = splu(a[:, prob.pivots], permc_spec="NATURAL")
+    except RuntimeError:     # B is singular
+        return None
+    y = factor.solve(prob.c[prob.pivots], trans="T")
+    nonbasic = ~np.isin(np.arange(prob.n_vars), prob.pivots)
+    # A slack enters its "L" row with +1 and its "G" row with -1, at zero cost.
+    sense = np.asarray(prob.senses)
+    d = np.concatenate([(prob.c - a.T @ y)[nonbasic & (prob.lb != prob.ub)],
+                        -y[sense == "L"], y[sense == "G"]])
+    if np.any(d <= dual_tol):
+        return None
+    return factor, a @ np.where(nonbasic, prob.lb, 0.0)
 
 
 def _check_rhs(b: np.ndarray) -> None:
@@ -232,7 +265,7 @@ class IlpProblem:
     lb: np.ndarray
     ub: np.ndarray
     pivots: np.ndarray | None = None   # per row, the column basic in the cold solve's
-                                       # first basis, or -1 for the row's slack
+                                       # and the certificate's basis, or -1 for the slack
     dependent: np.ndarray | None = None   # columns the rows fix once the others are
                                           # set: they carry no tie cost (see _root_lp)
     root: _RootLp = field(init=False, repr=False, compare=False)
@@ -301,7 +334,7 @@ class IlpSolution:
     x: np.ndarray
     objective: float
     status: str                  # always "optimal": anything else raises
-    nodes: int                   # 1 for the root LP, plus the MILP's nodes
+    nodes: int                   # 0 when the start basis certifies, else 1 + MILP nodes
     wall_seconds: float
     iterations: int              # simplex iterations of the root LP and its tie-break
 
@@ -436,22 +469,42 @@ def _solve_milp(prob: IlpProblem, time_limit_s: float) -> tuple[np.ndarray, int]
     return np.asarray(res.x, dtype=float), int(res.mip_node_count)
 
 
+def _certified(prob: IlpProblem) -> np.ndarray | None:
+    """The strictly optimal basis's solution B⁻¹(b - A_N lb_N), rounded,
+    if it is integral and satisfies the rows and bounds; else None."""
+    root = prob.root
+    if root.basis is None:
+        return None
+    factor, nonbasic = root.basis
+    x = prob.lb.copy()
+    with root.lock:
+        x[prob.pivots] = factor.solve(prob.b - nonbasic)
+    xr = np.round(x)
+    # A negative basic value, the common miss, is caught before the rows are multiplied out.
+    if np.any(np.abs(x - xr) > _INT_TOL) or np.any(xr < prob.lb) or not _check_rows(prob, xr):
+        return None
+    return xr
+
+
 def solve_ilp(prob: IlpProblem, cfg: SolverConfig | None = None) -> IlpSolution:
-    """Integer optimum: the root LP vertex if integral, else HiGHS MILP.
+    """Integer optimum: the start basis's solution if it certifies, else
+    the root LP vertex if integral, else HiGHS MILP.
 
     Raises :class:`InfeasibleError` when no integer point exists and
     :class:`SolverError` when the MILP reaches the time limit.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    x, iterations = _solve_root(prob)
-    nodes = 1
-    if np.any(np.abs(x - np.round(x)) > _INT_TOL):
-        x, milp_nodes = _solve_milp(prob, cfg.time_limit_s)
-        nodes += milp_nodes
-    xr = np.round(x)
-    if not _check_rows(prob, xr):
-        raise NumericalError("rounded optimum violates the rows")
-    return IlpSolution(x=xr, objective=float(prob.c @ xr), status="optimal",
+    x, nodes, iterations = _certified(prob), 0, 0
+    if x is None:
+        x, iterations = _solve_root(prob)
+        nodes = 1
+        if np.any(np.abs(x - np.round(x)) > _INT_TOL):
+            x, milp_nodes = _solve_milp(prob, cfg.time_limit_s)
+            nodes += milp_nodes
+        x = np.round(x)
+        if not _check_rows(prob, x):
+            raise NumericalError("rounded optimum violates the rows")
+    return IlpSolution(x=x, objective=float(prob.c @ x), status="optimal",
                        nodes=nodes, wall_seconds=time.perf_counter() - t0,
                        iterations=iterations)

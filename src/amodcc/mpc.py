@@ -19,19 +19,15 @@ The rows, costs and bounds depend only on the network, the horizon and
 the weights, so :func:`build_problem` assembles them once per run; each
 control instant supplies only the right-hand side.
 
-Every plan costs at least what picking each waiting request up at step 0
-costs.  The instant's zero-cost plan adds nothing to that floor: no empty
-moves, no backlog, every waiting request picked up at step 0 and each
-step's demand served in its step.  When it satisfies the rows and the
-weights leave no other plan at that cost, it is the unique optimum and
-is returned with 0 nodes and no solver call.  Every other instant goes
-to :func:`solve_ilp`, whose root LP starts from the basis the last
-solved instant of the run ended on and breaks ties by a fixed rule, so
-a plan depends on its instant, not on the instants before it.  A cold
-root LP starts from the zero-cost plan's basis: per row, the customer
-trip, stock or step-0 pickup that plan sets.  That basis is dual
-feasible for any valid weights, so the solver only repairs the stocks
-the plan drives below zero.
+Every instant goes to :func:`solve_ilp`.  Its start basis is the
+instant's zero-cost plan: no empty moves, no backlog, every waiting
+request picked up at step 0 and each step's demand served in its step;
+per row, that plan's customer trip, stock or step-0 pickup is basic.
+Where the weights make that basis strictly optimal and the plan keeps
+every stock non-negative, the plan is returned with 0 nodes and no
+solver run.  Otherwise the root LP starts from the basis the run's last
+solved instant ended on, or cold from this dual feasible one, and breaks
+ties by a fixed rule, so a plan depends on its instant alone.
 
 Demand uncertainty enters through the right-hand side only: the service
 rows require enough capacity for the forecast's ``1 - epsilon`` quantile,
@@ -42,7 +38,6 @@ deterministic one.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +45,7 @@ from scipy import sparse
 
 from .errors import InvalidInputError, SolverError
 from .gp import gaussian_quantile
-from .ilp import IlpProblem, IlpSolution, SolverConfig, _check_rows, solve_ilp
+from .ilp import IlpProblem, SolverConfig, solve_ilp
 from .network import FleetState, StationNetwork
 
 REBALANCE, CUSTOMER, BACKLOG, PICKUP = range(4)
@@ -203,7 +198,7 @@ def build_problem(network: StationNetwork, horizon: int,
     ub = np.full(n_cols, np.inf)
     ub[moves[:, diag, diag]] = 0.0
 
-    # A cold solve starts at the zero-cost plan's basis (see _certified):
+    # A cold solve and the certificate start at the zero-cost plan's basis:
     # per row, its customer trip, stock or step-0 pickup.  Only that pickup
     # costs anything, so a move prices at its weight, a backlog at its
     # weight and a later pickup at pickup_w[k] - pickup_w[0]: all >= 0, so
@@ -216,12 +211,7 @@ def build_problem(network: StationNetwork, horizon: int,
     pivots[done] = x[PICKUP, :, :, 0]
     base = IlpProblem(c=c, a=a, senses=["E"] * n_rows, b=np.zeros(n_rows),
                       lb=np.zeros(n_cols), ub=ub, pivots=pivots, dependent=stock.ravel())
-    # With a price on every move and on every late pickup, any plan but
-    # the zero-cost one costs more than it does (RebalanceProgram._certified).
-    strict = bool(np.all(reb_w[off] > 0) and pickup_w[1] > pickup_w[0])
-    landings = np.ravel_multi_index((lj, li, ls), x.shape[1:]), li * steps + lk
-    return RebalanceProgram(network=network, horizon=horizon, base=base,
-                            zero_cost_unique=strict, landings=landings)
+    return RebalanceProgram(network=network, horizon=horizon, base=base)
 
 
 @dataclass
@@ -231,18 +221,12 @@ class RebalanceProgram:
     ``base`` holds the rows, senses, costs and bounds (and, through
     :class:`IlpProblem`, their HiGHS model for the root LP and the basis
     each solve warm-starts from) with a zero right-hand side;
-    :meth:`problem` pairs it with one instant's.  ``zero_cost_unique``
-    records whether the weights price every off-diagonal move and every
-    pickup after step 0 above one at step 0, which makes a feasible
-    zero-cost plan the only optimum.
+    :meth:`problem` pairs it with one instant's.
     """
 
     network: StationNetwork
     horizon: int
     base: IlpProblem
-    zero_cost_unique: bool
-    landings: tuple[np.ndarray, np.ndarray]   # flat (j, i, sigma) of each trip landing
-                                              # in the horizon, and flat (i, k) it lands at
 
     @property
     def a(self) -> sparse.csr_matrix:
@@ -290,52 +274,15 @@ class RebalanceProgram:
               cfg: SolverConfig | None = None) -> "RebalancePlan":
         """Solve one control instant and read the plan tensors off the optimum.
 
-        A certified zero-cost plan (:meth:`_certified`) is returned with
-        ``nodes == 0``; every other instant goes to :func:`solve_ilp`.
+        A zero-cost plan that :func:`solve_ilp` certifies has ``nodes == 0``.
         """
-        prob = self.problem(state, outstanding, demand)
-        sol = self._certified(prob, outstanding, demand) or solve_ilp(prob, cfg)
+        sol = solve_ilp(self.problem(state, outstanding, demand), cfg)
         x = np.round(sol.x).astype(np.int64)[columns(self.network.n_stations, self.horizon)]
         return RebalancePlan(rebalance=x[REBALANCE], customer=x[CUSTOMER],
                              backlog=x[BACKLOG], pickup=x[PICKUP],
                              objective=sol.objective, status=sol.status,
                              nodes=sol.nodes, wall_seconds=sol.wall_seconds,
                              iterations=sol.iterations)
-
-    def _certified(self, prob: IlpProblem, outstanding: np.ndarray,
-                   demand: np.ndarray) -> IlpSolution | None:
-        """The instant's zero-cost plan if it is the unique optimum, else None.
-
-        That plan moves no empty vehicle, carries no backlog, picks every
-        waiting request up at step 0 and serves each step's demand in that
-        step.  Every plan picks each waiting request up once, at a weight
-        no lower than ``pickup_delay[0]``, and pays nothing negative, so
-        none costs less than ``pickup_delay[0] * sum(outstanding)``, which
-        is this plan's cost.  With ``zero_cost_unique`` any other plan
-        costs more, so when this one satisfies the rows it is the vertex
-        the solver would return, and no solver runs.
-        """
-        if not self.zero_cost_unique:
-            return None
-        t0 = time.perf_counter()
-        n, steps = self.network.n_stations, self.horizon + 1
-        cols = columns(n, self.horizon)
-        served = np.array(demand, dtype=float)
-        served[:, :, 0] = outstanding
-        x = np.zeros(prob.n_vars)
-        x[cols[CUSTOMER]] = served
-        x[cols[PICKUP, :, :, 0]] = outstanding
-        # Its stocks, by the balance rows: what arrives (the idle fleet at
-        # step 0) and lands, less what departs, summed over the steps.  The
-        # balance rows follow the N*N first-step and N*N*T queue rows.
-        inflow = prob.b[n * n * steps:(n * n + n) * steps].reshape(n, steps)
-        src, dst = self.landings
-        landed = np.bincount(dst, served.ravel()[src], n * steps).reshape(n, steps)
-        x[cols.size:] = np.cumsum(inflow + landed - served.sum(axis=1), axis=1).ravel()
-        if not _check_rows(prob, x):
-            return None
-        return IlpSolution(x=x, objective=float(prob.c @ x), status="optimal",
-                           nodes=0, wall_seconds=time.perf_counter() - t0, iterations=0)
 
 
 @dataclass
@@ -348,7 +295,7 @@ class RebalancePlan:
     pickup: np.ndarray
     objective: float
     status: str
-    nodes: int                  # 0 for a plan certified without the solver
+    nodes: int                  # 0 for a plan the start basis certifies
     wall_seconds: float
     iterations: int             # simplex iterations of the root LP and its tie-break
 

@@ -113,8 +113,9 @@ def test_tracer_hooks_read_what_the_program_returns(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        sim.run_simulation(sc, sim.RunConfig(controller="ccmpc", train_window_days=HISTORY_DAYS),
-                           bank=bank, on_tick=on_tick)
+        run = sim.run_simulation(
+            sc, sim.RunConfig(controller="ccmpc", train_window_days=HISTORY_DAYS),
+            bank=bank, on_tick=on_tick)
         sim.train_bank(counts, np.arange(96) * 0.25 - 23.875, 900.0, series_origin=0.0,
                        window=(-86_400.0, 0.0), trained_at=0.0,
                        cfg=TrainConfig(max_iters=2, freeze=("b.period",)), n_jobs=1)
@@ -127,6 +128,8 @@ def test_tracer_hooks_read_what_the_program_returns(monkeypatch):
     assert [label for label in tracing.WRAPPED
             if label != "gp.gram_matrix" and not tracer.spans[label]] == []
     assert tracer.flows_fitted == 4 and tracer.problem_shape is not None
+    # Every decision, certified or solved, goes through mpc.solve_ilp.
+    assert len(tracer.solves) == len(run.solver_wall) == 24
     assert ticks.count(0) == 2
     metrics = tracer.metrics([], [], len(ticks), 0.0, 0.0, 0.0)
     assert set(metrics) == set(tracing.NEEDS)

@@ -23,7 +23,7 @@ from amodcc.sim import DemandGrid, benchmark_network, benchmark_scenario, initia
 DATA = Path(__file__).parent / "data"
 
 
-def make_problem(c, a, senses, b, lb=None, ub=None):
+def make_problem(c, a, senses, b, lb=None, ub=None, pivots=None):
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     return IlpProblem(
@@ -33,6 +33,7 @@ def make_problem(c, a, senses, b, lb=None, ub=None):
         b=np.asarray(b, dtype=float),
         lb=np.zeros(n) if lb is None else np.asarray(lb, dtype=float),
         ub=np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float),
+        pivots=pivots,
     )
 
 
@@ -98,8 +99,9 @@ def recorded_step76():
     return program.problem(state, outstanding, demand)
 
 
-def linprog_root(prob):
-    """The root LP through ``linprog``: "L" rows, negated "G" rows, "E" rows."""
+def linprog_root(prob, integral=False):
+    """The root LP through ``linprog``: "L" rows, negated "G" rows, "E" rows;
+    with ``integral``, the integer program's optimum instead."""
     senses = np.asarray(prob.senses)
     le, ge, eq = (np.flatnonzero(senses == s) for s in ("L", "G", "E"))
     ub_rows = le.size + ge.size > 0
@@ -108,7 +110,8 @@ def linprog_root(prob):
                   b_ub=np.concatenate([prob.b[le], -prob.b[ge]]) if ub_rows else None,
                   A_eq=prob.a[eq] if eq.size else None,
                   b_eq=prob.b[eq] if eq.size else None,
-                  bounds=np.column_stack([prob.lb, prob.ub]), method="highs")
+                  bounds=np.column_stack([prob.lb, prob.ub]), method="highs",
+                  integrality=np.full(prob.n_vars, int(integral)))
     assert res.status == 0
     return res.x
 
@@ -322,6 +325,27 @@ class TestCanonicalRoot:
         for x, expected in zip(got, want * 3):
             assert same_vertex(x, expected)
 
+    def test_threads_sharing_a_program_share_its_certified_instants(self, seed0_period):
+        # The golden period's 24 instants, 16 certified and 8 solved, on
+        # threads sharing one program: each gets what it gets alone.
+        _, instants = seed0_period
+        probs = [program.problem(state, outstanding, demand)
+                 for program, state, outstanding, demand, _ in instants]
+        assert len({prob.root for prob in probs}) == 1
+        want = [solve_ilp(prob) for prob in probs]
+        assert [sol.nodes == 0 for sol in want].count(True) == 16
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(solve_ilp, prob) for prob in probs * 3]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for sol, expected in zip(got, want * 3):
+            assert sol.nodes == expected.nodes
+            assert np.array_equal(sol.x, expected.x)
+
     def test_duals_alone_say_what_is_nonbasic_and_at_which_bound(self, instants):
         # The tie-break reads its pins off the duals alone.  That holds
         # because HiGHS reports an exact zero dual for every basic column and
@@ -475,19 +499,20 @@ class TestColdBasis:
         assert abs(float(prob.c @ cold(prob)) - want) <= 1e-9 * abs(want)
 
     def test_a_certified_instant_is_optimal_at_the_cold_basis(self, seed0_period):
-        # Certificate and cold basis describe one zero-cost plan: where the
-        # certificate holds, the cold solve has nothing to repair or break.
+        # The certificate is the cold basis's own solution: where it holds,
+        # the cold root LP has nothing to repair or break.
         _, instants = seed0_period
         certified = 0
         for program, state, outstanding, demand, plan in instants:
             if plan.nodes:
                 continue
             prob = program.problem(state, outstanding, demand)
-            want = program._certified(prob, outstanding, demand)
+            want = solve_ilp(prob)
+            assert want.nodes == 0
             prob.root.drop()
-            sol = solve_ilp(prob)
-            assert sol.iterations == 0
-            assert np.array_equal(sol.x, want.x)
+            x, iterations = _solve_root(prob)
+            assert iterations == 0
+            assert np.array_equal(np.round(x), want.x)
             certified += 1
         assert certified == 16
 
@@ -502,3 +527,47 @@ class TestColdBasis:
         # 3,345 iterations from the basis with only the stocks basic.
         prob = city20_instant()
         assert _solve_root(prob)[1] < 2000
+
+
+# Hand-built programs with a pivot per row, whether the pivots' basis is
+# kept as strictly optimal, and whether the instant certifies.  Most
+# share the rows x0 + x1 = 3, x2 - x1 = 1 and the basis {x0, x2}, where
+# x1 prices at c1 - c0 + c2.
+ROWS = dict(a=[[1, 1, 0], [0, -1, 1]], b=[3.0, 1.0], pivots=[0, 2])
+CERTIFICATE_CASES = {
+    "strictly optimal and feasible": (dict(ROWS, c=[1.0, 2.0, 3.0], senses="EE"), True, True),
+    "a column off the basis at a positive lower bound":
+        (dict(ROWS, c=[1.0, 2.0, 3.0], senses="EE", lb=[0.0, 1.0, 0.0]), True, True),
+    "one zero reduced cost": (dict(ROWS, c=[1.0, -2.0, 3.0], senses="EE"), False, False),
+    "a negative basic value":
+        (dict(ROWS, c=[1.0, 2.0, 3.0], senses="EE", b=[3.0, -1.0]), True, False),
+    "singular pivots":
+        (dict(c=[1.0, 2.0, 3.0, 1.5], a=[[1, 1, 0, 1], [0, -1, 1, 0]], senses="EE",
+              b=[3.0, 1.0], pivots=[0, 3]), False, False),
+    "a fractional basic solution":
+        (dict(ROWS, c=[1.0, 2.0, 3.0], a=[[2, 1, 0], [0, -1, 1]], senses="EE"), True, False),
+    "an L row whose dual has the wrong sign":
+        (dict(c=[1.0, 2.0], a=[[1, 1]], senses="L", b=[3.0], pivots=[0]), False, False),
+    "an L row whose dual has the right sign":
+        (dict(c=[-1.0, 2.0], a=[[1, 1]], senses="L", b=[3.0], pivots=[0]), True, True),
+    # {x0, x2} would be strictly optimal here, but the pivots name x0 and a slack.
+    "a slack pivot":
+        (dict(ROWS, c=[1.0, 5.0, -3.0], senses="EL", pivots=[0, -1]), False, False),
+}
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_CASES)
+def test_the_pivots_basis_certifies_only_when_feasible_strictly_optimal_and_integral(case):
+    # A certified instant returns the basis's own solution with no solver
+    # run; every other instant goes to the root LP and the MILP, and each
+    # reaches linprog's integer optimum.
+    kwargs, kept, certifies = CERTIFICATE_CASES[case]
+    prob = make_problem(**kwargs)
+    assert (prob.root.basis is not None) == kept
+    sol = solve_ilp(prob)
+    assert (sol.nodes == 0) == certifies
+    want = linprog_root(prob, integral=True)
+    assert sol.objective == pytest.approx(float(prob.c @ want), abs=1e-9)
+    if certifies:
+        assert sol.iterations == 0
+        assert np.array_equal(sol.x, np.round(want))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from amodcc.errors import InvalidInputError, SolverError
-from amodcc.ilp import solve_ilp
+from amodcc.ilp import _solve_root, solve_ilp
 from amodcc.mpc import (
     BACKLOG,
     CUSTOMER,
@@ -509,21 +509,24 @@ class TestSolvePlans:
             ours = solve_ilp(prob)
             assert ours.objective == pytest.approx(reference_optimum(prob), abs=1e-6)
 
-    @pytest.mark.parametrize("tie", ["flat pickup delay", "one free move"])
+    @pytest.mark.parametrize("tie", ["flat pickup delay", "one free move",
+                                     "one move priced below the dual tolerance"])
     def test_weights_that_allow_a_tie_never_certify(self, tie):
         # A flat pickup delay, or one free move, lets another plan cost as
         # little as the zero-cost one, so that plan proves nothing: every
         # instant goes to the solver, even one the default weights certify.
+        # A move priced above zero but below 1e-7 of the largest cost is a
+        # tie too, at the solver's own dual tolerance.
         n, horizon = 3, 3
         net = line_network(n)
+        strict = build_problem(net, horizon, CostWeights.defaults(net, horizon))
         if tie == "flat pickup delay":
             weights = CostWeights.defaults(net, horizon, pickup_delay_slope=0.0)
         else:
             weights = CostWeights.defaults(net, horizon)
-            weights.rebalance[0, 2] = 0.0
+            weights.rebalance[0, 2] = (0.0 if tie == "one free move"
+                                       else 0.5e-7 * strict.base.c.max())
         program = build_problem(net, horizon, weights)
-        strict = build_problem(net, horizon, CostWeights.defaults(net, horizon))
-        assert strict.zero_cost_unique and not program.zero_cost_unique
         rng = np.random.default_rng(23)
         idx = np.arange(n)
         for _ in range(6):
@@ -534,12 +537,14 @@ class TestSolvePlans:
             state = FleetState(idle=np.full(n, 8))    # enough for the zero-cost plan
             certified = strict.solve(state, out, demand)
             assert certified.nodes == 0
+            prob = strict.problem(state, out, demand)
+            prob.root.drop()
             assert np.array_equal(plan_vector(certified, net, state),
-                                  solve_ilp(strict.problem(state, out, demand)).x)
+                                  np.round(_solve_root(prob)[0]))
             plan = program.solve(state, out, demand)
             assert plan.nodes >= 1
-            assert np.array_equal(plan_vector(plan, net, state),
-                                  solve_ilp(program.problem(state, out, demand)).x)
+            prob = program.problem(state, out, demand)
+            assert plan.objective == pytest.approx(reference_optimum(prob), abs=1e-6)
 
     def test_recorded_hard_step_is_solved_to_optimality(self):
         # Control step 76 of the seed-0 benchmark day: the root LP is
