@@ -1,56 +1,55 @@
 """Integer linear programs: canonical root LP on HiGHS, HiGHS MILP when it is fractional.
 
-Problems are all-integer minimizations over bounded-below variables.  A
-solve that the start basis below does not certify goes to the LP
-relaxation: each :class:`IlpProblem` builds one HiGHS model of its rows,
-costs and bounds through SciPy's HiGHS bindings (``scipy.optimize._highspy``),
-shared by every right-hand side of the same program.  The program keeps
-two HiGHS handles loaded with that model for as long as it lives: a root
-handle with its costs and a face handle with the tie cost below.  A solve
-changes on each handle only the row bounds that differ from the ones it
-holds, and runs dual simplex on the root handle from the basis, factor
-and edge weights the program's last solved instant left there; the costs
-never change, so that basis stays dual feasible.  The first solve of a
+Problems are all-integer minimizations over bounded-below variables,
+and every row is an equality.  A solve that the start basis below does
+not certify goes to the LP relaxation: each :class:`IlpProblem` builds
+one HiGHS model of its rows, costs and bounds through SciPy's HiGHS
+bindings (``scipy.optimize._highspy``), shared by every right-hand side
+of the same program.  The program keeps two HiGHS handles loaded with
+that model for as long as it lives: a root handle with its costs and a
+face handle with the tie cost below.  A solve changes on each handle
+only the right-hand sides that differ from the ones it holds, each
+loaded as both bounds of its row, and runs dual simplex on the root
+handle from the basis, factor and edge weights the program's last
+solved instant left there; the costs never change, so that basis stays
+dual feasible.  The first solve of a
 program, and any warm solve that ends anywhere but at an optimum, loads
 fresh handles and runs cold without presolve, from the pivots' basis
 below when the problem names one.
 
 Warm and cold solves land on different optima when optima tie, so the
-vertex is then made canonical.  The reduced costs and row duals of
-whatever optimum was found describe the whole optimal face: a column with
-a nonzero reduced cost sits at the same bound in every optimum, and an
-inequality row with a nonzero dual at the same activity.  The face handle
-pins those, starts from the root handle's optimal basis and minimises a
+vertex is then made canonical.  The reduced costs of whatever optimum was
+found describe the whole optimal face: a column with a nonzero reduced
+cost sits at the same bound in every optimum.  The face handle pins
+those, starts from the root handle's optimal basis and minimises a
 fixed generic cost over what is left with primal simplex: i.i.d.
 U(1, 2) draws from a fixed seed, one per column.  The minimiser is
 unique, so the root vertex is a function of the instant alone, not of
 the solver's path: a one-shot solve gets cold what a run gets warm.  A
-reduced cost or dual counts as nonzero above HiGHS's own dual
-feasibility tolerance, taken relative to the largest cost.  HiGHS
-reports a zero dual for every basic column and row, and an optimum puts
-a column with a positive reduced cost at its lower bound and one with a
-negative at its upper, so the pins are read off the duals alone.  Should
+reduced cost counts as nonzero above HiGHS's own dual feasibility
+tolerance, taken relative to the largest cost.  HiGHS reports a zero
+reduced cost for every basic column, and an optimum puts a column with
+a positive reduced cost at its lower bound and one with a negative at
+its upper, so the pins are read off the reduced costs alone.  Should
 the second solve fail, both handles are dropped and the root LP is solved
 again from scratch and, failing a second tie-break too, that cold vertex
 is returned as it is.  Any error inside a solve drops both handles too,
 so the next instant starts cold.
 
 A problem may name two things about its columns, and they are separate.
-Per row, a pivot column: a cold solve starts from the basis where each
-pivot is basic in its row and every other row's slack is basic.  The
-caller picks pivots that make this basis dual feasible, so dual simplex
-starts there with only primal infeasibilities to repair, instead of
-pivoting each of those columns in from the all-slack basis.  And the
-dependent columns: ones the rows fix once the other columns are set, as
-a stock is fixed by the flows through its balance row.  A dependent
-column gets a zero tie cost, so the face's minimiser in the other
-columns does not depend on it; every other column, pivot or not, keeps
-its draw.
+Per row, a distinct pivot column: a cold solve starts from the basis
+where each pivot is basic in its row.  The caller picks pivots that make
+this basis dual feasible, so dual simplex starts there with only primal
+infeasibilities to repair, instead of pivoting each of those columns in
+from the all-slack basis.  And the dependent columns: ones the rows fix
+once the other columns are set, as a stock is fixed by the flows
+through its balance row.  A dependent column gets a zero tie cost, so
+the face's minimiser in the other columns does not depend on it; every
+other column, pivot or not, keeps its draw.
 
-When every row names a pivot, the pivots' basis B is factored once per
-program and kept if it is strictly optimal: the reduced cost
-d = c - Aᵀ B⁻ᵀ c_B of every column off it that is not fixed, and of every
-inequality row's slack, exceeds the dual tolerance.  A solve first takes
+With pivots, their basis B is factored once per program and kept if it
+is strictly optimal: the reduced cost d = c - Aᵀ B⁻ᵀ c_B of every column
+off it that is not fixed exceeds the dual tolerance.  A solve first takes
 that basis's solution for its right-hand side, with every other column at
 its lower bound.  If it is integral and within the bounds, it is the LP's
 one optimum (Bertsimas & Tsitsiklis, *Introduction to Linear
@@ -88,7 +87,7 @@ except ImportError as exc:  # SciPy before 1.15 has no pybind11 HiGHS module
         "scipy.optimize._highspy._core") from exc
 
 _INT_TOL = 1e-6      # an LP value this close to an integer counts as integral
-_DUAL_TOL = 1e-7     # a reduced cost or row dual this far from zero, relative to
+_DUAL_TOL = 1e-7     # a reduced cost this far from zero, relative to
                      # the largest cost, pins its bound (HiGHS's dual feasibility tolerance)
 _TIE_SEED = 0        # seed of the generic cost that picks one vertex of a tied face
 
@@ -117,33 +116,30 @@ def _finite(v: np.ndarray) -> np.ndarray:
 
 
 class _Handle:
-    """A HiGHS handle loaded with a program's model, and the bounds it holds.
+    """A HiGHS handle loaded with a program's model, and the right-hand
+    side and column bounds it holds.
 
-    Bounds change only where they differ from the held ones, so the
+    They change only where they differ from the held ones, so the
     handle keeps its basis, factor and edge weights for its next run.
     """
 
-    def __init__(self, root: _RootLp, options, lower: np.ndarray, upper: np.ndarray,
-                 cost: np.ndarray | None = None):
+    def __init__(self, root: _RootLp, options, b: np.ndarray, cost: np.ndarray | None = None):
         self.highs = _highs._Highs()
         self.highs.passOptions(options)
         # Loads run under the program's lock, so the shared model is free to carry their rows.
-        root.model.row_lower_ = lower
-        root.model.row_upper_ = upper
+        root.model.row_lower_ = root.model.row_upper_ = b
         if self.highs.passModel(root.model) == _highs.HighsStatus.kError:
             raise NumericalError("LP backend rejected the model")
         if cost is not None:
             self.highs.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32), cost)
-        self.rows = lower, upper
+        self.b = b.copy()
         self.cols = root.cols
 
-    def set_rows(self, lower: np.ndarray, upper: np.ndarray) -> None:
-        held_lower, held_upper = self.rows
-        changed = np.flatnonzero((lower != held_lower) | (upper != held_upper))
-        for i, lo, hi in zip(changed.tolist(), lower[changed].tolist(),
-                             upper[changed].tolist()):
-            self.highs.changeRowBounds(i, lo, hi)
-        self.rows = lower, upper
+    def set_rows(self, b: np.ndarray) -> None:
+        changed = np.flatnonzero(b != self.b)
+        for i, bi in zip(changed.tolist(), b[changed].tolist()):
+            self.highs.changeRowBounds(i, bi, bi)
+        self.b = b.copy()
 
     def set_cols(self, lower: np.ndarray, upper: np.ndarray) -> None:
         held_lower, held_upper = self.cols
@@ -169,10 +165,9 @@ class _RootLp:
     tied optimal face.  Both are None until a solve loads them, and a
     failed solve drops both.  A solve holds ``lock`` from its first bound change to its last
     read and while it uses ``basis``, so one program's solves run one at a time.
-    ``dual_tol`` is the size above which a reduced cost or dual is taken as nonzero.
+    ``dual_tol`` is the size above which a reduced cost is taken as nonzero.
     """
 
-    sense: np.ndarray            # the senses as an array
     model: _highs.HighsLp
     cols: tuple[np.ndarray, np.ndarray]
     tie_cost: np.ndarray
@@ -182,11 +177,6 @@ class _RootLp:
     lock: threading.Lock = field(default_factory=threading.Lock)
     lp: _Handle | None = None
     face: _Handle | None = None
-
-    def row_bounds(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's lower and upper bound for the right-hand side ``b``."""
-        inf = _highs.kHighsInf
-        return (np.where(self.sense == "L", -inf, b), np.where(self.sense == "G", inf, b))
 
     def drop(self) -> None:
         """Forget both handles, so that the next solve starts cold."""
@@ -214,25 +204,25 @@ def _root_lp(prob: IlpProblem) -> _RootLp:
         tie_cost[prob.dependent] = 0.0
     start = None
     if prob.pivots is not None:
-        basic, lower = _highs.HighsBasisStatus.kBasic, _highs.HighsBasisStatus.kLower
+        lower = _highs.HighsBasisStatus.kLower
         col_status = [lower] * n_cols
-        for j in prob.pivots[prob.pivots >= 0].tolist():
-            col_status[j] = basic
+        for j in prob.pivots.tolist():
+            col_status[j] = _highs.HighsBasisStatus.kBasic
         start = _highs.HighsBasis()
         start.col_status = col_status
-        start.row_status = [basic if j < 0 else lower for j in prob.pivots.tolist()]
+        start.row_status = [lower] * n_rows
         start.valid = True
         start.alien = False
     dual_tol = _DUAL_TOL * (float(np.abs(prob.c).max(initial=0.0)) or 1.0)
-    return _RootLp(sense=np.asarray(prob.senses), model=lp, cols=cols, tie_cost=tie_cost,
-                   dual_tol=dual_tol, start=start, basis=_strict_basis(prob, a, dual_tol))
+    return _RootLp(model=lp, cols=cols, tie_cost=tie_cost, dual_tol=dual_tol, start=start,
+                   basis=_strict_basis(prob, a, dual_tol))
 
 
 def _strict_basis(prob: IlpProblem, a: sparse.csc_matrix, dual_tol: float) -> tuple | None:
     """The factor of B = ``a[:, pivots]`` and the rows' activity A_N lb_N
-    of the other columns, if every row names a pivot and that basis is
+    of the other columns, if the problem names pivots and their basis is
     strictly optimal at ``dual_tol``; else None."""
-    if prob.pivots is None or np.any(prob.pivots < 0):
+    if prob.pivots is None:
         return None
     try:
         factor = splu(a[:, prob.pivots], permc_spec="NATURAL")
@@ -240,11 +230,7 @@ def _strict_basis(prob: IlpProblem, a: sparse.csc_matrix, dual_tol: float) -> tu
         return None
     y = factor.solve(prob.c[prob.pivots], trans="T")
     nonbasic = ~np.isin(np.arange(prob.n_vars), prob.pivots)
-    # A slack enters its "L" row with +1 and its "G" row with -1, at zero cost.
-    sense = np.asarray(prob.senses)
-    d = np.concatenate([(prob.c - a.T @ y)[nonbasic & (prob.lb != prob.ub)],
-                        -y[sense == "L"], y[sense == "G"]])
-    if np.any(d <= dual_tol):
+    if np.any((prob.c - a.T @ y)[nonbasic & (prob.lb != prob.ub)] <= dual_tol):
         return None
     return factor, a @ np.where(nonbasic, prob.lb, 0.0)
 
@@ -256,16 +242,15 @@ def _check_rhs(b: np.ndarray) -> None:
 
 @dataclass
 class IlpProblem:
-    """min c.x  s.t.  A x {<=,=,>=} b,  lb <= x <= ub,  x integer."""
+    """min c.x  s.t.  A x = b,  lb <= x <= ub,  x integer."""
 
     c: np.ndarray
     a: sparse.csr_matrix
-    senses: list[str]            # one of "L", "E", "G" per row
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    pivots: np.ndarray | None = None   # per row, the column basic in the cold solve's
-                                       # and the certificate's basis, or -1 for the slack
+    pivots: np.ndarray | None = None   # per row, a distinct column basic in the cold
+                                       # solve's and the certificate's basis
     dependent: np.ndarray | None = None   # columns the rows fix once the others are
                                           # set: they carry no tie cost (see _root_lp)
     root: _RootLp = field(init=False, repr=False, compare=False)
@@ -281,8 +266,6 @@ class IlpProblem:
         if self.a.shape != (m, n):
             raise InvalidInputError(
                 f"row matrix is {self.a.shape}, expected {(m, n)}")
-        if len(self.senses) != m or not np.isin(self.senses, ("L", "E", "G")).all():
-            raise InvalidInputError("senses must be 'L', 'E' or 'G', one per row")
         if self.lb.shape != (n,) or self.ub.shape != (n,):
             raise InvalidInputError("bound vectors must match the variable count")
         if not np.all(np.isfinite(self.lb)):
@@ -291,10 +274,9 @@ class IlpProblem:
             raise InvalidInputError("upper bounds must not be NaN")
         if self.pivots is not None:
             self.pivots = np.asarray(self.pivots, dtype=np.int64)
-            named = self.pivots[self.pivots >= 0]
-            if (self.pivots.shape != (m,) or np.any(self.pivots < -1) or np.any(named >= n)
-                    or np.unique(named).size != named.size):
-                raise InvalidInputError("pivots must name a distinct column, or -1, per row")
+            if (self.pivots.shape != (m,) or np.any(self.pivots < 0) or np.any(self.pivots >= n)
+                    or np.unique(self.pivots).size != m):
+                raise InvalidInputError("pivots must name a distinct column per row")
         if self.dependent is not None:
             self.dependent = np.asarray(self.dependent, dtype=np.int64)
             if np.any(self.dependent < 0) or np.any(self.dependent >= n):
@@ -323,6 +305,11 @@ class IlpProblem:
     def n_vars(self) -> int:
         return self.c.shape[0]
 
+    @property
+    def senses(self) -> list[str]:
+        """``"E"`` for every row: ``perfbench/tracing.py`` passes a sense per row to its checks."""
+        return ["E"] * self.b.shape[0]
+
 
 @dataclass
 class SolverConfig:
@@ -340,18 +327,14 @@ class IlpSolution:
 
 
 def _check_rows(prob: IlpProblem, x: np.ndarray, tol: float = 1e-6) -> bool:
-    r = prob.a @ x - prob.b
-    senses = prob.root.sense
-    violated = (((senses == "E") & (np.abs(r) > tol)) | ((senses == "L") & (r > tol))
-                | ((senses == "G") & (r < -tol)))
-    return bool(not violated.any() and np.all(x >= prob.lb - tol)
+    return bool(np.all(np.abs(prob.a @ x - prob.b) <= tol) and np.all(x >= prob.lb - tol)
                 and np.all(x <= prob.ub + tol))
 
 
-def _optimum(root: _RootLp, lower: np.ndarray, upper: np.ndarray) -> int:
+def _optimum(root: _RootLp, b: np.ndarray) -> int:
     """Bring ``root.lp`` to an optimum of the root LP; its simplex iterations.
 
-    A loaded handle changes the row bounds that differ and runs dual
+    A loaded handle changes the right-hand sides that differ and runs dual
     simplex from the basis, factor and edge weights of the last instant
     it solved: the costs never change, so that basis stays dual feasible
     and only the new right-hand side has to be repaired.  Without one, or
@@ -361,12 +344,12 @@ def _optimum(root: _RootLp, lower: np.ndarray, upper: np.ndarray) -> int:
     the error.
     """
     if root.lp is not None:
-        root.lp.set_rows(lower, upper)
+        root.lp.set_rows(b)
         status, iterations = root.lp.run()
         if status == _OPTIMAL:
             return iterations
         root.drop()
-    root.lp = _Handle(root, _LP_OPTIONS, lower, upper)
+    root.lp = _Handle(root, _LP_OPTIONS, b)
     if root.start is not None:
         root.lp.highs.setBasis(root.start)
     status, iterations = root.lp.run()
@@ -379,15 +362,13 @@ def _optimum(root: _RootLp, lower: np.ndarray, upper: np.ndarray) -> int:
     return iterations
 
 
-def _canonical(root: _RootLp, lower: np.ndarray,
-               upper: np.ndarray) -> tuple[np.ndarray | None, int]:
+def _canonical(root: _RootLp, b: np.ndarray) -> tuple[np.ndarray | None, int]:
     """The tie cost's minimiser over the optimal face ``root.lp`` sits on,
     and the simplex iterations it took.
 
-    Whatever optimum ``root.lp`` holds, its reduced costs and row duals
-    describe the whole optimal face: a column with a nonzero reduced cost
-    stays at the bound where it sits, and an inequality row with a
-    nonzero dual at its activity, in every optimum.  The duals alone say
+    Whatever optimum ``root.lp`` holds, its reduced costs describe the
+    whole optimal face: a column with a nonzero reduced cost stays at the
+    bound where it sits in every optimum.  The reduced costs alone say
     which those are and where they sit.  The face handle pins those,
     releases what the last instant pinned and nothing pins now,
     and minimises the generic ``tie_cost`` over what is left with primal
@@ -395,23 +376,18 @@ def _canonical(root: _RootLp, lower: np.ndarray,
     one minimiser; None if the solve does not reach an optimum.
     """
     lp = root.lp.highs
-    sol = lp.getSolution()
-    d, y = np.asarray(sol.col_dual), np.asarray(sol.row_dual)
-    # HiGHS reports a zero dual for every basic column and row, so a nonzero
+    d = np.asarray(lp.getSolution().col_dual)
+    # HiGHS reports a zero dual for every basic column, so a nonzero
     # one is nonbasic, and by dual feasibility a column with a positive
     # reduced cost sits at its lower bound and one with a negative at its upper.
     lb, ub = root.cols
     pin = np.abs(d) > root.dual_tol
     at = np.where(d > 0, lb, ub)
     col_lower, col_upper = np.where(pin, at, lb), np.where(pin, at, ub)
-    # An inequality row has one finite bound, and a pinned one sits there.
-    pin = (np.abs(y) > root.dual_tol) & (lower != upper)
-    at = np.where(np.isinf(lower), upper, lower)
-    row_lower, row_upper = np.where(pin, at, lower), np.where(pin, at, upper)
     if root.face is None:
-        root.face = _Handle(root, _FACE_OPTIONS, row_lower, row_upper, root.tie_cost)
+        root.face = _Handle(root, _FACE_OPTIONS, b, root.tie_cost)
     face = root.face
-    face.set_rows(row_lower, row_upper)
+    face.set_rows(b)
     face.set_cols(col_lower, col_upper)
     face.highs.setBasis(lp.getBasis())
     status, iterations = face.run()
@@ -432,18 +408,17 @@ def _solve_root(prob: IlpProblem) -> tuple[np.ndarray, int]:
     every path to this instant, though not the face's tie-cost minimiser.
     Any error drops both handles, so the next instant starts cold.
     """
-    root = prob.root
-    lower, upper = root.row_bounds(prob.b)
+    root, b = prob.root, prob.b
     with root.lock:
         try:
-            iterations = _optimum(root, lower, upper)
-            x, more = _canonical(root, lower, upper)
+            iterations = _optimum(root, b)
+            x, more = _canonical(root, b)
             iterations += more
             if x is None:
                 root.drop()
-                iterations += _optimum(root, lower, upper)
+                iterations += _optimum(root, b)
                 x_cold = np.array(root.lp.highs.getSolution().col_value)
-                x, more = _canonical(root, lower, upper)
+                x, more = _canonical(root, b)
                 iterations += more
                 if x is None:
                     root.drop()
@@ -455,8 +430,7 @@ def _solve_root(prob: IlpProblem) -> tuple[np.ndarray, int]:
 
 
 def _solve_milp(prob: IlpProblem, time_limit_s: float) -> tuple[np.ndarray, int]:
-    lo, hi = prob.root.row_bounds(prob.b)
-    res = milp(c=prob.c, constraints=LinearConstraint(prob.a, lo, hi),
+    res = milp(c=prob.c, constraints=LinearConstraint(prob.a, prob.b, prob.b),
                integrality=np.ones(prob.n_vars), bounds=Bounds(prob.lb, prob.ub),
                options={"time_limit": time_limit_s, "mip_rel_gap": 0.0})
     if res.status == 2:

@@ -209,8 +209,8 @@ def build_problem(network: StationNetwork, horizon: int,
     pivots[queue] = x[CUSTOMER, :, :, 1:]
     pivots[balance] = stock
     pivots[done] = x[PICKUP, :, :, 0]
-    base = IlpProblem(c=c, a=a, senses=["E"] * n_rows, b=np.zeros(n_rows),
-                      lb=np.zeros(n_cols), ub=ub, pivots=pivots, dependent=stock.ravel())
+    base = IlpProblem(c=c, a=a, b=np.zeros(n_rows), lb=np.zeros(n_cols), ub=ub, pivots=pivots,
+                      dependent=stock.ravel())
     return RebalanceProgram(network=network, horizon=horizon, base=base)
 
 
@@ -218,7 +218,7 @@ def build_problem(network: StationNetwork, horizon: int,
 class RebalanceProgram:
     """One run's integer program: everything but the right-hand side.
 
-    ``base`` holds the rows, senses, costs and bounds (and, through
+    ``base`` holds the equality rows, costs and bounds (and, through
     :class:`IlpProblem`, their HiGHS model for the root LP and the basis
     each solve warm-starts from) with a zero right-hand side;
     :meth:`problem` pairs it with one instant's.

@@ -23,51 +23,60 @@ from amodcc.sim import DemandGrid, benchmark_network, benchmark_scenario, initia
 DATA = Path(__file__).parent / "data"
 
 
-def make_problem(c, a, senses, b, lb=None, ub=None, pivots=None):
+def make_problem(c, a, b, lb=None, ub=None, pivots=None, dependent=None):
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     return IlpProblem(
         c=c,
         a=sparse.csr_matrix(np.asarray(a, dtype=float)),
-        senses=list(senses),
         b=np.asarray(b, dtype=float),
         lb=np.zeros(n) if lb is None else np.asarray(lb, dtype=float),
         ub=np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float),
         pivots=pivots,
+        dependent=dependent,
     )
 
 
+def with_slacks(c, a, b, signs, ub=None):
+    """The problem with a row a[i] x <= b[i] where signs[i] is 1, >= where it
+    is -1 and = where it is 0, in equality form: the structural columns,
+    then one zero-cost slack per inequality row, entering it with its sign.
+    The rows fix each slack, so the slacks are dependent columns."""
+    a = np.asarray(a, dtype=float)
+    n_rows, n = a.shape
+    rows = np.flatnonzero(signs)
+    slacks = np.zeros((n_rows, rows.size))
+    slacks[rows, np.arange(rows.size)] = np.asarray(signs)[rows]
+    ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float)
+    return make_problem(np.concatenate([c, np.zeros(rows.size)]), np.hstack([a, slacks]), b,
+                        ub=np.concatenate([ub, np.full(rows.size, np.inf)]),
+                        dependent=n + np.arange(rows.size))
+
+
 def random_problem(rng, n_vars, n_rows, box=4):
-    """Random bounded ILP; box bounds keep brute force cheap."""
+    """Random bounded ILP with <=, >= and = rows; box bounds on the
+    structural columns keep brute force cheap."""
     a = rng.integers(-3, 4, size=(n_rows, n_vars)).astype(float)
     x_feas = rng.integers(0, box + 1, size=n_vars)
-    senses = [("L", "G", "E")[int(rng.integers(0, 3))] for _ in range(n_rows)]
+    signs = np.array([(1, -1, 0)[int(rng.integers(0, 3))] for _ in range(n_rows)])
     slack = rng.integers(0, 3, size=n_rows)
-    b = a @ x_feas
-    b = b + np.where([s == "L" for s in senses], slack, 0)
-    b = b - np.where([s == "G" for s in senses], slack, 0)
+    b = a @ x_feas + signs * slack
     c = rng.integers(-5, 6, size=n_vars).astype(float)
-    return make_problem(c, a, senses, b, ub=np.full(n_vars, float(box)))
+    return with_slacks(c, a, b, signs, ub=np.full(n_vars, float(box)))
 
 
 def brute_force_optimum(prob, box):
-    best = None
-    n = prob.n_vars
+    """The optimum over every structural point in the box, each with the
+    slacks its rows imply: a slack column has one entry, of +1 or -1."""
     dense = prob.a.toarray()
+    n = prob.n_vars - prob.dependent.size
+    structural, slacks = dense[:, :n], dense[:, n:]
+    best = None
     for point in itertools.product(range(box + 1), repeat=n):
         x = np.array(point, dtype=float)
-        ax = dense @ x
-        ok = True
-        for k, s in enumerate(prob.senses):
-            if s == "L" and ax[k] > prob.b[k] + 1e-9:
-                ok = False
-            elif s == "G" and ax[k] < prob.b[k] - 1e-9:
-                ok = False
-            elif s == "E" and abs(ax[k] - prob.b[k]) > 1e-9:
-                ok = False
-            if not ok:
-                break
-        if ok:
+        x = np.concatenate([x, slacks.T @ (prob.b - structural @ x)])
+        if (np.all(np.abs(dense @ x - prob.b) <= 1e-9) and np.all(x >= prob.lb)
+                and np.all(x <= prob.ub)):
             val = float(prob.c @ x)
             if best is None or val < best:
                 best = val
@@ -100,16 +109,9 @@ def recorded_step76():
 
 
 def linprog_root(prob, integral=False):
-    """The root LP through ``linprog``: "L" rows, negated "G" rows, "E" rows;
-    with ``integral``, the integer program's optimum instead."""
-    senses = np.asarray(prob.senses)
-    le, ge, eq = (np.flatnonzero(senses == s) for s in ("L", "G", "E"))
-    ub_rows = le.size + ge.size > 0
-    res = linprog(prob.c,
-                  A_ub=sparse.vstack([prob.a[le], -prob.a[ge]]) if ub_rows else None,
-                  b_ub=np.concatenate([prob.b[le], -prob.b[ge]]) if ub_rows else None,
-                  A_eq=prob.a[eq] if eq.size else None,
-                  b_eq=prob.b[eq] if eq.size else None,
+    """The root LP through ``linprog``; with ``integral``, the integer
+    program's optimum instead."""
+    res = linprog(prob.c, A_eq=prob.a, b_eq=prob.b,
                   bounds=np.column_stack([prob.lb, prob.ub]), method="highs",
                   integrality=np.full(prob.n_vars, int(integral)))
     assert res.status == 0
@@ -118,8 +120,7 @@ def linprog_root(prob, integral=False):
 
 class TestBranchAndBound:
     def test_zero_problem(self):
-        prob = make_problem([1.0, 1.0], [[1.0, 1.0]], ["L"], [0.0],
-                            ub=[5.0, 5.0])
+        prob = with_slacks([1.0, 1.0], [[1.0, 1.0]], [0.0], [1], ub=[5.0, 5.0])
         sol = solve_ilp(prob)
         assert sol.status == "optimal"
         assert sol.objective == 0.0
@@ -127,9 +128,8 @@ class TestBranchAndBound:
 
     def test_knapsack_needs_branching(self):
         # LP optimum is fractional; integer optimum differs.
-        prob = make_problem(
-            c=[-5.0, -4.0], a=[[6.0, 5.0], [1.0, 2.0]],
-            senses=["L", "L"], b=[14.0, 4.0], ub=[10.0, 10.0])
+        prob = with_slacks([-5.0, -4.0], [[6.0, 5.0], [1.0, 2.0]], [14.0, 4.0], [1, 1],
+                           ub=[10.0, 10.0])
         sol = solve_ilp(prob)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-10.0)
@@ -147,36 +147,33 @@ class TestBranchAndBound:
         assert checked == 60
 
     def test_infeasible_raises(self):
-        prob = make_problem([1.0], [[1.0], [1.0]], ["L", "G"], [1.0, 3.0],
-                            ub=[10.0])
+        prob = with_slacks([1.0], [[1.0], [1.0]], [1.0, 3.0], [1, -1], ub=[10.0])
         with pytest.raises(InfeasibleError):
             solve_ilp(prob)
 
     def test_integrality_forced_infeasible(self):
         # 2x = 1 is LP-feasible at x=0.5 but has no integer point.
-        prob = make_problem([1.0], [[2.0]], ["E"], [1.0], ub=[10.0])
+        prob = make_problem([1.0], [[2.0]], [1.0], ub=[10.0])
         with pytest.raises(InfeasibleError):
             solve_ilp(prob)
 
     def test_time_limit_raises_instead_of_returning_incumbent(self):
         # The root LP is fractional, so the MILP runs; with no time at all
         # it stops before any point, and the stop is an error, not a plan.
-        prob = make_problem(
-            c=[-5.0, -4.0], a=[[6.0, 5.0], [1.0, 2.0]],
-            senses=["L", "L"], b=[14.0, 4.0], ub=[10.0, 10.0])
+        prob = with_slacks([-5.0, -4.0], [[6.0, 5.0], [1.0, 2.0]], [14.0, 4.0], [1, 1],
+                           ub=[10.0, 10.0])
         with pytest.raises(SolverError, match="time limit"):
             solve_ilp(prob, SolverConfig(time_limit_s=0.0))
 
     def test_unbounded_relaxation_raises(self):
         # min -x with x <= y: the relaxation runs off to infinity.
-        prob = make_problem([-1.0, 0.0], [[1.0, -1.0]], ["L"], [0.0])
+        prob = with_slacks([-1.0, 0.0], [[1.0, -1.0]], [0.0], [1])
         with pytest.raises(SolverError, match="unbounded"):
             solve_ilp(prob)
 
     def test_root_infeasible_raises(self):
         # x + y = 3 and x + y <= 1 have no point, fractional or not.
-        prob = make_problem([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], ["E", "L"],
-                            [3.0, 1.0])
+        prob = with_slacks([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [3.0, 1.0], [0, 1])
         with pytest.raises(InfeasibleError):
             solve_ilp(prob)
 
@@ -189,30 +186,28 @@ class TestInputs:
             c, a, b = (v.copy() for v in good)
             (c, a, b)[k][where] = bad
             with pytest.raises(InvalidInputError, match="finite"):
-                make_problem(c, a, "LG", b)
-        prob = make_problem(good[0], good[1], "LG", good[2])
+                make_problem(c, a, b)
+        prob = make_problem(*good)
         with pytest.raises(InvalidInputError, match="finite"):
             prob.with_rhs(np.array([bad, 0.0]))
 
     def test_rejects_nan_upper_bound(self):
         with pytest.raises(InvalidInputError, match="NaN"):
-            make_problem([1.0], [[1.0]], ["L"], [1.0], ub=[np.nan])
+            make_problem([1.0], [[1.0]], [1.0], ub=[np.nan])
 
-    @pytest.mark.parametrize("pivots", [[0], [0, 1, -1], [2, -1], [-2, 0], [1, 1]])
-    def test_rejects_pivots_that_are_not_one_distinct_column_or_minus_one_per_row(
-            self, pivots):
+    # [0, -1] would name the slack of row 1, which an equality row does not have.
+    @pytest.mark.parametrize("pivots", [[0], [0, 1, -1], [2, -1], [-2, 0], [1, 1], [0, -1]])
+    def test_rejects_pivots_that_are_not_one_distinct_column_per_row(self, pivots):
         fields = dict(c=np.ones(2), a=sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, -1.0]])),
-                      senses=["E", "E"], b=np.array([2.0, 0.0]), lb=np.zeros(2),
-                      ub=np.full(2, np.inf))
-        assert solve_ilp(IlpProblem(**fields, pivots=[1, -1])).objective == 2.0
+                      b=np.array([2.0, 0.0]), lb=np.zeros(2), ub=np.full(2, np.inf))
+        assert solve_ilp(IlpProblem(**fields, pivots=[1, 0])).objective == 2.0
         with pytest.raises(InvalidInputError, match="pivots"):
             IlpProblem(**fields, pivots=pivots)
 
     @pytest.mark.parametrize("dependent", [[-1], [2], [0, 2]])
     def test_rejects_dependent_columns_that_are_not_column_ids(self, dependent):
         fields = dict(c=np.ones(2), a=sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, -1.0]])),
-                      senses=["E", "E"], b=np.array([2.0, 0.0]), lb=np.zeros(2),
-                      ub=np.full(2, np.inf))
+                      b=np.array([2.0, 0.0]), lb=np.zeros(2), ub=np.full(2, np.inf))
         prob = IlpProblem(**fields, dependent=[1])
         assert prob.root.tie_cost[1] == 0.0 < prob.root.tie_cost[0]
         assert solve_ilp(prob).objective == 2.0
@@ -396,16 +391,16 @@ class TestCanonicalRoot:
         assert same_vertex(_solve_root(other)[0], want)
 
     def test_tied_optima_resolve_to_one_vertex(self):
-        # min x0 + x1 subject to x0 + x1 >= 3, x0 <= u0, x1 <= u1.  With
-        # u = (3, 3) every split of 3 is optimal.  Warm starts from the
-        # bases of the two ends of that face, and a cold start, all meet
-        # at the same end.
-        base = make_problem([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], "GLL",
-                            [3.0, 3.0, 3.0])
+        # min x0 + x1 subject to x0 + x1 >= 3, x0 <= u0, x1 <= u1, each row
+        # with its slack.  With u = (3, 3) every split of 3 is optimal.
+        # Warm starts from the bases of the two ends of that face, and a
+        # cold start, all meet at the same end.
+        base = with_slacks([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [3.0, 3.0, 3.0],
+                           [-1, 1, 1])
         ends = [base.with_rhs(np.array([3.0, u0, u1])) for u0, u1 in ((0.0, 3.0), (3.0, 0.0))]
-        assert [tuple(cold(p)) for p in ends] == [(0.0, 3.0), (3.0, 0.0)]
+        assert [tuple(cold(p)[:2]) for p in ends] == [(0.0, 3.0), (3.0, 0.0)]
         x = [warm(base, end) for end in ends] + [cold(base)]
-        assert tuple(x[2]) in {(0.0, 3.0), (3.0, 0.0)}
+        assert tuple(x[2][:2]) in {(0.0, 3.0), (3.0, 0.0)}
         assert same_vertex(x[0], x[2]) and same_vertex(x[1], x[2])
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
@@ -415,7 +410,7 @@ class TestCanonicalRoot:
         # any dual the solver can resolve, so the two columns count as
         # tied and the vertex must not follow the sign of the gap.
         gap = 1e-12 * scale
-        x = [cold(make_problem([scale, scale + sign * gap], [[1.0, 1.0]], "E", [3.0]))
+        x = [cold(make_problem([scale, scale + sign * gap], [[1.0, 1.0]], [3.0]))
              for sign in (1.0, -1.0)]
         assert tuple(x[0]) in {(0.0, 3.0), (3.0, 0.0)}
         assert tuple(x[0]) == tuple(x[1])
@@ -424,13 +419,15 @@ class TestCanonicalRoot:
     def test_a_cost_gap_above_the_dual_tolerance_is_priced(self, scale):
         # The same face with a gap 10 times the tolerance: the cheaper
         # column wins, whatever the generic cost prefers, warm or cold.
+        # The row x0 <= u0, with its slack, gives the warm start another
+        # instant, where u0 = 0 leaves x0 out.
         gap = 10 * ilp._DUAL_TOL * scale
         for sign, want in ((1.0, (3.0, 0.0)), (-1.0, (0.0, 3.0))):
-            prob = make_problem([scale, scale + sign * gap], [[1.0, 1.0], [1.0, 0.0]], "EL",
-                                [3.0, 3.0])
+            prob = with_slacks([scale, scale + sign * gap], [[1.0, 1.0], [1.0, 0.0]], [3.0, 3.0],
+                               [0, 1])
             other = prob.with_rhs(np.array([3.0, 0.0]))
-            assert tuple(cold(prob)) == want
-            assert tuple(warm(prob, other)) == want
+            assert tuple(cold(prob)[:2]) == want
+            assert tuple(warm(prob, other)[:2]) == want
 
     def test_a_failed_tie_break_falls_back_to_the_cold_vertex(self, monkeypatch):
         # If the tie-break solve never reaches an optimum, the root LP is
@@ -532,27 +529,27 @@ class TestColdBasis:
 # Hand-built programs with a pivot per row, whether the pivots' basis is
 # kept as strictly optimal, and whether the instant certifies.  Most
 # share the rows x0 + x1 = 3, x2 - x1 = 1 and the basis {x0, x2}, where
-# x1 prices at c1 - c0 + c2.
+# x1 prices at c1 - c0 + c2.  The last two have the row x0 + x1 + s = 3,
+# with a zero-cost slack s off the basis {x0}, where s prices at -c0.
 ROWS = dict(a=[[1, 1, 0], [0, -1, 1]], b=[3.0, 1.0], pivots=[0, 2])
+SLACK_ROW = dict(a=[[1, 1, 1]], b=[3.0], pivots=[0])
 CERTIFICATE_CASES = {
-    "strictly optimal and feasible": (dict(ROWS, c=[1.0, 2.0, 3.0], senses="EE"), True, True),
+    "strictly optimal and feasible": (dict(ROWS, c=[1.0, 2.0, 3.0]), True, True),
     "a column off the basis at a positive lower bound":
-        (dict(ROWS, c=[1.0, 2.0, 3.0], senses="EE", lb=[0.0, 1.0, 0.0]), True, True),
-    "one zero reduced cost": (dict(ROWS, c=[1.0, -2.0, 3.0], senses="EE"), False, False),
-    "a negative basic value":
-        (dict(ROWS, c=[1.0, 2.0, 3.0], senses="EE", b=[3.0, -1.0]), True, False),
+        (dict(ROWS, c=[1.0, 2.0, 3.0], lb=[0.0, 1.0, 0.0]), True, True),
+    "one zero reduced cost": (dict(ROWS, c=[1.0, -2.0, 3.0]), False, False),
+    "a negative basic value": (dict(ROWS, c=[1.0, 2.0, 3.0], b=[3.0, -1.0]), True, False),
+    "a basic value above its upper bound":
+        (dict(ROWS, c=[1.0, 2.0, 3.0], ub=[2.0, np.inf, np.inf]), True, False),
     "singular pivots":
-        (dict(c=[1.0, 2.0, 3.0, 1.5], a=[[1, 1, 0, 1], [0, -1, 1, 0]], senses="EE",
-              b=[3.0, 1.0], pivots=[0, 3]), False, False),
+        (dict(c=[1.0, 2.0, 3.0, 1.5], a=[[1, 1, 0, 1], [0, -1, 1, 0]], b=[3.0, 1.0],
+              pivots=[0, 3]), False, False),
     "a fractional basic solution":
-        (dict(ROWS, c=[1.0, 2.0, 3.0], a=[[2, 1, 0], [0, -1, 1]], senses="EE"), True, False),
-    "an L row whose dual has the wrong sign":
-        (dict(c=[1.0, 2.0], a=[[1, 1]], senses="L", b=[3.0], pivots=[0]), False, False),
-    "an L row whose dual has the right sign":
-        (dict(c=[-1.0, 2.0], a=[[1, 1]], senses="L", b=[3.0], pivots=[0]), True, True),
-    # {x0, x2} would be strictly optimal here, but the pivots name x0 and a slack.
-    "a slack pivot":
-        (dict(ROWS, c=[1.0, 5.0, -3.0], senses="EL", pivots=[0, -1]), False, False),
+        (dict(ROWS, c=[1.0, 2.0, 3.0], a=[[2, 1, 0], [0, -1, 1]]), True, False),
+    "an off-basis slack with a negative reduced cost":
+        (dict(SLACK_ROW, c=[1.0, 2.0, 0.0]), False, False),
+    "an off-basis slack with a positive reduced cost":
+        (dict(SLACK_ROW, c=[-1.0, 2.0, 0.0]), True, True),
 }
 
 

@@ -41,10 +41,7 @@ def zero_demand(n, horizon):
 
 def reference_optimum(prob):
     """The integer optimum's objective by ``scipy.optimize.milp``."""
-    senses = np.asarray(prob.senses)
-    res = milp(c=prob.c,
-               constraints=LinearConstraint(prob.a, np.where(senses == "L", -np.inf, prob.b),
-                                            np.where(senses == "G", np.inf, prob.b)),
+    res = milp(c=prob.c, constraints=LinearConstraint(prob.a, prob.b, prob.b),
                integrality=np.ones(prob.n_vars), bounds=Bounds(prob.lb, prob.ub))
     assert res.status == 0
     return res.fun
