@@ -376,11 +376,13 @@ def _canonical(root: _RootLp, b: np.ndarray) -> tuple[np.ndarray | None, int]:
     one minimiser; None if the solve does not reach an optimum.
     """
     lp = root.lp.highs
-    d = np.asarray(lp.getSolution().col_dual)
+    lb, ub = root.cols
+    # The bindings hand each vector over as a list; fromiter reads it
+    # without the dtype discovery of np.asarray.
+    d = np.fromiter(lp.getSolution().col_dual, float, lb.size)
     # HiGHS reports a zero dual for every basic column, so a nonzero
     # one is nonbasic, and by dual feasibility a column with a positive
     # reduced cost sits at its lower bound and one with a negative at its upper.
-    lb, ub = root.cols
     pin = np.abs(d) > root.dual_tol
     at = np.where(d > 0, lb, ub)
     col_lower, col_upper = np.where(pin, at, lb), np.where(pin, at, ub)
@@ -393,7 +395,7 @@ def _canonical(root: _RootLp, b: np.ndarray) -> tuple[np.ndarray | None, int]:
     status, iterations = face.run()
     if status != _OPTIMAL:
         return None, iterations
-    return np.array(face.highs.getSolution().col_value), iterations
+    return np.fromiter(face.highs.getSolution().col_value, float, lb.size), iterations
 
 
 def _solve_root(prob: IlpProblem) -> tuple[np.ndarray, int]:
@@ -417,7 +419,8 @@ def _solve_root(prob: IlpProblem) -> tuple[np.ndarray, int]:
             if x is None:
                 root.drop()
                 iterations += _optimum(root, b)
-                x_cold = np.array(root.lp.highs.getSolution().col_value)
+                x_cold = np.fromiter(root.lp.highs.getSolution().col_value, float,
+                                     prob.c.size)
                 x, more = _canonical(root, b)
                 iterations += more
                 if x is None:

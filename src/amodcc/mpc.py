@@ -39,6 +39,7 @@ deterministic one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -330,24 +331,41 @@ class RebalancePlan:
         ensure(bool(np.all(xc[idx, idx] == 0)), "zero-diagonal service")
         ensure(bool(np.all(w[:, :, 0] - xc[:, :, 0] - s[:, :, 0] == 0)),
                "the first-step pickup balance")
-        for k in range(1, steps):
-            lhs = xc[:, :, k] + s[:, :, k] - s[:, :, k - 1] - w[:, :, k]
-            ensure(bool(np.all(lhs == demand[:, :, k])),
-                   f"the step-{k} queue recursion")
+        served = xc[:, :, 1:] + s[:, :, 1:] - s[:, :, :-1] - w[:, :, 1:]
+        wrong = np.any(served != demand[:, :, 1:steps], axis=(0, 1))
+        ensure(not wrong.any(), f"the step-{wrong.argmax() + 1} queue recursion")
         ensure(bool(np.all(w.sum(axis=2) == outstanding)),
                "complete pickup of waiting requests")
 
         moves = xr + xc
-        # Every trip j -> i that departs at sigma lands at sigma + kappa[j, i];
-        # the stock after step k is what landed minus what left by then.
+        # The stock after step k is what landed minus what left by then.
+        # The landing counts are sums of whole vehicles, exact in float64.
+        departs, lands = _landings(network.kappa.astype(np.int64).tobytes(), n, steps)
         inflow = state.arrival_counts(horizon).astype(np.int64)
-        j, i, sig = np.meshgrid(idx, idx, np.arange(steps), indexing="ij")
-        land = sig + network.kappa[j, i]
-        lands = (j != i) & (land < steps)
-        np.add.at(inflow, (i[lands], land[lands]), moves[lands])
+        inflow += np.bincount(lands, weights=moves.ravel()[departs],
+                              minlength=inflow.size).astype(np.int64).reshape(inflow.shape)
         stock = state.idle[:, None] + np.cumsum(inflow - moves.sum(axis=1), axis=1)
         short = np.any(stock < 0, axis=0)
         ensure(not short.any(), f"vehicle availability at step {short.argmax()}")
+
+
+@lru_cache(maxsize=16)
+def _landings(kappa: bytes, n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each trip that lands inside the horizon departs and lands.
+
+    ``kappa`` is the network's (N, N) step matrix as int64 bytes, which
+    keys the cache.  Returns flat indices into a (N, N, T+1) trip tensor
+    and into the (N, T+1) station-by-step inflow.  Derived from ``kappa``
+    alone, not from :func:`build_problem`'s rows, so that plan
+    verification stays an independent check.
+    """
+    kappa = np.frombuffer(kappa, dtype=np.int64).reshape(n, n)
+    # Every trip j -> i that departs at sigma lands at sigma + kappa[j, i].
+    idx = np.arange(n)
+    j, i, sig = np.meshgrid(idx, idx, np.arange(steps), indexing="ij")
+    land = sig + kappa[j, i]
+    inside = (j != i) & (land < steps)
+    return np.flatnonzero(inside), (i * steps + land)[inside]
 
 
 def solve_rebalance(

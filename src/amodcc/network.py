@@ -2,6 +2,12 @@
 
 All geometry is planar, in meters.  Longitude/latitude inputs are projected
 once at ingestion (see :func:`project_lonlat`) and never touched again.
+
+Every point reaches a station through one lookup, :func:`assign_stations`
+(and, inside k-means, the same ``_nearest``): the nearest centroid by
+squared distance, ties to the lowest index, found by a running minimum
+over the centroids, so its memory is O(M) for M points whatever the
+number of stations.
 """
 
 from __future__ import annotations
@@ -105,14 +111,24 @@ def _kmeans_pp_seed(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
 
 def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # argmin returns the lowest index on ties, which is the tie-break rule.
-    # dx*dx + dy*dy in place: two (M, N) buffers instead of five.
-    dx = pts[:, 0, None] - centroids[None, :, 0]
-    dy = pts[:, 1, None] - centroids[None, :, 1]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return np.argmin(dx, axis=1)
+    # One pass per centroid over (M,) buffers.  A point moves only on a
+    # strictly smaller dx*dx + dy*dy, so ties stay on the lowest index, as
+    # argmin over the (M, N) distances would keep them.
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    best = np.full(x.shape, np.inf)
+    label = np.zeros(x.shape, dtype=np.intp)
+    d, dy = np.empty_like(x), np.empty_like(x)
+    closer = np.empty(x.shape, dtype=bool)
+    for k, (cx, cy) in enumerate(centroids.tolist()):
+        np.subtract(x, cx, out=d)
+        np.multiply(d, d, out=d)
+        np.subtract(y, cy, out=dy)
+        np.multiply(dy, dy, out=dy)
+        d += dy
+        np.less(d, best, out=closer)
+        np.minimum(best, d, out=best)
+        np.putmask(label, closer, k)
+    return label
 
 
 def assign_stations(centroids: np.ndarray, points: np.ndarray) -> np.ndarray:

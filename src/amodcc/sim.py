@@ -116,16 +116,21 @@ class DemandGrid:
         self.interval_seconds = float(interval_seconds)
         self.n_intervals = int(n_intervals)
         n = network.n_stations
-        self.counts = np.zeros((n, n, self.n_intervals), dtype=np.int64)
-        if len(trips) == 0:
-            return
-        m = np.floor((trips.times - self.origin) / self.interval_seconds).astype(int)
+        # Only trips near the window are binned.  The times are sorted, so
+        # a candidate slice reaching one interval past either end holds
+        # every trip the interval test keeps: the test's rounding moves its
+        # cut by a few ulps of the epoch, far less than an interval.
+        times = trips.times
+        lo = int(np.searchsorted(times, self.origin - self.interval_seconds, side="left"))
+        hi = int(np.searchsorted(
+            times, self.origin + (self.n_intervals + 1) * self.interval_seconds, side="right"))
+        m = np.floor((times[lo:hi] - self.origin) / self.interval_seconds).astype(int)
         keep = (m >= 0) & (m < self.n_intervals)
-        if not np.any(keep):
-            return
-        o_st = assign_stations(network.centroids, trips.origins[keep])
-        d_st = assign_stations(network.centroids, trips.dests[keep])
-        np.add.at(self.counts, (o_st, d_st, m[keep]), 1)
+        o_st = assign_stations(network.centroids, trips.origins[lo:hi][keep])
+        d_st = assign_stations(network.centroids, trips.dests[lo:hi][keep])
+        flat = (o_st * n + d_st) * self.n_intervals + m[keep]
+        self.counts = np.bincount(flat, minlength=n * n * self.n_intervals).astype(
+            np.int64, copy=False).reshape(n, n, self.n_intervals)
 
     def head(self, n_intervals: int) -> "DemandGrid":
         """The first ``n_intervals`` intervals; the counts are a view."""

@@ -1,10 +1,14 @@
 """Station partitioning, travel matrices, and the network file format."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amodcc import network
 from amodcc.errors import InvalidInputError
 from amodcc.network import (
     EARTH_RADIUS_M,
@@ -27,6 +31,14 @@ def brute_nearest(centroids, point):
         if d < best_d:
             best, best_d = i, d
     return best
+
+
+def argmin_nearest(centroids, pts):
+    """Nearest centroid by argmin over the whole (M, N) squared-distance
+    matrix, summed as dx*dx + dy*dy; argmin keeps ties on the lowest index."""
+    dx = pts[:, 0, None] - centroids[None, :, 0]
+    dy = pts[:, 1, None] - centroids[None, :, 1]
+    return np.argmin(dx * dx + dy * dy, axis=1)
 
 
 def sse(points, centroids, labels):
@@ -100,6 +112,18 @@ class TestKmeans:
         expect = sorted(tuple(c) for c in centers)
         assert np.allclose(found, expect, atol=500.0)
 
+    @pytest.mark.parametrize("n_points, k, seed", [(400, 5, 1), (300, 4, 0), (2000, 12, 3)])
+    def test_same_bits_as_the_argmin_lookup(self, monkeypatch, n_points, k, seed):
+        # Labels, and so every Lloyd mean, must not depend on how the
+        # nearest centroid is found.
+        rng = np.random.default_rng(seed)
+        pts = np.round(rng.normal(size=(n_points, 2)) * 500.0, 1)
+        got_c, got_l = kmeans_partition(pts, k, seed=seed)
+        monkeypatch.setattr(network, "_nearest", lambda p, c: argmin_nearest(c, p))
+        want_c, want_l = kmeans_partition(pts, k, seed=seed)
+        assert np.array_equal(got_l, want_l) and got_l.dtype == want_l.dtype
+        assert got_c.tobytes() == want_c.tobytes()
+
     def test_rejects_too_few_distinct_points(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(InvalidInputError):
@@ -128,15 +152,52 @@ class TestAssignment:
         for scale in (1000.0, 4.0):
             centroids = np.round(rng.uniform(0, scale, size=(10, 2)))
             pts = np.round(rng.uniform(0, scale, size=(500, 2)), 1)
-            dx = pts[:, 0, None] - centroids[None, :, 0]
-            dy = pts[:, 1, None] - centroids[None, :, 1]
-            want = np.argmin(dx * dx + dy * dy, axis=1)
-            assert np.array_equal(assign_stations(centroids, pts), want)
+            assert np.array_equal(assign_stations(centroids, pts),
+                                  argmin_nearest(centroids, pts))
 
     def test_tie_goes_to_lowest_index(self):
         centroids = np.array([[0.0, 0.0], [2.0, 0.0]])
         pts = np.array([[1.0, 0.0], [1.0, 5.0], [1.5, 0.0]])
         assert assign_stations(centroids, pts).tolist() == [0, 0, 1]
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_argmin_with_up_to_sixty_centroids_and_ties(self, data):
+        # Centroids on a coarse integer grid.  Besides free points, the
+        # midpoint of two centroids and a point one perpendicular step
+        # along their bisector are exactly equidistant from both, so ties
+        # come up often.
+        coord = st.integers(-20, 20).map(float)
+        cents = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=60,
+                                   unique=True))
+        centroids = np.array(cents)
+        free = data.draw(st.lists(st.tuples(coord, coord), max_size=40))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, len(cents) - 1),
+                                             st.integers(0, len(cents) - 1)), max_size=40))
+        tied = []
+        for a, b in pairs:
+            (ax, ay), (bx, by) = cents[a], cents[b]
+            mx, my = (ax + bx) / 2, (ay + by) / 2
+            tied += [(mx, my), (mx - (by - ay), my + (bx - ax))]
+        pts = np.array(free + tied, dtype=float).reshape(-1, 2)
+        got = assign_stations(centroids, pts)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, argmin_nearest(centroids, pts))
+
+    def test_memory_is_linear_in_points_and_flat_in_centroids(self):
+        # Memory is a few (M,) buffers whatever N is: 200,000 points and
+        # 50 centroids stay under eight float64 per point, where a
+        # (M, N) distance matrix alone would take 80 MB.
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(0, 10_000, size=(200_000, 2))
+        centroids = rng.uniform(0, 10_000, size=(50, 2))
+        tracemalloc.start()
+        try:
+            assign_stations(centroids, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * len(pts)
 
 
 class TestTravelMatrices:

@@ -613,3 +613,78 @@ def test_solved_plans_verify_and_a_moved_unit_does_not(instant, data):
     moved[i, j, to] += 1
     with pytest.raises(SolverError):
         plan.verify_against(net, state, out, demand)
+
+
+def loop_verify(plan, network, state, outstanding, demand):
+    """Plan verification as a loop: one check per queue-recursion step,
+    and each landing of every trip added one at a time."""
+    xr, xc, s, w = (t.astype(np.int64) for t in
+                    (plan.rebalance, plan.customer, plan.backlog, plan.pickup))
+    n, _, steps = xr.shape
+    demand = np.asarray(demand, dtype=np.int64)
+
+    def ensure(ok, what):
+        if not ok:
+            raise SolverError(f"plan violates {what}")
+
+    for t in (xr, xc, s, w):
+        ensure(np.all(t >= 0), "non-negativity")
+    idx = np.arange(n)
+    ensure(np.all(xr[idx, idx] == 0), "zero-diagonal rebalancing")
+    ensure(np.all(xc[idx, idx] == 0), "zero-diagonal service")
+    ensure(np.all(w[:, :, 0] - xc[:, :, 0] - s[:, :, 0] == 0), "the first-step pickup balance")
+    for k in range(1, steps):
+        ensure(np.all(xc[:, :, k] + s[:, :, k] - s[:, :, k - 1] - w[:, :, k] == demand[:, :, k]),
+               f"the step-{k} queue recursion")
+    ensure(np.all(w.sum(axis=2) == outstanding), "complete pickup of waiting requests")
+    moves = xr + xc
+    inflow = state.arrival_counts(steps - 1).astype(np.int64)
+    for j in range(n):
+        for i in range(n):
+            for sig in range(steps):
+                land = sig + network.kappa[j, i]
+                if j != i and land < steps:
+                    inflow[i, land] += moves[j, i, sig]
+    stock = state.idle[:, None] + np.cumsum(inflow - moves.sum(axis=1), axis=1)
+    short = np.any(stock < 0, axis=0)
+    ensure(not short.any(), f"vehicle availability at step {short.argmax()}")
+
+
+def verdict(check, *args):
+    try:
+        check(*args)
+    except SolverError as exc:
+        return str(exc)
+    return None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(instant=small_instants(), data=st.data())
+def test_verification_agrees_with_the_loop_on_corrupted_plans(instant, data):
+    # Up to three entries of any tensor move by a few units; both checks
+    # must accept the same plans and name the same first violation.
+    net, state, out, demand = instant
+    horizon = demand.shape[2] - 1
+    plan = build_problem(net, horizon, CostWeights.defaults(net, horizon)).solve(
+        state, out, demand)
+    n = net.n_stations
+    for _ in range(data.draw(st.integers(0, 3))):
+        name = data.draw(st.sampled_from(["rebalance", "customer", "backlog", "pickup"]))
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        k = data.draw(st.integers(0, horizon))
+        getattr(plan, name)[i, j, k] += data.draw(st.sampled_from([-2, -1, 1, 2, 5]))
+    args = (net, state, out, demand)
+    assert verdict(plan.verify_against, *args) == verdict(loop_verify, plan, *args)
+
+
+def test_queue_recursion_names_its_first_failing_step():
+    net = line_network(3)
+    demand = zero_demand(3, 5)
+    state = FleetState(idle=np.array([2, 2, 2]))
+    out = np.zeros((3, 3), dtype=int)
+    plan = solve_rebalance(net, state, out, demand)
+    plan.verify_against(net, state, out, demand)
+    plan.customer[2, 0, 4] += 1
+    plan.customer[0, 1, 3] += 1
+    with pytest.raises(SolverError, match="the step-3 queue recursion"):
+        plan.verify_against(net, state, out, demand)

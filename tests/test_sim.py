@@ -21,6 +21,7 @@ from amodcc.network import StationNetwork
 from amodcc.sim import (DemandGrid, RunConfig, Scenario, _Run, benchmark_flows,
                         benchmark_network, benchmark_scenario,
                         initial_placement, run_simulation)
+from test_network import argmin_nearest
 
 
 def two_station_net(step=300.0):
@@ -114,6 +115,61 @@ def test_demand_grid_bins_by_interval():
     assert grid.counts.sum() == 4
     assert grid.midpoint_hours(0.0) == pytest.approx([300 / 3600, 900 / 3600,
                                                       1500 / 3600])
+
+
+def add_at_grid(trips, net, origin, interval, n_intervals):
+    """The demand grid by its definition: every trip in the table through
+    the interval test, counted one at a time with np.add.at."""
+    n = net.n_stations
+    counts = np.zeros((n, n, n_intervals), dtype=np.int64)
+    m = np.floor((trips.times - origin) / interval).astype(int)
+    keep = (m >= 0) & (m < n_intervals)
+    o = argmin_nearest(net.centroids, trips.origins[keep])
+    d = argmin_nearest(net.centroids, trips.dests[keep])
+    np.add.at(counts, (o, d, m[keep]), 1)
+    return counts
+
+
+@pytest.mark.parametrize("origin, interval, n_intervals", [
+    (1.7e9, 600.0, 5),           # an epoch-sized origin, whose ulp is 2.4e-7 s
+    (1_700_000_123.4, 7.3, 40),  # a step that is no binary fraction
+    (0.0, 600.0, 3),
+    (1.7e9, 900.0, 0),           # an empty window
+])
+def test_demand_grid_matches_binning_every_trip(origin, interval, n_intervals):
+    net = benchmark_network()
+    end = origin + n_intervals * interval
+    below = np.nextafter
+    edges = [origin, end, below(end, -np.inf), below(origin, -np.inf),
+             below(origin, np.inf), origin - interval, end + interval,
+             below(origin - interval, -np.inf), below(end + interval, np.inf)]
+    edges += [origin + k * interval for k in range(1, n_intervals)]
+    edges += [below(origin + k * interval, -np.inf) for k in range(1, n_intervals)]
+    rng = np.random.default_rng(12)
+    inside = origin + rng.uniform(0, max(n_intervals, 1) * interval, size=200)
+    outside = np.concatenate([origin - rng.uniform(0, 1e6, size=50),
+                              end + rng.uniform(0, 1e6, size=50)])
+    times = np.sort(np.concatenate([edges, edges, inside, outside]))
+    points = rng.uniform(-8000.0, 8000.0, size=(2, times.size, 2))
+    trips = TripTable(times=times, origins=points[0], dests=points[1])
+    grid = DemandGrid(trips, net, origin, interval, n_intervals)
+    want = add_at_grid(trips, net, origin, interval, n_intervals)
+    assert grid.counts.dtype == want.dtype and grid.counts.shape == want.shape
+    assert np.array_equal(grid.counts, want)
+    if n_intervals:
+        # The edges themselves: the start is in, start + n intervals is out
+        # and one ulp below it is in.  (One ulp below a start of 0 is a
+        # subnormal whose quotient rounds to -0.0, so the test keeps it.)
+        m = np.floor((np.array(edges[:3]) - origin) / interval)
+        assert m.tolist() == [0, n_intervals, n_intervals - 1]
+
+
+def test_demand_grid_of_no_trips():
+    net = two_station_net()
+    grid = DemandGrid(table([]), net, origin_epoch=0.0, interval_seconds=600.0,
+                      n_intervals=4)
+    assert grid.counts.shape == (2, 2, 4) and grid.counts.dtype == np.int64
+    assert not grid.counts.any()
 
 
 # --- initial placement ----------------------------------------------------------
