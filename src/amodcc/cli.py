@@ -20,9 +20,9 @@ import sys
 
 import numpy as np
 
-from .demand import DAY, ingest_trips
+from .demand import ingest_trips
 from .errors import InvalidInputError, NumericalError, SolverError
-from .forecast import bank_train_config, load_bank, save_bank, train_bank, usable_cores
+from .forecast import bank_train_config, load_bank, save_bank
 from .ilp import SolverConfig
 from .network import StationNetwork, kmeans_partition, load_network, save_network
 from .report import (
@@ -34,13 +34,17 @@ from .report import (
 )
 from .sim import (
     CONTROLLERS,
-    DemandGrid,
     RunConfig,
     Scenario,
     benchmark_scenario,
+    history_bank,
+    history_grid,
     run_simulation,
     sweep_epsilon,
 )
+
+_RUN = RunConfig()      # the defaults every run option reads
+
 
 def _read_config(path: str) -> list[str]:
     """Turn a config file into CLI tokens, inserted ahead of real flags."""
@@ -90,27 +94,30 @@ def _comma_list(cast):
 
 
 def _add_gp_jobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gp-jobs", type=int, default=usable_cores(),
+    p.add_argument("--gp-jobs", type=int, default=_RUN.gp_jobs,
                    help="worker processes that train the forecast bank "
                         "(default: the usable cores, here %(default)s); "
-                        "1 trains in-process; the bank does not depend on it")
+                        "1 trains in-process; the bank does not depend on it; "
+                        "a sweep splits them between its seeds and their banks")
+
+
+def _add_window_days(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--window-days", type=float, default=_RUN.train_window_days,
+                   help="training window length in days, a whole number of model steps")
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--controller", default="ccmpc", choices=CONTROLLERS)
-    p.add_argument("--epsilon", type=float, default=0.35,
-                   help="chance-constraint risk level in (0, 1)")
-    p.add_argument("--horizon", type=int, default=12)
-    p.add_argument("--dispatch-seconds", type=float, default=30.0)
-    p.add_argument("--mpc-seconds", type=float, default=None,
+    """The options of every run but its controller and risk level."""
+    p.add_argument("--horizon", type=int, default=_RUN.horizon)
+    p.add_argument("--dispatch-seconds", type=float, default=_RUN.dispatch_seconds)
+    p.add_argument("--mpc-seconds", type=float, default=_RUN.mpc_seconds,
                    help="controller cadence (default: one model step)")
-    p.add_argument("--gp-seconds", type=float, default=86400.0,
+    p.add_argument("--gp-seconds", type=float, default=_RUN.gp_seconds,
                    help="forecast retraining cadence")
-    p.add_argument("--window-days", type=float, default=5.0,
-                   help="training window length in days")
-    p.add_argument("--backlog-cost", type=float, default=10.0)
-    p.add_argument("--pickup-slope", type=float, default=0.1)
-    p.add_argument("--time-limit", type=float, default=10.0,
+    _add_window_days(p)
+    p.add_argument("--backlog-cost", type=float, default=_RUN.backlog_cost)
+    p.add_argument("--pickup-slope", type=float, default=_RUN.pickup_delay_slope)
+    p.add_argument("--time-limit", type=float, default=_RUN.solver.time_limit_s,
                    help="safety stop per MILP solve; reaching it fails the "
                         "run with exit code 3")
     p.add_argument("--gp-max-iters", type=int, default=None)
@@ -124,10 +131,9 @@ def _gp_train_config(args):
     return dataclasses.replace(bank_train_config(), max_iters=args.gp_max_iters)
 
 
-def _run_config(args) -> RunConfig:
+def _run_config(args, **fields) -> RunConfig:
+    """The run the shared options describe; ``fields`` sets the rest."""
     return RunConfig(
-        controller=args.controller,
-        epsilon=args.epsilon,
         horizon=args.horizon,
         dispatch_seconds=args.dispatch_seconds,
         mpc_seconds=args.mpc_seconds,
@@ -138,6 +144,7 @@ def _run_config(args) -> RunConfig:
         solver=SolverConfig(time_limit_s=args.time_limit),
         gp_train=_gp_train_config(args),
         gp_jobs=args.gp_jobs,
+        **fields,
     )
 
 
@@ -174,19 +181,11 @@ def cmd_train(args) -> int:
     end = args.train_end
     if end is None:
         end = float(np.floor(table.times[-1] / dt) * dt)
-    start = end - args.window_days * DAY
-    m = int(round(args.window_days * DAY / dt))
-    if abs(m * dt - args.window_days * DAY) > 1e-6 or m < 2:
-        raise InvalidInputError(
-            "window-days must span a whole number (>= 2) of model steps")
-    grid = DemandGrid(table, net, start, dt, m)
+    grid = history_grid(table, net, end, args.window_days)
     if grid.counts.sum() == 0:
         raise InvalidInputError(
-            f"no trips fall inside the training window [{start}, {end})")
-    cfg = _gp_train_config(args) or bank_train_config()
-    bank = train_bank(grid.counts, grid.midpoint_hours(end), dt,
-                      series_origin=end, window=(start, end), trained_at=end,
-                      cfg=cfg, n_jobs=args.gp_jobs)
+            f"no trips fall inside the training window [{grid.origin}, {end})")
+    bank = history_bank(grid, end, _gp_train_config(args), args.gp_jobs)
     save_bank(args.out, bank)
     n = bank.n_stations
     const = sum(1 for i in range(n) for j in range(n)
@@ -223,14 +222,12 @@ def cmd_simulate(args) -> int:
     if args.bank:
         # The bank file stores hyperparameters only; rebuild its posteriors
         # from the same history window the run would train on.
-        net = scenario.network
-        dt = net.step_seconds
-        m = int(round(args.window_days * DAY / dt))
-        start = scenario.sim_start - args.window_days * DAY
-        grid = DemandGrid(scenario.trips, net, start, dt, m)
+        grid = history_grid(scenario.trips, scenario.network, scenario.sim_start,
+                            args.window_days)
         bank = load_bank(args.bank, grid.counts,
                          grid.midpoint_hours(scenario.sim_start))
-    metrics = run_simulation(scenario, _run_config(args), bank=bank)
+    cfg = _run_config(args, controller=args.controller, epsilon=args.epsilon)
+    metrics = run_simulation(scenario, cfg, bank=bank)
     if args.benchmark is not None:
         metrics.seed = args.benchmark
     _write_outputs(args, [metrics])
@@ -240,8 +237,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _run_config(args)
     make = functools.partial(benchmark_scenario, fleet_size=args.fleet)
-    rows = sweep_epsilon(args.seeds, args.epsilons, cfg=cfg,
-                         make_scenario=make, n_jobs=args.jobs)
+    rows = sweep_epsilon(args.seeds, args.epsilons, cfg=cfg, make_scenario=make)
     _write_outputs(args, rows)
     return 0
 
@@ -265,7 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
                "(long option names); explicit flags win over the file.  Every plan "
                "is verified before a run applies it.  Exit codes: 0 success, "
                "2 invalid input, 3 solver or numerical failure, 4 I/O failure.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No option may be abbreviated: ``sweep --epsilon`` must not pass for
+    # ``--epsilons``.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("partition", help="cluster trip endpoints into stations")
     p.add_argument("--trips", required=True)
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("generic", "cabtrace"))
     p.add_argument("--train-end", type=float, default=None,
                    help="window end, epoch seconds (default: last whole step)")
-    p.add_argument("--window-days", type=float, default=5.0)
+    _add_window_days(p)
     p.add_argument("--gp-max-iters", type=int, default=None)
     _add_gp_jobs(p)
     p.add_argument("--out", required=True)
@@ -303,6 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fleet", type=int, default=300)
     p.add_argument("--bank", help="forecast bank file (plain text) from `train`; "
                    "without it ccmpc trains in-run")
+    p.add_argument("--controller", default=_RUN.controller, choices=CONTROLLERS)
+    p.add_argument("--epsilon", type=float, default=_RUN.epsilon,
+                   help="chance-constraint risk level in (0, 1)")
     _add_run_options(p)
     p.add_argument("--metrics-out", help="write full metrics JSON here")
     p.add_argument("--csv-out", help="write the deterministic metrics CSV here")
@@ -315,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilons", type=_comma_list(float),
                    default=[0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95])
     p.add_argument("--fleet", type=int, default=300)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes across seeds, at most one per seed")
     _add_run_options(p)
     p.add_argument("--metrics-out")
     p.add_argument("--csv-out")

@@ -7,6 +7,7 @@ projected plane.  Station assignment happens later, against a network.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -35,6 +36,9 @@ class TripTable:
         m = self.times.shape[0]
         if self.origins.shape[0] != m or self.dests.shape[0] != m:
             raise InvalidInputError("trip arrays must have matching lengths")
+        if not (np.isfinite(self.times).all() and np.isfinite(self.origins).all()
+                and np.isfinite(self.dests).all()):
+            raise InvalidInputError("trip times and points must be finite")
         if m and np.any(np.diff(self.times) < 0):
             raise InvalidInputError("trip times must be sorted ascending")
 
@@ -91,6 +95,8 @@ def _read_generic(path: str):
             except ValueError as exc:
                 raise InvalidInputError(
                     f"{path}: line {lineno}: non-numeric field ({exc})") from exc
+            if not all(map(math.isfinite, (t, a, b, c, d))):
+                raise InvalidInputError(f"{path}: line {lineno}: non-finite field")
             times.append(t)
             olon.append(a)
             olat.append(b)
@@ -127,6 +133,8 @@ def _read_trace(path: str):
             except ValueError as exc:
                 raise InvalidInputError(
                     f"{path}: line {lineno}: bad field ({exc})") from exc
+            if not all(map(math.isfinite, (lat, lon, t))):
+                raise InvalidInputError(f"{path}: line {lineno}: non-finite field")
             if occ not in (0, 1):
                 raise InvalidInputError(
                     f"{path}: line {lineno}: occupancy must be 0 or 1, got {occ}")

@@ -156,14 +156,22 @@ def build_travel_matrices(
     the whole number of model steps a trip i -> j occupies:
     ``max(1, round(time / step_seconds))`` off the diagonal, 0 on it.
     """
-    if speed_mps <= 0:
-        raise InvalidInputError(f"speed_mps must be positive, got {speed_mps}")
-    if step_seconds <= 0:
-        raise InvalidInputError(f"step_seconds must be positive, got {step_seconds}")
-    c = np.asarray(centroids, dtype=float)
+    c = _checked_centroids(centroids, speed_mps, step_seconds)
     dist = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
     time = dist / speed_mps
     return time, dist, _kappa(time, step_seconds)
+
+
+def _checked_centroids(centroids, speed_mps: float, step_seconds: float) -> np.ndarray:
+    """The centroids as a float array, once they and both scales are finite
+    and the scales positive."""
+    for name, value in (("speed_mps", speed_mps), ("step_seconds", step_seconds)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+    c = np.asarray(centroids, dtype=float)
+    if not np.isfinite(c).all():
+        raise InvalidInputError("centroids must be finite")
+    return c
 
 
 @dataclass
@@ -181,7 +189,8 @@ class StationNetwork:
     projection: tuple[float, float] | None = None
 
     def __post_init__(self):
-        self.centroids = np.asarray(self.centroids, dtype=float)
+        self.centroids = _checked_centroids(self.centroids, self.speed_mps,
+                                            self.step_seconds)
         self.travel_time = np.asarray(self.travel_time, dtype=float)
         self.travel_distance = np.asarray(self.travel_distance, dtype=float)
         self.kappa = np.asarray(self.kappa, dtype=int)
@@ -205,8 +214,6 @@ class StationNetwork:
         off = ~np.eye(n, dtype=bool)
         if np.any(self.kappa[off] < 1):
             raise InvalidInputError("off-diagonal kappa entries must be >= 1")
-        if self.step_seconds <= 0 or self.speed_mps <= 0:
-            raise InvalidInputError("step_seconds and speed_mps must be positive")
 
     @property
     def n_stations(self) -> int:

@@ -243,13 +243,32 @@ class TickSnapshot:
     vehicle_m: np.ndarray            # (fleet, 3): customer, rebalance, pickup
 
 
-def _whole_ticks(value: float, tick: float, what: str) -> int:
+def _whole_ticks(value: float, tick: float, what: str, unit: str = "dispatch ticks") -> int:
     ratio = value / tick
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise InvalidInputError(
             f"{what} ({value} s) must be a positive whole number of "
-            f"{tick} s dispatch ticks")
+            f"{tick} s {unit}")
     return int(round(ratio))
+
+
+def history_grid(trips: TripTable, network: StationNetwork, end: float,
+                 window_days: float) -> DemandGrid:
+    """Realized counts over the training window of ``window_days`` that
+    ends at ``end``; the window must be a positive whole number of model
+    steps."""
+    dt = network.step_seconds
+    steps = _whole_ticks(window_days * DAY, dt, "training window", "model steps")
+    return DemandGrid(trips, network, end - window_days * DAY, dt, steps)
+
+
+def history_bank(grid: DemandGrid, end: float, cfg: TrainConfig | None = None,
+                 n_jobs: int = 1) -> ForecastBank:
+    """A bank trained at ``end`` on the :func:`history_grid` that ends
+    there, its hour axis rebased at ``end``."""
+    return train_bank(grid.counts, grid.midpoint_hours(end), grid.interval_seconds,
+                      series_origin=end, window=(grid.origin, end), trained_at=end,
+                      cfg=cfg or bank_train_config(), n_jobs=n_jobs)
 
 
 def initial_placement(network: StationNetwork, fleet_size: int,
@@ -296,7 +315,7 @@ class _Run:
         self.mpc_ticks = _whole_ticks(mpc_seconds, tick, "controller cadence")
         self.gp_ticks = _whole_ticks(cfg.gp_seconds, tick, "retraining cadence")
         self.window_intervals = _whole_ticks(
-            cfg.train_window_days * DAY, net.step_seconds, "training window")
+            cfg.train_window_days * DAY, net.step_seconds, "training window", "model steps")
 
         # The live requests, read one at a time as Python scalars; only
         # ``origins`` stays an array, for the dispatch gather.
@@ -692,13 +711,13 @@ def benchmark_scenario(seed: int, fleet_size: int = 300,
 def _sweep_worker(args) -> list[SimMetrics]:
     seed, epsilons, cfg, make_scenario = args
     scenario = make_scenario(seed)
+    grid = history_grid(scenario.trips, scenario.network, scenario.sim_start,
+                        cfg.train_window_days)
+    bank = history_bank(grid, scenario.sim_start, cfg.gp_train, cfg.gp_jobs)
     rows: list[SimMetrics] = []
-    bank = None
     for eps in epsilons:
-        run_cfg = replace(cfg, controller="ccmpc", epsilon=float(eps))
-        if bank is None:
-            bank = _Run(scenario, run_cfg)._train(0)
-        m = run_simulation(scenario, run_cfg, bank=bank)
+        m = run_simulation(scenario, replace(cfg, controller="ccmpc", epsilon=float(eps)),
+                           bank=bank)
         m.seed = seed
         rows.append(m)
     return rows
@@ -709,22 +728,19 @@ def sweep_epsilon(
     epsilons: list[float],
     cfg: RunConfig | None = None,
     make_scenario: Callable[[int], Scenario] = benchmark_scenario,
-    n_jobs: int = 1,
 ) -> list[SimMetrics]:
     """Risk-level sweep: same trip streams, varying epsilon only.
 
     Each seed's scenario and forecast bank are built once and shared by
     every epsilon, so rows differ only through the controller's risk
-    appetite.  Seeds can run in parallel processes, at most one per seed;
-    each of those trains its bank in-process, so the sweep runs at most
-    ``n_jobs`` processes.
+    appetite.  The sweep splits ``cfg.gp_jobs`` processes: seeds run on
+    ``min(gp_jobs, len(seeds))`` of them, and each seed trains its bank
+    on ``gp_jobs`` floor-divided by that (1 trains in-process).  Rows do
+    not depend on the split.
     """
-    if n_jobs < 1:
-        raise InvalidInputError(f"n_jobs must be >= 1, got {n_jobs}")
     cfg = cfg or RunConfig()
-    workers = min(n_jobs, len(seeds))
-    if workers > 1:
-        cfg = replace(cfg, gp_jobs=1)
+    workers = max(1, min(cfg.gp_jobs, len(seeds)))
+    cfg = replace(cfg, gp_jobs=cfg.gp_jobs // workers)
     jobs = [(seed, list(epsilons), cfg, make_scenario) for seed in seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

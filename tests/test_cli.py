@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import amodcc
-from amodcc import cli
+from amodcc import cli, sim
 from amodcc.cli import main
 from amodcc.forecast import bank_train_config
 from amodcc.network import load_network
-from amodcc.sim import CONTROLLERS
+from amodcc.sim import CONTROLLERS, RunConfig
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -115,9 +115,27 @@ def test_config_file_merges_under_flags(city, capsys, tmp_path):
 
 def test_controller_choices_are_the_simulations():
     commands = cli.build_parser()._subparsers._group_actions[0].choices
-    for name in ("simulate", "sweep"):
-        option = commands[name]._option_string_actions["--controller"]
-        assert tuple(option.choices) == CONTROLLERS
+    option = commands["simulate"]._option_string_actions["--controller"]
+    assert tuple(option.choices) == CONTROLLERS
+
+
+def test_bare_simulate_runs_the_default_config():
+    # The run options read their defaults from RunConfig and SolverConfig.
+    args = cli.build_parser().parse_args(["simulate", "--benchmark", "0"])
+    cfg = cli._run_config(args, controller=args.controller, epsilon=args.epsilon)
+    default = RunConfig()
+    for f in dataclasses.fields(RunConfig):
+        assert getattr(cfg, f.name) == getattr(default, f.name), f.name
+
+
+@pytest.mark.parametrize("option", [["--jobs", "2"], ["--controller", "fixed"],
+                                    ["--epsilon", "0.2"]])
+def test_sweep_has_no_options_it_would_ignore(option):
+    # The sweep runs ccmpc at each of --epsilons on --gp-jobs processes;
+    # "--epsilon" is not taken for an abbreviation of "--epsilons".
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--seeds", "0", "--epsilons", "0.5"] + option)
+    assert exc.value.code == 2
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -147,9 +165,18 @@ def test_exit_codes(city, tmp_path, capsys):
                  "--train-end", "21600", "--window-days", "0.25", "--gp-jobs", "0",
                  "--out", str(tmp_path / "bank.txt")]) == 2
     assert "n_jobs must be >= 1" in capsys.readouterr().err
-    # fewer than one sweep worker
-    assert main(["sweep", "--jobs", "0"]) == 2
-    assert "n_jobs must be >= 1" in capsys.readouterr().err
+    # a non-finite trip field (the message names its line) or network speed
+    lines = Path(trips).read_text().splitlines()
+    lines[5] = ",".join(["nan" if k == 1 else v for k, v in enumerate(lines[5].split(","))])
+    bad_trips = tmp_path / "trips.csv"
+    bad_trips.write_text("\n".join(lines) + "\n")
+    assert main(["partition", "--trips", str(bad_trips), "--out", str(tmp_path / "n.txt")]) == 2
+    assert f"{bad_trips}: line 6: non-finite field" in capsys.readouterr().err
+    bad_net = tmp_path / "net.txt"
+    bad_net.write_text(Path(net).read_text().replace("speed_mps 10.0", "speed_mps inf"))
+    assert main(["simulate", "--network", str(bad_net), "--trips", trips, "--start", "21600",
+                 "--end", "43200", "--fleet", "5", "--controller", "gbm"]) == 2
+    assert "speed_mps must be finite and positive, got inf" in capsys.readouterr().err
     # 4: I/O failure
     assert main(["report", "--metrics", str(tmp_path / "missing.json")]) == 4
     assert main(["partition", "--trips", str(tmp_path / "nope.csv"),
@@ -168,6 +195,26 @@ def test_exit_codes(city, tmp_path, capsys):
         main(["simulate", "--config", str(cfg), "--benchmark", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_training_window_is_whole_model_steps(city, tmp_path, capsys):
+    # `train`, `simulate --bank` and a run that trains in-run share one
+    # rule: the window spans a positive whole number of model steps.  A
+    # one-step window has no variance to fit, so every flow is constant.
+    root, trips, net = city
+    bank = str(tmp_path / "bank.txt")
+    run = ["simulate", "--network", net, "--trips", trips, "--start", "21600",
+           "--end", "43200", "--fleet", "5", "--window-days", "0.01"]
+    for argv in (["train", "--network", net, "--trips", trips, "--train-end", "21600",
+                  "--window-days", "0.01", "--out", bank],
+                 run, run + ["--bank", bank]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert "training window (864.0 s) must be a positive whole number of " \
+               "900.0 s model steps" in capsys.readouterr().err, argv
+    assert main(["train", "--network", net, "--trips", trips, "--train-end", "21600",
+                 "--window-days", str(900 / 86400), "--out", bank]) == 0
+    assert "trained 0 flow models (9 constant)" in capsys.readouterr().out
 
 
 def test_train_pins_blas_to_one_thread(city, tmp_path):
@@ -314,7 +361,7 @@ def test_gp_max_iters_keeps_bank_training_defaults(city, monkeypatch, tmp_path):
         seen.append(cfg.gp_train)
         raise _Captured
 
-    monkeypatch.setattr(cli, "train_bank", fake_train_bank)
+    monkeypatch.setattr(sim, "train_bank", fake_train_bank)
     monkeypatch.setattr(cli, "run_simulation", fake_run_simulation)
     with pytest.raises(_Captured):
         main(["train", "--network", net, "--trips", trips,

@@ -5,6 +5,8 @@ modes, which must name the offending line), and the Poisson sampler is
 checked statistically against the closed-form window integrals.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,18 @@ from amodcc.network import project_lonlat
 def test_table_rejects_mismatched_lengths():
     with pytest.raises(InvalidInputError, match="matching lengths"):
         TripTable(times=[0.0, 1.0], origins=[[0.0, 0.0]], dests=[[0.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, at", [("times", 2), ("origins", (1, 0)), ("dests", (2, 1))])
+def test_table_rejects_non_finite_numbers(name, at, bad):
+    # A NaN time passes the order check, and a NaN or infinite point would
+    # land at station 0.
+    arrays = {"times": np.array([0.0, 1.0, 2.0]), "origins": np.zeros((3, 2)),
+              "dests": np.ones((3, 2))}
+    arrays[name][at] = bad
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        TripTable(**arrays)
 
 
 def test_table_rejects_unsorted_times():
@@ -110,6 +124,18 @@ def test_generic_reports_bad_line_numbers(tmp_path):
         ingest_trips(str(path))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", range(5))
+def test_generic_names_the_line_of_a_non_finite_field(tmp_path, field, bad):
+    path = tmp_path / "trips.csv"
+    row = ["20.0", "1.0", "2.0", "3.0", "4.0"]
+    row[field] = bad
+    path.write_text("time,o_lon,o_lat,d_lon,d_lat\n10.0,1.0,2.0,3.0,4.0\n"
+                    + ",".join(row) + "\n")
+    with pytest.raises(InvalidInputError, match=re.escape(f"{path}: line 3: non-finite")):
+        ingest_trips(str(path))
+
+
 def test_generic_rejects_empty_stream(tmp_path):
     path = tmp_path / "trips.csv"
     write_generic(path, [], header=True, extra_lines=["# nothing here"])
@@ -193,6 +219,16 @@ def test_trace_reports_bad_lines(tmp_path):
     with open(path, "w") as fh:
         fh.write("37.70 -122.40 0\n")
     with pytest.raises(InvalidInputError, match="line 1.*4 whitespace"):
+        ingest_trips(str(path), fmt="cabtrace")
+
+
+@pytest.mark.parametrize("row", [("nan", -122.41, 1, 200.0), (37.71, "-inf", 1, 200.0),
+                                 (37.71, -122.41, 0, "nan"), (37.71, -122.41, 1, "inf")])
+def test_trace_names_the_line_of_a_non_finite_field(tmp_path, row):
+    # Even a fix outside every trip: a NaN time would misplace the sort.
+    path = tmp_path / "cab.txt"
+    write_trace(path, [(37.70, -122.40, 0, 100.0), row, (37.72, -122.42, 0, 300.0)])
+    with pytest.raises(InvalidInputError, match="line 2: non-finite"):
         ingest_trips(str(path), fmt="cabtrace")
 
 

@@ -305,6 +305,31 @@ class TestStationNetwork:
                            match="line 6: .*repeated projection, first at line 1"):
             load_network(str(path))
 
+    @pytest.mark.parametrize("key, value", [
+        ("speed_mps", "inf"), ("speed_mps", "nan"), ("speed_mps", "-inf"),
+        ("step_seconds", "inf"), ("step_seconds", "nan"),
+        ("centroid 1", "nan 0.0"), ("centroid 1", "1000.0 inf")])
+    def test_non_finite_numbers_are_rejected(self, tmp_path, key, value):
+        # An infinite speed used to load with every travel time 0.
+        lines = {"stations": "2", "step_seconds": "900.0", "speed_mps": "10.0",
+                 "centroid 0": "0.0 0.0", "centroid 1": "1000.0 0.0", key: value}
+        path = tmp_path / "net.txt"
+        path.write_text("".join(f"{k} {v}\n" for k, v in lines.items()))
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            load_network(str(path))
+
+    def test_constructor_takes_finite_scales_and_centroids(self):
+        c = np.array([[0.0, 0.0], [1000.0, 0.0]])
+        t, d, kappa = build_travel_matrices(c, 10.0, 900.0)
+        fields = dict(centroids=c, travel_time=t, travel_distance=d, kappa=kappa,
+                      step_seconds=900.0, speed_mps=10.0)
+        for name, bad in (("speed_mps", np.inf), ("step_seconds", np.nan),
+                          ("centroids", np.array([[0.0, np.nan], [1000.0, 0.0]]))):
+            with pytest.raises(InvalidInputError, match="must be finite"):
+                StationNetwork(**{**fields, name: bad})
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            StationNetwork.from_centroids(c, speed_mps=np.inf, step_seconds=900.0)
+
     def test_validation_catches_nonzero_diagonal(self):
         c = np.array([[0.0, 0.0], [1000.0, 0.0]])
         t, d, kappa = build_travel_matrices(c, 10.0, 900.0)

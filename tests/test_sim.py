@@ -568,7 +568,8 @@ def test_sweep_shares_one_bank_per_seed(monkeypatch):
         return banks[-1]
 
     monkeypatch.setattr(sim, "train_bank", counted)
-    cfg = RunConfig(horizon=4, train_window_days=2.0)
+    # One process: the seeds and their banks train here, where the counter is.
+    cfg = RunConfig(horizon=4, train_window_days=2.0, gp_jobs=1)
     rows = sim.sweep_epsilon([1, 2], [0.2, 0.5], cfg=cfg,
                              make_scenario=sweep_scenario)
     assert len(banks) == 2
@@ -583,26 +584,22 @@ def test_sweep_shares_one_bank_per_seed(monkeypatch):
         same_run(m, ref)
 
 
-def test_sweep_rows_do_not_depend_on_its_processes(monkeypatch):
-    cfg = RunConfig(horizon=4, train_window_days=2.0, gp_jobs=2)
-    serial = sim.sweep_epsilon([1, 2], [0.2, 0.5], cfg=cfg, make_scenario=sweep_scenario)
-
-    def in_process(*args, n_jobs, **kwargs):
-        # The forked seed workers inherit this patch: with the seeds on
-        # two processes, no seed may fan its bank out again.
-        assert n_jobs == 1
-        return train_bank(*args, n_jobs=n_jobs, **kwargs)
-
-    monkeypatch.setattr(sim, "train_bank", in_process)
-    split = sim.sweep_epsilon([1, 2], [0.2, 0.5], cfg=cfg, make_scenario=sweep_scenario,
-                              n_jobs=2)
-    assert [(m.seed, m.epsilon) for m in split] == [(m.seed, m.epsilon) for m in serial]
-    for a, b in zip(serial, split):
-        same_run(a, b)
+def test_sweep_rows_do_not_depend_on_its_processes():
+    # gp_jobs 2 runs the two seeds on two processes with in-process banks;
+    # gp_jobs 4 lets each of them train its bank on two more.
+    runs = [sim.sweep_epsilon([1, 2], [0.2, 0.5], make_scenario=sweep_scenario,
+                              cfg=RunConfig(horizon=4, train_window_days=2.0, gp_jobs=jobs))
+            for jobs in (1, 2, 4)]
+    serial = runs[0]
+    for split in runs[1:]:
+        assert [(m.seed, m.epsilon) for m in split] == [(m.seed, m.epsilon) for m in serial]
+        for a, b in zip(serial, split):
+            same_run(a, b)
 
 
 def test_sweep_starts_at_most_one_process_per_seed(monkeypatch):
-    # A stand-in pool records its size and runs nothing in parallel.
+    # A stand-in pool records its size and runs nothing in parallel; each
+    # stand-in seed reports the bank processes it was given.
     sizes = []
 
     class Pool:
@@ -619,13 +616,21 @@ def test_sweep_starts_at_most_one_process_per_seed(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(sim, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(sim, "_sweep_worker", lambda job: [job[0]])
-    assert sim.sweep_epsilon([1, 2], [0.5], n_jobs=3) == [1, 2]
-    assert sizes == [2]
-    assert sim.sweep_epsilon([1], [0.5], n_jobs=3) == [1]   # one seed: in-process
-    assert sizes == [2]
-    with pytest.raises(InvalidInputError, match="n_jobs must be >= 1"):
-        sim.sweep_epsilon([1, 2], [0.5], n_jobs=0)
+    monkeypatch.setattr(sim, "_sweep_worker", lambda job: [(job[0], job[2].gp_jobs)])
+
+    def sweep(seeds, gp_jobs):
+        return sim.sweep_epsilon(seeds, [0.5], cfg=RunConfig(gp_jobs=gp_jobs))
+
+    assert sweep([1, 2, 3], 4) == [(1, 1), (2, 1), (3, 1)]
+    assert sizes == [3]
+    assert sweep([1, 2], 4) == [(1, 2), (2, 2)]
+    assert sizes == [3, 2]
+    assert sweep([1, 2], 3) == [(1, 1), (2, 1)]
+    assert sizes == [3, 2, 2]
+    # One process, or one seed: the seeds run here, the bank on all of them.
+    assert sweep([1, 2], 1) == [(1, 1), (2, 1)]
+    assert sweep([1], 4) == [(1, 4)]
+    assert sizes == [3, 2, 2]
 
 
 # --- benchmark workload ---------------------------------------------------------
