@@ -330,6 +330,14 @@ def _flow_model(spec: dict[str, str], path: str, t_hours: np.ndarray,
             f"{path}: bad flow block at line {spec['_line']}: {exc}") from exc
 
 
+def _finite(text: str, name: str) -> float:
+    """A header number of a bank file; NaN and infinities are invalid."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def load_bank(path: str, counts: np.ndarray, t_hours: np.ndarray) -> ForecastBank:
     """Rebuild a bank from a saved file plus the matching count history.
 
@@ -337,8 +345,10 @@ def load_bank(path: str, counts: np.ndarray, t_hours: np.ndarray) -> ForecastBan
     posterior is rebuilt against ``counts``/``t_hours`` the way
     :func:`train_bank` builds it, so the history must cover the same
     training window the file records.  A flow block whose likelihood is
-    not finite, a second block for the same pair, or a header or block
-    key given twice is invalid input.
+    not finite, a second block for the same pair, a header or block key
+    given twice, a header number that is not finite, an interval that is
+    not positive or a window that does not start before it ends is
+    invalid input.
     """
     counts = np.asarray(counts)
     t_hours = np.asarray(t_hours, dtype=float).ravel()
@@ -374,13 +384,18 @@ def load_bank(path: str, counts: np.ndarray, t_hours: np.ndarray) -> ForecastBan
                 elif key == "stations":
                     header["stations"] = int(parts[1])
                 elif key == "interval_seconds":
-                    header["interval_seconds"] = float(parts[1])
+                    header["interval_seconds"] = _finite(parts[1], key)
+                    if not header["interval_seconds"] > 0:
+                        raise ValueError(
+                            f"interval_seconds must be positive, got {header['interval_seconds']}")
                 elif key == "series_origin":
-                    header["series_origin"] = float(parts[1])
+                    header["series_origin"] = _finite(parts[1], key)
                 elif key == "window":
-                    header["window"] = (float(parts[1]), float(parts[2]))
+                    header["window"] = (_finite(parts[1], key), _finite(parts[2], key))
+                    if not header["window"][0] < header["window"][1]:
+                        raise ValueError("the window must start before it ends")
                 elif key == "trained_at":
-                    header["trained_at"] = float(parts[1])
+                    header["trained_at"] = _finite(parts[1], key)
                 else:
                     raise ValueError(f"unknown key {key!r}")
             except (IndexError, ValueError) as exc:
@@ -395,11 +410,11 @@ def load_bank(path: str, counts: np.ndarray, t_hours: np.ndarray) -> ForecastBan
         raise InvalidInputError(
             f"history shape {counts.shape} does not match the {n}-station bank")
     w0, w1 = header["window"]  # type: ignore[misc]
-    spanned = int(round((w1 - w0) / float(header["interval_seconds"])))
-    if spanned != t_hours.shape[0]:
+    spanned = (w1 - w0) / float(header["interval_seconds"])     # inf if it overflows
+    if not (np.isfinite(spanned) and int(round(spanned)) == t_hours.shape[0]):
         raise InvalidInputError(
             f"history has {t_hours.shape[0]} intervals but the bank was "
-            f"trained on {spanned}; it does not match the recorded window")
+            f"trained on {spanned:.0f}; it does not match the recorded window")
     if sorted(flows) != [(i, j) for i in range(n) for j in range(n)]:
         raise InvalidInputError(f"{path}: expected one flow block per station pair")
 

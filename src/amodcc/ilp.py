@@ -315,6 +315,11 @@ class IlpProblem:
 class SolverConfig:
     time_limit_s: float = 10.0   # safety stop per MILP solve; reaching it raises
 
+    def __post_init__(self):
+        if not (np.isfinite(self.time_limit_s) and self.time_limit_s > 0):
+            raise InvalidInputError(
+                f"time_limit_s must be finite and positive, got {self.time_limit_s}")
+
 
 @dataclass
 class IlpSolution:

@@ -318,12 +318,23 @@ def _put(entries: dict, key, value, name: str) -> None:
     entries[key] = value
 
 
+def _number(text: str, name: str, rule: str = "finite") -> float:
+    """A number of a network line, checked against ``rule`` where it is read."""
+    value = float(text)
+    in_domain = {"finite": True, "finite and positive": value > 0,
+                 "finite and >= 0": value >= 0}[rule]
+    if not (math.isfinite(value) and in_domain):
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return value
+
+
 def load_network(path: str) -> StationNetwork:
     """Read a network file written by :func:`save_network`.
 
     Explicit travel matrices, when present, override the Euclidean builder;
     kappa is always rebuilt from the effective travel times.  A header
-    key, centroid or travel-matrix entry given twice is invalid input.
+    key, centroid or travel-matrix entry given twice is invalid input, and
+    so is a number out of its domain; the message names the line.
     """
     n = None
     step_seconds = None
@@ -349,23 +360,26 @@ def load_network(path: str) -> StationNetwork:
                 if key == "stations":
                     n = int(parts[1])
                 elif key == "step_seconds":
-                    step_seconds = float(parts[1])
+                    step_seconds = _number(parts[1], key, "finite and positive")
                 elif key == "speed_mps":
-                    speed_mps = float(parts[1])
+                    speed_mps = _number(parts[1], key, "finite and positive")
                 elif key == "bbox":
                     pass    # a bounding box written by earlier versions; unused
                 elif key == "projection":
-                    projection = (float(parts[1]), float(parts[2]))
+                    projection = (_number(parts[1], key), _number(parts[2], key))
                     if len(parts) != 3:
                         raise ValueError("projection needs lon0 lat0")
                 elif key == "centroid":
-                    _put(centroids, int(parts[1]), (float(parts[2]), float(parts[3])), key)
+                    _put(centroids, int(parts[1]),
+                         (_number(parts[2], key), _number(parts[3], key)), key)
                     if len(parts) != 4:
                         raise ValueError("centroid needs index x y")
                 elif key == "travel_time":
-                    _put(time_entries, (int(parts[1]), int(parts[2])), float(parts[3]), key)
+                    _put(time_entries, (int(parts[1]), int(parts[2])),
+                         _number(parts[3], key, "finite and >= 0"), key)
                 elif key == "travel_distance":
-                    _put(dist_entries, (int(parts[1]), int(parts[2])), float(parts[3]), key)
+                    _put(dist_entries, (int(parts[1]), int(parts[2])),
+                         _number(parts[3], key, "finite and >= 0"), key)
                 else:
                     raise ValueError(f"unknown key {key!r}")
             except (IndexError, ValueError) as exc:

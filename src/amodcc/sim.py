@@ -173,8 +173,19 @@ class RunConfig:
             raise InvalidInputError("epsilon must lie in (0, 1)")
         if self.horizon < 1:
             raise InvalidInputError("horizon must be >= 1")
+        # Finite here; the run checks cadences and the window as whole tick counts.
+        for name in ("dispatch_seconds", "mpc_seconds", "gp_seconds", "train_window_days",
+                     "backlog_cost", "pickup_delay_slope"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value}")
         if self.dispatch_seconds <= 0:
             raise InvalidInputError("dispatch_seconds must be positive")
+        if self.backlog_cost <= 0:
+            raise InvalidInputError(f"backlog_cost must be positive, got {self.backlog_cost}")
+        if self.pickup_delay_slope < 0:
+            raise InvalidInputError(
+                f"pickup_delay_slope must be >= 0, got {self.pickup_delay_slope}")
         if self.gp_jobs < 1:
             raise InvalidInputError(f"gp_jobs must be >= 1, got {self.gp_jobs}")
 
@@ -245,7 +256,7 @@ class TickSnapshot:
 
 def _whole_ticks(value: float, tick: float, what: str, unit: str = "dispatch ticks") -> int:
     ratio = value / tick
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise InvalidInputError(
             f"{what} ({value} s) must be a positive whole number of "
             f"{tick} s {unit}")
@@ -329,7 +340,6 @@ class _Run:
         self.req_d_st = assign_stations(net.centroids, live.dests).tolist()
         # 0 pending, 1 waiting, 2 assigned, 3 aboard, 4 served
         self.req_status = [0] * self.n_requests
-        self.status_counts = [self.n_requests, 0, 0, 0, 0]   # kept by _set_status
         self.next_request = 0
         self.waiting: list[int] = []
         self.travel_time = net.travel_time.tolist()
@@ -394,11 +404,6 @@ class _Run:
 
     # --- per-tick phases ---------------------------------------------------
 
-    def _set_status(self, rid: int, status: int) -> None:
-        self.status_counts[self.req_status[rid]] -= 1
-        self.status_counts[status] += 1
-        self.req_status[rid] = status
-
     def _ledger(self) -> np.ndarray:
         """A (fleet, 3) copy of the distance ledger."""
         return np.frombuffer(self.vehicle_m).reshape(-1, 3).copy()
@@ -411,13 +416,13 @@ class _Run:
         due = []
         while ends and ends[0][0] <= now:
             due.append(heapq.heappop(ends))
-        leg, leg_m, ledger = self.leg, self.leg_m, self.vehicle_m
+        leg, leg_m, ledger, status = self.leg, self.leg_m, self.vehicle_m, self.req_status
         for end, v in due:
             code, rid = leg.item(v), self.request[v]
             if code == PICKUP:
                 ledger[3 * v + 2] += leg_m[v]
                 self.waits.append(end - self.req_times[rid])
-                self._set_status(rid, 3)
+                status[rid] = 3
                 i, j = self.req_o_st[rid], self.req_d_st[rid]
                 leg[v] = CUSTOMER
                 leg_m[v] = (self.travel_distance[i][j] if i != j
@@ -425,7 +430,7 @@ class _Run:
                 heapq.heappush(ends, (self.arrives_at.item(v), v))
             elif code == CUSTOMER:
                 ledger[3 * v] += leg_m[v]
-                self._set_status(rid, 4)
+                status[rid] = 4
                 self.served += 1
                 self.xy[v] = self.req_d_xy[rid]
                 self.station[v] = self.req_d_st[rid]
@@ -441,7 +446,7 @@ class _Run:
         times = self.req_times
         while (self.next_request < self.n_requests
                and times[self.next_request] <= now):
-            self._set_status(self.next_request, 1)
+            self.req_status[self.next_request] = 1
             self.waiting.append(self.next_request)
             self.next_request += 1
 
@@ -458,14 +463,12 @@ class _Run:
         self.arrives_at[v] = pickup_end + ride
         self.dest[v] = j
         self.leg_m[v] = approach
-        self._set_status(rid, 2)
+        self.req_status[rid] = 2
         heapq.heappush(self.ends, (pickup_end, v))
 
     def _dispatch(self, now: float) -> None:
         """Match idle vehicles, in id order, to waiting requests, in admission order."""
         waiting = self.waiting
-        if not waiting:
-            return
         idle = (self.leg == IDLE).nonzero()[0]
         if not len(idle):
             return
@@ -583,24 +586,38 @@ class _Run:
 
     # --- main loop -----------------------------------------------------------
 
+    def _status_counts(self, legs: list[int]) -> list[int]:
+        """Requests per status, read off the run's state: each assigned
+        request has one vehicle on its pickup leg and each on-board request
+        one on its customer leg."""
+        return [self.n_requests - self.next_request, len(self.waiting),
+                legs[PICKUP], legs[CUSTOMER], self.served]
+
     def _snapshot(self, k: int, now: float) -> TickSnapshot:
+        legs = np.bincount(self.leg, minlength=4).tolist()
         return TickSnapshot(
             tick=k,
             now=now,
-            leg_counts=dict(zip(LEGS, np.bincount(self.leg, minlength=4).tolist())),
+            leg_counts=dict(zip(LEGS, legs)),
             admitted=self.next_request,
-            status_counts=np.array(self.status_counts),
+            status_counts=np.array(self._status_counts(legs)),
             vehicle_m=self._ledger(),
         )
 
     def execute(self, on_tick=None) -> SimMetrics:
         cfg = self.cfg
         uses_mpc = cfg.controller != "gbm"
+        # A phase runs only on a tick that has work for it: a leg due, a
+        # request due, a request waiting.
+        ends, times = self.ends, self.req_times
         for k in range(self.n_ticks):
             now = self.sc.sim_start + k * self.tick
-            self._complete_legs(now)
-            self._admit(now)
-            self._dispatch(now)
+            if ends and ends[0][0] <= now:
+                self._complete_legs(now)
+            if self.next_request < self.n_requests and times[self.next_request] <= now:
+                self._admit(now)
+            if self.waiting:
+                self._dispatch(now)
             if uses_mpc and k % self.mpc_ticks == 0:
                 self._control(now, k)
             if on_tick is not None:
@@ -610,7 +627,7 @@ class _Run:
         if on_tick is not None:
             on_tick(self._snapshot(self.n_ticks, self.sc.sim_end))
 
-        counts = self.status_counts
+        counts = self._status_counts(np.bincount(self.leg, minlength=4).tolist())
         return SimMetrics(
             controller=cfg.controller,
             epsilon=cfg.epsilon if cfg.controller == "ccmpc" else None,

@@ -165,6 +165,27 @@ def test_exit_codes(city, tmp_path, capsys):
                  "--train-end", "21600", "--window-days", "0.25", "--gp-jobs", "0",
                  "--out", str(tmp_path / "bank.txt")]) == 2
     assert "n_jobs must be >= 1" in capsys.readouterr().err
+    # a run setting that is not finite or out of its domain, whatever the
+    # controller, and a training window that is not finite
+    for option, value, message in (
+            ("--dispatch-seconds", "nan", "dispatch_seconds must be finite, got nan"),
+            ("--gp-seconds", "nan", "gp_seconds must be finite, got nan"),
+            ("--gp-seconds", "inf", "gp_seconds must be finite, got inf"),
+            ("--mpc-seconds", "nan", "mpc_seconds must be finite, got nan"),
+            ("--mpc-seconds", "inf", "mpc_seconds must be finite, got inf"),
+            ("--window-days", "nan", "train_window_days must be finite, got nan"),
+            ("--window-days", "inf", "train_window_days must be finite, got inf"),
+            ("--backlog-cost", "nan", "backlog_cost must be finite, got nan"),
+            ("--backlog-cost", "0", "backlog_cost must be positive, got 0.0"),
+            ("--pickup-slope", "nan", "pickup_delay_slope must be finite, got nan"),
+            ("--pickup-slope", "-1", "pickup_delay_slope must be >= 0, got -1.0"),
+            ("--time-limit", "nan", "time_limit_s must be finite and positive, got nan"),
+            ("--time-limit", "0", "time_limit_s must be finite and positive, got 0.0")):
+        assert main(["simulate", "--benchmark", "0", "--controller", "gbm", option, value]) == 2
+        assert message in capsys.readouterr().err
+    assert main(["train", "--network", net, "--trips", trips, "--train-end", "21600",
+                 "--window-days", "nan", "--out", str(tmp_path / "bank.txt")]) == 2
+    assert "training window (nan s)" in capsys.readouterr().err
     # a non-finite trip field (the message names its line) or network speed
     lines = Path(trips).read_text().splitlines()
     lines[5] = ",".join(["nan" if k == 1 else v for k, v in enumerate(lines[5].split(","))])

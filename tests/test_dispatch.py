@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from amodcc.dispatch import assign_pickups, distance_cost_matrix
 from amodcc.errors import InvalidInputError
@@ -139,6 +140,54 @@ def test_matching_is_complete_and_optimal(instance):
     assert len({r for _, r in pairs}) == len(pairs)
     best = brute_min_cost(distance_cost_matrix(vehicles, requests))
     assert abs(total - best) <= 1e-9 * max(1.0, best)
+
+
+def scipy_pairs(vehicles, requests):
+    """SciPy's matching of the vehicles x requests matrix, pairs sorted by
+    vehicle: the rule ``assign_pickups`` keeps while it builds the matrix
+    the other way round or takes a lone request's argmin."""
+    cost = distance_cost_matrix(vehicles, requests)
+    if cost.size == 0:
+        return []
+    rows, cols = linear_sum_assignment(cost)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+# (vehicles, requests) counts of each orientation and shortcut.
+_SHAPES = {
+    "one request": st.tuples(st.integers(1, 8), st.just(1)),
+    "fewer requests": st.integers(3, 8).flatmap(
+        lambda v: st.tuples(st.just(v), st.integers(2, v - 1))),
+    "square": st.integers(2, 6).map(lambda n: (n, n)),
+    "more requests": st.integers(1, 6).flatmap(
+        lambda v: st.tuples(st.just(v), st.integers(v + 1, 8))),
+}
+# A 4 x 4 integer grid: points share coordinates and distances tie often.
+_grid_point = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@pytest.mark.parametrize("shape", list(_SHAPES))
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pairs_are_scipys_on_vehicles_by_requests(shape, data):
+    n_vehicles, n_requests = data.draw(_SHAPES[shape])
+    vehicles = np.array(data.draw(st.lists(_grid_point, min_size=n_vehicles,
+                                           max_size=n_vehicles)), dtype=float)
+    requests = np.array(data.draw(st.lists(_grid_point, min_size=n_requests,
+                                           max_size=n_requests)), dtype=float)
+    assert assign_pickups(vehicles, requests) == scipy_pairs(vehicles, requests)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 1), (5, 3), (3, 3), (3, 5)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["vehicle", "request"])
+def test_non_finite_coordinates_raise_in_every_orientation(shape, bad, side):
+    rng = np.random.default_rng(7)
+    vehicles = rng.integers(0, 4, size=(shape[0], 2)).astype(float)
+    requests = rng.integers(0, 4, size=(shape[1], 2)).astype(float)
+    (vehicles if side == "vehicle" else requests)[-1, 1] = bad
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        assign_pickups(vehicles, requests)
 
 
 class TestPickupAssignment:

@@ -9,6 +9,7 @@ round-tripping hyperparameters and rebuilding the posterior.
 import dataclasses
 import multiprocessing
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +369,12 @@ def test_load_rejects_mismatched_history(tmp_path, planted_bank):
     bad = np.zeros((3, 3, M))
     with pytest.raises(InvalidInputError, match="does not match"):
         load_bank(str(path), bad, hour_axis())
+    # A window of finite ends whose span overflows spans no history.
+    text = path.read_text()
+    window = next(ln for ln in text.splitlines() if ln.startswith("window "))
+    path.write_text(text.replace(window, "window -1e308 1e308"))
+    with pytest.raises(InvalidInputError, match="trained on inf; it does not match"):
+        load_bank(str(path), planted_counts(), hour_axis())
 
 
 def test_load_rejects_damaged_files(tmp_path, planted_bank):
@@ -426,3 +433,29 @@ def test_load_rejects_repeated_keys(tmp_path):
         with pytest.raises(InvalidInputError,
                            match=f"repeated {key} in the flow block at line {at + 1}"):
             load_bank(str(path), counts, t)
+
+
+@pytest.mark.parametrize("key, value, why", [
+    ("interval_seconds", "nan", "interval_seconds must be finite, got nan"),
+    ("interval_seconds", "0.0", "interval_seconds must be positive, got 0.0"),
+    ("series_origin", "inf", "series_origin must be finite, got inf"),
+    ("window", "nan nan", "window must be finite, got nan"),
+    ("window", f"{ORIGIN!r} {ORIGIN - DAYS * 86_400.0!r}",
+     "the window must start before it ends"),
+    ("trained_at", "nan", "trained_at must be finite, got nan"),
+])
+def test_load_rejects_bad_header_numbers(tmp_path, planted_bank, key, value, why):
+    # A header number that is not finite, a zero interval or a window that
+    # ends before it starts is invalid input naming the file and the line,
+    # not a ValueError or ZeroDivisionError from the arithmetic on it, and
+    # not a bank that loads with it.
+    path = tmp_path / "bank.txt"
+    save_bank(str(path), planted_bank)
+    lines = path.read_text().splitlines()
+    at = next(k for k, ln in enumerate(lines) if ln.startswith(key + " "))
+    lines[at] = f"{key} {value}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"{path}: malformed line {at + 1}: "
+                                       f"'{key} {value}' ({why})")):
+        load_bank(str(path), planted_counts(), hour_axis())

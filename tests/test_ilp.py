@@ -158,12 +158,13 @@ class TestBranchAndBound:
             solve_ilp(prob)
 
     def test_time_limit_raises_instead_of_returning_incumbent(self):
-        # The root LP is fractional, so the MILP runs; with no time at all
-        # it stops before any point, and the stop is an error, not a plan.
+        # The root LP is fractional, so the MILP runs; with a nanosecond
+        # (a zero limit is invalid input) it stops before any point, and
+        # the stop is an error, not a plan.
         prob = with_slacks([-5.0, -4.0], [[6.0, 5.0], [1.0, 2.0]], [14.0, 4.0], [1, 1],
                            ub=[10.0, 10.0])
         with pytest.raises(SolverError, match="time limit"):
-            solve_ilp(prob, SolverConfig(time_limit_s=0.0))
+            solve_ilp(prob, SolverConfig(time_limit_s=1e-9))
 
     def test_unbounded_relaxation_raises(self):
         # min -x with x <= y: the relaxation runs off to infinity.

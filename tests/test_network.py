@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,33 @@ class TestStationNetwork:
         path.write_text("".join(f"{k} {v}\n" for k, v in lines.items()))
         with pytest.raises(InvalidInputError, match="must be finite"):
             load_network(str(path))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("step_seconds", "nan", "step_seconds must be finite and positive, got nan"),
+        ("speed_mps", "0.0", "speed_mps must be finite and positive, got 0.0"),
+        ("projection", "0.0 inf", "projection must be finite, got inf"),
+        ("centroid 1", "nan 0.0", "centroid must be finite, got nan"),
+        ("travel_time 0 1", "nan", "travel_time must be finite and >= 0, got nan"),
+        ("travel_distance 1 0", "-5.0", "travel_distance must be finite and >= 0, got -5.0")])
+    def test_a_bad_number_names_its_line_and_warns_nothing(self, tmp_path, key, value, message):
+        # Each number is checked where it is parsed, so the message names
+        # the file and the line; a NaN travel time used to reach the step
+        # rounding first and warn about an invalid cast.
+        lines = {"stations": "2", "step_seconds": "900.0", "speed_mps": "10.0",
+                 "projection": "0.0 0.0", "centroid 0": "0.0 0.0", "centroid 1": "1000.0 0.0"}
+        for i in range(2):
+            for j in range(2):
+                lines[f"travel_time {i} {j}"] = f"{100.0 * (i != j)}"
+                lines[f"travel_distance {i} {j}"] = f"{1000.0 * (i != j)}"
+        lines[key] = value
+        path = tmp_path / "net.txt"
+        path.write_text("".join(f"{k} {v}\n" for k, v in lines.items()))
+        at = list(lines).index(key) + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError) as exc:
+                load_network(str(path))
+        assert str(exc.value) == f"{path}: malformed line {at}: '{key} {value}' ({message})"
 
     def test_constructor_takes_finite_scales_and_centroids(self):
         c = np.array([[0.0, 0.0], [1000.0, 0.0]])

@@ -16,6 +16,7 @@ from amodcc import sim
 from amodcc.demand import DemandFlow, TripTable, synth_demand
 from amodcc.errors import InvalidInputError
 from amodcc.forecast import forecast_demand, train_bank
+from amodcc.ilp import SolverConfig
 from amodcc.mpc import quantile_demand
 from amodcc.network import StationNetwork
 from amodcc.sim import (DemandGrid, RunConfig, Scenario, _Run, benchmark_flows,
@@ -71,6 +72,20 @@ def test_run_config_validation():
         RunConfig(dispatch_seconds=0.0)
     with pytest.raises(InvalidInputError, match="gp_jobs"):
         RunConfig(gp_jobs=0)
+    # Every float must be finite; the costs have their own domains.
+    for name in ("dispatch_seconds", "mpc_seconds", "gp_seconds", "train_window_days",
+                 "backlog_cost", "pickup_delay_slope"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError, match=f"{name} must be finite, got {bad}"):
+                RunConfig(**{name: bad})
+    with pytest.raises(InvalidInputError, match="backlog_cost must be positive"):
+        RunConfig(backlog_cost=0.0)
+    with pytest.raises(InvalidInputError, match="pickup_delay_slope must be >= 0"):
+        RunConfig(pickup_delay_slope=-0.1)
+    RunConfig(pickup_delay_slope=0.0)
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(InvalidInputError, match="time_limit_s must be finite and positive"):
+            SolverConfig(time_limit_s=bad)
 
 
 def test_cadences_must_divide_into_ticks():
@@ -83,6 +98,10 @@ def test_cadences_must_divide_into_ticks():
         run_simulation(Scenario(network=net, trips=table([(10.0, A, B)]),
                                 sim_start=0.0, sim_end=3601.0, fleet_size=1),
                        RunConfig(controller="gbm"))
+    # A ratio that is not finite is no whole number of ticks either.
+    for days in (np.nan, np.inf, 1e308):
+        with pytest.raises(InvalidInputError, match="training window"):
+            sim.history_grid(sc.trips, net, 3600.0, days)
 
 
 def test_bank_must_match_network():
@@ -688,7 +707,8 @@ def test_snapshots_and_metrics_are_frozen_copies(controller):
 
 @pytest.mark.parametrize("controller", ["gbm", "fixed"])
 def test_status_counts_track_request_statuses(controller):
-    # The snapshot's counts are kept at each status write, not recounted.
+    # The snapshot's counts, read off the run's state, match a recount of
+    # every request's status.
     sc = conservation_scenario()
     run = _Run(sc, RunConfig(controller=controller, horizon=4, train_window_days=1.0))
     seen = []
