@@ -14,9 +14,7 @@ import time
 
 import numpy as np
 
-from amodcc.demand import DAY
-from amodcc.forecast import train_bank
-from amodcc.sim import DemandGrid, benchmark_scenario
+from amodcc.sim import benchmark_scenario, history_bank, history_grid
 
 parser = argparse.ArgumentParser()
 parser.add_argument("--seed", type=int, default=7)
@@ -24,27 +22,22 @@ args = parser.parse_args()
 
 sc = benchmark_scenario(args.seed)
 net = sc.network
-window_days = 5
 t0 = time.time()
 
-grid = DemandGrid(sc.trips, net, sc.sim_start - window_days * DAY,
-                  net.step_seconds, 480 + 96)
-hist = grid.counts[:, :, :480]
-bank = train_bank(hist, grid.midpoint_hours(sc.sim_start)[:480],
-                  net.step_seconds, series_origin=sc.sim_start,
-                  window=(sc.sim_start - window_days * DAY, sc.sim_start),
-                  trained_at=sc.sim_start)
+history = history_grid(sc.trips, net, sc.sim_start, 5)
+bank = history_bank(history, sc.sim_start)
 print(f"trained {net.n_stations ** 2} flow models on "
-      f"{int(hist.sum())} historical trips in {time.time() - t0:.0f}s\n")
+      f"{int(history.counts.sum())} historical trips in {time.time() - t0:.0f}s\n")
 
 # The strongest flow is one of the two commutes; find it by history volume.
-totals = hist.sum(axis=2)
+totals = history.counts.sum(axis=2)
 i, j = np.unravel_index(int(np.argmax(totals)), totals.shape)
 print(f"busiest flow: station {i} -> station {j} "
       f"({int(totals[i, j])} trips over five days)")
 
-live = grid.counts[i, j, 480:]
-hours = grid.midpoint_hours(sc.sim_start)[480:]
+day = history_grid(sc.trips, net, sc.sim_end, 1)
+live = day.counts[i, j]
+hours = day.midpoint_hours(sc.sim_start)
 mean, std = bank.models[i][j].predict(hours)
 
 print("\n hour   predicted    realized   (one row per hour, day six)")

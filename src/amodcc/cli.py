@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .demand import ingest_trips
-from .errors import InvalidInputError, NumericalError, SolverError
+from .errors import InvalidInputError, NumericalError, SolverError, read_lines
 from .forecast import bank_train_config, load_bank, save_bank
 from .ilp import SolverConfig
 from .network import StationNetwork, kmeans_partition, load_network, save_network
@@ -49,18 +49,16 @@ _RUN = RunConfig()      # the defaults every run option reads
 def _read_config(path: str) -> list[str]:
     """Turn a config file into CLI tokens, inserted ahead of real flags."""
     tokens: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = line.partition("=")
-            key = key.strip().replace("_", "-")
-            value = value.strip()
-            if not eq or not key or not value:
-                raise InvalidInputError(
-                    f"{path}: line {lineno}: expected 'key = value', got {raw.strip()!r}")
-            tokens.extend([f"--{key}", value])
+
+    def setting(lineno: int, line: str) -> None:
+        key, eq, value = line.partition("=")
+        key = key.strip().replace("_", "-")
+        value = value.strip()
+        if not eq or not key or not value:
+            raise ValueError("expected 'key = value'")
+        tokens.extend([f"--{key}", value])
+
+    read_lines(path, setting)
     return tokens
 
 

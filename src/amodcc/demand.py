@@ -7,13 +7,14 @@ projected plane.  Station assignment happens later, against a network.
 
 from __future__ import annotations
 
+import array
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, read_lines
 from .network import project_lonlat
 
 DAY = 86_400.0
@@ -58,17 +59,18 @@ class TripTable:
                          dests=self.dests[lo:hi], projection=self.projection)
 
 
-def _sorted_table(times, olon, olat, dlon, dlat, ref) -> TripTable:
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
+def _sorted_table(trips: np.ndarray, ref) -> TripTable:
+    """The table of (M, 5) rows of time, origin lon/lat, destination lon/lat."""
+    if trips.shape[0] == 0:
         raise InvalidInputError("trip stream contains no usable trips")
+    times, olon, olat, dlon, dlat = trips.T
     if ref is None:
         lons = np.concatenate([olon, dlon])
         lats = np.concatenate([olat, dlat])
         ref = (float(lons.mean()), float(lats.mean()))
     lon0, lat0 = ref
-    ox, oy = project_lonlat(np.asarray(olon), np.asarray(olat), lon0, lat0)
-    dx, dy = project_lonlat(np.asarray(dlon), np.asarray(dlat), lon0, lat0)
+    ox, oy = project_lonlat(olon, olat, lon0, lat0)
+    dx, dy = project_lonlat(dlon, dlat, lon0, lat0)
     order = np.argsort(times, kind="stable")
     return TripTable(times=times[order],
                      origins=np.column_stack([ox, oy])[order],
@@ -76,33 +78,31 @@ def _sorted_table(times, olon, olat, dlon, dlat, ref) -> TripTable:
                      projection=(lon0, lat0))
 
 
+def _fields(parts) -> list[float]:
+    """The numbers of one trip line, checked for finiteness once per line."""
+    try:
+        values = [float(p) for p in parts]
+    except ValueError as exc:
+        raise ValueError(f"non-numeric field, {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite field")
+    return values
+
+
 def _read_generic(path: str):
-    times, olon, olat, dlon, dlat = [], [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if lineno == 1 and parts and not _is_float(parts[0]):
-                continue               # header row
-            if len(parts) != 5:
-                raise InvalidInputError(
-                    f"{path}: line {lineno}: expected 5 comma-separated fields, "
-                    f"got {len(parts)}")
-            try:
-                t, a, b, c, d = (float(p) for p in parts)
-            except ValueError as exc:
-                raise InvalidInputError(
-                    f"{path}: line {lineno}: non-numeric field ({exc})") from exc
-            if not all(map(math.isfinite, (t, a, b, c, d))):
-                raise InvalidInputError(f"{path}: line {lineno}: non-finite field")
-            times.append(t)
-            olon.append(a)
-            olat.append(b)
-            dlon.append(c)
-            dlat.append(d)
-    return times, olon, olat, dlon, dlat
+    """The trips of a generic CSV, as :func:`_sorted_table` takes them."""
+    flat = array.array("d")
+
+    def row(lineno: int, line: str) -> None:
+        parts = line.split(",")
+        if lineno == 1 and not _is_float(parts[0]):
+            return                     # header row
+        if len(parts) != 5:
+            raise ValueError(f"expected 5 comma-separated fields, got {len(parts)}")
+        flat.extend(_fields(parts))
+
+    read_lines(path, row)
+    return np.frombuffer(flat).reshape(-1, 5)
 
 
 def _is_float(s: str) -> bool:
@@ -116,29 +116,18 @@ def _is_float(s: str) -> bool:
 def _read_trace(path: str):
     """One cab's occupancy trace: `lat lon occupied epoch` per line."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise InvalidInputError(
-                    f"{path}: line {lineno}: expected 4 whitespace-separated "
-                    f"fields, got {len(parts)}")
-            try:
-                lat, lon = float(parts[0]), float(parts[1])
-                occ = int(parts[2])
-                t = float(parts[3])
-            except ValueError as exc:
-                raise InvalidInputError(
-                    f"{path}: line {lineno}: bad field ({exc})") from exc
-            if not all(map(math.isfinite, (lat, lon, t))):
-                raise InvalidInputError(f"{path}: line {lineno}: non-finite field")
-            if occ not in (0, 1):
-                raise InvalidInputError(
-                    f"{path}: line {lineno}: occupancy must be 0 or 1, got {occ}")
-            rows.append((t, lat, lon, occ))
+
+    def fix(lineno: int, line: str) -> None:
+        parts = line.split()
+        if len(parts) != 4:
+            raise ValueError(f"expected 4 whitespace-separated fields, got {len(parts)}")
+        lat, lon, t = _fields((parts[0], parts[1], parts[3]))
+        occ = int(parts[2])
+        if occ not in (0, 1):
+            raise ValueError(f"occupancy must be 0 or 1, got {occ}")
+        rows.append((t, lat, lon, occ))
+
+    read_lines(path, fix)
     rows.sort(key=lambda r: r[0])
     return rows
 
@@ -176,10 +165,12 @@ def ingest_trips(path: str, fmt: str = "generic",
     rows (an optional header line is skipped).  ``fmt="cabtrace"`` reads
     taxi occupancy traces, one vehicle per file; a directory is ingested
     file by file.  ``ref`` pins the projection reference; by default the
-    mean coordinate of the stream is used.
+    mean coordinate of the stream is used.  Both formats are read by
+    :func:`~amodcc.errors.read_lines`: ``#`` starts a comment, and a line
+    that is malformed or holds a non-finite number is invalid input.
     """
     if fmt == "generic":
-        return _sorted_table(*_read_generic(path), ref=ref)
+        return _sorted_table(_read_generic(path), ref=ref)
     if fmt != "cabtrace":
         raise InvalidInputError(f"unknown trip format {fmt!r}")
 
@@ -188,15 +179,9 @@ def ingest_trips(path: str, fmt: str = "generic",
                        if not f.startswith("."))
     else:
         files = [path]
-    times, olon, olat, dlon, dlat = [], [], [], [], []
-    for f in files:
-        for (t0, plat, plon), (_, dlat_, dlon_) in _trace_trips(_read_trace(f)):
-            times.append(t0)
-            olon.append(plon)
-            olat.append(plat)
-            dlon.append(dlon_)
-            dlat.append(dlat_)
-    return _sorted_table(times, olon, olat, dlon, dlat, ref=ref)
+    trips = [(t0, plon, plat, dlon, dlat) for f in files
+             for (t0, plat, plon), (_, dlat, dlon) in _trace_trips(_read_trace(f))]
+    return _sorted_table(np.array(trips, dtype=float).reshape(-1, 5), ref=ref)
 
 
 # --- synthetic workloads ------------------------------------------------------
@@ -227,18 +212,16 @@ class DemandFlow:
     peak_jitter: float = 0.0
 
     def __post_init__(self):
-        if self.spread < 0:
-            raise InvalidInputError("spread must be >= 0")
-        if self.day_jitter < 0:
-            raise InvalidInputError("day_jitter must be >= 0")
-        if self.peak_jitter < 0:
-            raise InvalidInputError("peak_jitter must be >= 0")
+        for name in ("spread", "day_jitter", "peak_jitter"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
         for h0, h1, rate in self.profile:
             if not (0.0 <= h0 < h1 <= 24.0):
                 raise InvalidInputError(
                     f"profile window ({h0}, {h1}) must satisfy 0 <= start < end <= 24")
-            if rate < 0:
-                raise InvalidInputError("profile rates must be >= 0")
+            if not (math.isfinite(rate) and rate >= 0):
+                raise InvalidInputError(f"profile rates must be finite and >= 0, got {rate}")
 
     def rate_at(self, hour_of_day: float) -> float:
         """Trips per hour at a moment of the day (windows are [start, end))."""
@@ -276,8 +259,8 @@ def synth_demand(flows: list[DemandFlow], start_epoch: float, days: float,
     """
     if not flows:
         raise InvalidInputError("at least one demand flow is required")
-    if days <= 0:
-        raise InvalidInputError(f"days must be positive, got {days}")
+    if not (math.isfinite(days) and days > 0):
+        raise InvalidInputError(f"days must be finite and positive, got {days}")
     children = np.random.SeedSequence(seed).spawn(len(flows))
     times, origins, dests = [], [], []
     n_days = int(np.ceil(days))

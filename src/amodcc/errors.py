@@ -1,8 +1,14 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and :func:`read_lines`,
+which reads every text input (trip, network, bank and config files).
 
 Exit-code mapping used by the CLI lives in ``amodcc.cli``; library code
 raises these types and never calls ``sys.exit`` itself.
 """
+
+from __future__ import annotations
+
+import math
+from typing import Callable
 
 
 class InvalidInputError(ValueError):
@@ -19,3 +25,36 @@ class SolverError(RuntimeError):
 
 class InfeasibleError(SolverError):
     """The optimization problem admits no feasible point."""
+
+
+def read_lines(path: str, handle: Callable[[int, str], None]) -> None:
+    """Call ``handle(lineno, text)`` on each line of the UTF-8 file at
+    ``path``, numbered from 1, with any ``#`` comment dropped; blank lines
+    are skipped.
+
+    A ``ValueError`` or ``IndexError`` raised by ``handle`` becomes an
+    :class:`InvalidInputError` naming the file, the line and the reason.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if not text:
+                continue
+            try:
+                handle(lineno, text)
+            except (IndexError, ValueError) as exc:
+                raise InvalidInputError(
+                    f"{path}: malformed line {lineno}: {text!r} ({exc})") from exc
+
+
+def number(text: str, name: str, rule: str = "finite") -> float:
+    """The number ``text`` of a file line, checked against ``rule`` where
+    it is read: "finite", "finite and positive" or "finite and >= 0".
+    Out of its domain it is a ``ValueError``, which :func:`read_lines`
+    reports with the line."""
+    value = float(text)
+    in_domain = {"finite": True, "finite and positive": value > 0,
+                 "finite and >= 0": value >= 0}[rule]
+    if not (math.isfinite(value) and in_domain):
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return value

@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, number, read_lines
 from .gp import (
     GPTrainingSet,
     LocallyPeriodicKernel,
@@ -330,14 +330,6 @@ def _flow_model(spec: dict[str, str], path: str, t_hours: np.ndarray,
             f"{path}: bad flow block at line {spec['_line']}: {exc}") from exc
 
 
-def _finite(text: str, name: str) -> float:
-    """A header number of a bank file; NaN and infinities are invalid."""
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
 def load_bank(path: str, counts: np.ndarray, t_hours: np.ndarray) -> ForecastBank:
     """Rebuild a bank from a saved file plus the matching count history.
 
@@ -353,54 +345,47 @@ def load_bank(path: str, counts: np.ndarray, t_hours: np.ndarray) -> ForecastBan
     counts = np.asarray(counts)
     t_hours = np.asarray(t_hours, dtype=float).ravel()
     header: dict[str, object] = {}
+    header_lines: dict[str, int] = {}
     flows: dict[tuple[int, int], dict[str, str]] = {}
     current: dict[str, str] | None = None
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            key = parts[0]
-            try:
-                if key == "flow":
-                    if parts[3] not in ("const", "gp"):
-                        raise ValueError(f"unknown flow kind {parts[3]!r}")
-                    pair = (int(parts[1]), int(parts[2]))
-                    if pair in flows:
-                        raise ValueError(f"repeated flow, first at line {flows[pair]['_line']}")
-                    current = {"_kind": parts[3], "_line": str(lineno)}
-                    flows[pair] = current
-                elif key == "end":
-                    current = None
-                elif current is not None:
-                    if key in current:
-                        raise ValueError(
-                            f"repeated {key} in the flow block at line {current['_line']}")
-                    current[key] = parts[1]
-                elif key in header:
-                    raise ValueError(f"repeated {key}")
-                elif key == "stations":
-                    header["stations"] = int(parts[1])
-                elif key == "interval_seconds":
-                    header["interval_seconds"] = _finite(parts[1], key)
-                    if not header["interval_seconds"] > 0:
-                        raise ValueError(
-                            f"interval_seconds must be positive, got {header['interval_seconds']}")
-                elif key == "series_origin":
-                    header["series_origin"] = _finite(parts[1], key)
-                elif key == "window":
-                    header["window"] = (_finite(parts[1], key), _finite(parts[2], key))
-                    if not header["window"][0] < header["window"][1]:
-                        raise ValueError("the window must start before it ends")
-                elif key == "trained_at":
-                    header["trained_at"] = _finite(parts[1], key)
-                else:
-                    raise ValueError(f"unknown key {key!r}")
-            except (IndexError, ValueError) as exc:
-                raise InvalidInputError(
-                    f"{path}: malformed line {lineno}: {raw.strip()!r} ({exc})") from exc
+    def entry(lineno: int, line: str) -> None:
+        nonlocal current
+        parts = line.split()
+        key = parts[0]
+        if key == "flow":
+            if parts[3] not in ("const", "gp"):
+                raise ValueError(f"unknown flow kind {parts[3]!r}")
+            pair = (int(parts[1]), int(parts[2]))
+            if pair in flows:
+                raise ValueError(f"repeated flow, first at line {flows[pair]['_line']}")
+            current = {"_kind": parts[3], "_line": str(lineno)}
+            flows[pair] = current
+        elif key == "end":
+            current = None
+        elif current is not None:
+            if key in current:
+                raise ValueError(
+                    f"repeated {key} in the flow block at line {current['_line']}")
+            current[key] = parts[1]
+        elif key in header_lines:
+            raise ValueError(f"repeated {key}, first at line {header_lines[key]}")
+        else:
+            header_lines[key] = lineno
+            if key == "stations":
+                header["stations"] = int(parts[1])
+            elif key == "interval_seconds":
+                header[key] = number(parts[1], key, "finite and positive")
+            elif key in ("series_origin", "trained_at"):
+                header[key] = number(parts[1], key)
+            elif key == "window":
+                header[key] = (number(parts[1], key), number(parts[2], key))
+                if not header[key][0] < header[key][1]:
+                    raise ValueError("the window must start before it ends")
+            else:
+                raise ValueError(f"unknown key {key!r}")
+
+    read_lines(path, entry)
 
     for k in ("stations", "interval_seconds", "series_origin", "window", "trained_at"):
         if k not in header:

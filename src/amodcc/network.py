@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, number, read_lines
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -318,16 +318,6 @@ def _put(entries: dict, key, value, name: str) -> None:
     entries[key] = value
 
 
-def _number(text: str, name: str, rule: str = "finite") -> float:
-    """A number of a network line, checked against ``rule`` where it is read."""
-    value = float(text)
-    in_domain = {"finite": True, "finite and positive": value > 0,
-                 "finite and >= 0": value >= 0}[rule]
-    if not (math.isfinite(value) and in_domain):
-        raise ValueError(f"{name} must be {rule}, got {value}")
-    return value
-
-
 def load_network(path: str) -> StationNetwork:
     """Read a network file written by :func:`save_network`.
 
@@ -345,47 +335,41 @@ def load_network(path: str) -> StationNetwork:
     dist_entries: dict[tuple[int, int], float] = {}
     header_lines: dict[str, int] = {}
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                key = parts[0]
-                if key in ("stations", "step_seconds", "speed_mps", "projection"):
-                    if key in header_lines:
-                        raise ValueError(f"repeated {key}, first at line {header_lines[key]}")
-                    header_lines[key] = lineno
-                if key == "stations":
-                    n = int(parts[1])
-                elif key == "step_seconds":
-                    step_seconds = _number(parts[1], key, "finite and positive")
-                elif key == "speed_mps":
-                    speed_mps = _number(parts[1], key, "finite and positive")
-                elif key == "bbox":
-                    pass    # a bounding box written by earlier versions; unused
-                elif key == "projection":
-                    projection = (_number(parts[1], key), _number(parts[2], key))
-                    if len(parts) != 3:
-                        raise ValueError("projection needs lon0 lat0")
-                elif key == "centroid":
-                    _put(centroids, int(parts[1]),
-                         (_number(parts[2], key), _number(parts[3], key)), key)
-                    if len(parts) != 4:
-                        raise ValueError("centroid needs index x y")
-                elif key == "travel_time":
-                    _put(time_entries, (int(parts[1]), int(parts[2])),
-                         _number(parts[3], key, "finite and >= 0"), key)
-                elif key == "travel_distance":
-                    _put(dist_entries, (int(parts[1]), int(parts[2])),
-                         _number(parts[3], key, "finite and >= 0"), key)
-                else:
-                    raise ValueError(f"unknown key {key!r}")
-            except (IndexError, ValueError) as exc:
-                raise InvalidInputError(
-                    f"{path}: malformed line {lineno}: {raw.strip()!r} ({exc})"
-                ) from exc
+    def entry(lineno: int, line: str) -> None:
+        nonlocal n, step_seconds, speed_mps, projection
+        parts = line.split()
+        key = parts[0]
+        if key in ("stations", "step_seconds", "speed_mps", "projection"):
+            if key in header_lines:
+                raise ValueError(f"repeated {key}, first at line {header_lines[key]}")
+            header_lines[key] = lineno
+        if key == "stations":
+            n = int(parts[1])
+        elif key == "step_seconds":
+            step_seconds = number(parts[1], key, "finite and positive")
+        elif key == "speed_mps":
+            speed_mps = number(parts[1], key, "finite and positive")
+        elif key == "bbox":
+            pass    # a bounding box written by earlier versions; unused
+        elif key == "projection":
+            projection = (number(parts[1], key), number(parts[2], key))
+            if len(parts) != 3:
+                raise ValueError("projection needs lon0 lat0")
+        elif key == "centroid":
+            _put(centroids, int(parts[1]),
+                 (number(parts[2], key), number(parts[3], key)), key)
+            if len(parts) != 4:
+                raise ValueError("centroid needs index x y")
+        elif key == "travel_time":
+            _put(time_entries, (int(parts[1]), int(parts[2])),
+                 number(parts[3], key, "finite and >= 0"), key)
+        elif key == "travel_distance":
+            _put(dist_entries, (int(parts[1]), int(parts[2])),
+                 number(parts[3], key, "finite and >= 0"), key)
+        else:
+            raise ValueError(f"unknown key {key!r}")
+
+    read_lines(path, entry)
 
     if n is None or step_seconds is None or speed_mps is None:
         raise InvalidInputError(f"{path}: missing stations/step_seconds/speed_mps")

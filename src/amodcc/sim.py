@@ -94,6 +94,10 @@ class Scenario:
     initial_positions: np.ndarray | None = None    # (fleet,) station ids
 
     def __post_init__(self):
+        for name in ("sim_start", "sim_end"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value}")
         if self.sim_end <= self.sim_start:
             raise InvalidInputError("sim_end must be after sim_start")
         if self.fleet_size < 1:
@@ -132,14 +136,15 @@ class DemandGrid:
         self.counts = np.bincount(flat, minlength=n * n * self.n_intervals).astype(
             np.int64, copy=False).reshape(n, n, self.n_intervals)
 
-    def head(self, n_intervals: int) -> "DemandGrid":
-        """The first ``n_intervals`` intervals; the counts are a view."""
-        if not 0 <= n_intervals <= self.n_intervals:
+    def span(self, lo: int, hi: int) -> "DemandGrid":
+        """Intervals ``lo`` to ``hi`` (exclusive); the counts are a view."""
+        if not 0 <= lo <= hi <= self.n_intervals:
             raise InvalidInputError(
-                f"cannot take {n_intervals} of {self.n_intervals} intervals")
+                f"cannot take intervals {lo} to {hi} of {self.n_intervals}")
         out = copy.copy(self)
-        out.n_intervals = int(n_intervals)
-        out.counts = self.counts[:, :, :n_intervals]
+        out.origin = self.origin + lo * self.interval_seconds
+        out.n_intervals = hi - lo
+        out.counts = self.counts[:, :, lo:hi]
         return out
 
     def midpoint_hours(self, ref_epoch: float) -> np.ndarray:
@@ -399,7 +404,7 @@ class _Run:
             self.net.step_seconds, self.window_intervals + sim_intervals + self.cfg.horizon + 1)
 
     def _history_grid_or_none(self) -> DemandGrid | None:
-        hist = self.grid.head(self.window_intervals)
+        hist = self.grid.span(0, self.window_intervals)
         return hist if hist.counts.sum() > 0 else None
 
     # --- per-tick phases ---------------------------------------------------
@@ -486,19 +491,9 @@ class _Run:
     def _train(self, k_tick: int) -> ForecastBank:
         """A bank on the training window that ends at tick ``k_tick``."""
         end_m = self._interval_index(k_tick)
-        start_m = end_m - self.window_intervals
-        window = (self.grid.origin + start_m * self.grid.interval_seconds,
-                  self.grid.origin + end_m * self.grid.interval_seconds)
-        return train_bank(
-            self.grid.counts[:, :, start_m:end_m],
-            self.grid.midpoint_hours(self.sc.sim_start)[start_m:end_m],
-            self.net.step_seconds,
-            series_origin=self.sc.sim_start,
-            window=window,
-            trained_at=self.sc.sim_start + k_tick * self.tick,
-            cfg=self.cfg.gp_train or bank_train_config(),
-            n_jobs=self.cfg.gp_jobs,
-        )
+        end = self.grid.origin + end_m * self.grid.interval_seconds
+        return history_bank(self.grid.span(end_m - self.window_intervals, end_m), end,
+                            self.cfg.gp_train, self.cfg.gp_jobs)
 
     def _forecast(self, boundary: int, ticks: np.ndarray) -> ForecastTensor:
         """The demand forecast at the control ticks of the period from ``boundary``.

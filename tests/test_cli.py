@@ -192,7 +192,8 @@ def test_exit_codes(city, tmp_path, capsys):
     bad_trips = tmp_path / "trips.csv"
     bad_trips.write_text("\n".join(lines) + "\n")
     assert main(["partition", "--trips", str(bad_trips), "--out", str(tmp_path / "n.txt")]) == 2
-    assert f"{bad_trips}: line 6: non-finite field" in capsys.readouterr().err
+    assert f"{bad_trips}: malformed line 6: {lines[5]!r} (non-finite field)" \
+        in capsys.readouterr().err
     bad_net = tmp_path / "net.txt"
     bad_net.write_text(Path(net).read_text().replace("speed_mps 10.0", "speed_mps inf"))
     assert main(["simulate", "--network", str(bad_net), "--trips", trips, "--start", "21600",
@@ -399,3 +400,15 @@ def test_gp_max_iters_keeps_bank_training_defaults(city, monkeypatch, tmp_path):
     assert seen[0] == seen[1] == bank_train_config()
     assert seen[0].freeze == ("b.period",)
     assert seen[2] == dataclasses.replace(bank_train_config(), max_iters=4)
+
+
+@pytest.mark.slow
+def test_forecast_demo_runs():
+    # The demo trains the seed-7 bank through the same calls as `train`
+    # and prints its busiest flow against the held-out day.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    demo = Path(__file__).resolve().parent.parent / "demos" / "forecast_day.py"
+    done = subprocess.run([sys.executable, str(demo), "--seed", "7"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "busiest flow" in done.stdout

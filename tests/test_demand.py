@@ -5,10 +5,14 @@ modes, which must name the offending line), and the Poisson sampler is
 checked statistically against the closed-form window integrals.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
+from bad_numbers import NON_FINITE, malformed, replace_token
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amodcc.demand import (DAY, HOUR, DemandFlow, TripTable, ingest_trips,
                            synth_demand)
@@ -132,8 +136,23 @@ def test_generic_names_the_line_of_a_non_finite_field(tmp_path, field, bad):
     row[field] = bad
     path.write_text("time,o_lon,o_lat,d_lon,d_lat\n10.0,1.0,2.0,3.0,4.0\n"
                     + ",".join(row) + "\n")
-    with pytest.raises(InvalidInputError, match=re.escape(f"{path}: line 3: non-finite")):
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"{path}: malformed line 3: {','.join(row)!r} (non-finite field)")):
         ingest_trips(str(path))
+
+
+def test_a_trailing_comment_is_dropped(tmp_path):
+    # As on every other text input; such a trip line used to be refused as
+    # non-numeric, and a cab-trace line as a bad field.
+    plain, noted = tmp_path / "plain.csv", tmp_path / "noted.csv"
+    write_generic(plain, GENERIC_ROWS)
+    noted.write_text("".join(",".join(map(str, row)) + "  # a note\n" for row in GENERIC_ROWS))
+    a, b = ingest_trips(str(plain)), ingest_trips(str(noted))
+    assert np.array_equal(a.times, b.times) and np.array_equal(a.origins, b.origins)
+    trace = tmp_path / "cab.txt"
+    trace.write_text("37.70 -122.40 0 100.0\n37.71 -122.41 1 200.0 # pickup\n"
+                     "37.72 -122.42 0 300.0\n")
+    assert list(ingest_trips(str(trace), fmt="cabtrace").times) == [200.0]
 
 
 def test_generic_rejects_empty_stream(tmp_path):
@@ -228,8 +247,52 @@ def test_trace_names_the_line_of_a_non_finite_field(tmp_path, row):
     # Even a fix outside every trip: a NaN time would misplace the sort.
     path = tmp_path / "cab.txt"
     write_trace(path, [(37.70, -122.40, 0, 100.0), row, (37.72, -122.42, 0, 300.0)])
-    with pytest.raises(InvalidInputError, match="line 2: non-finite"):
+    line = " ".join(map(str, row))
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"{path}: malformed line 2: {line!r} (non-finite field)")):
         ingest_trips(str(path), fmt="cabtrace")
+
+
+FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(*[FINITE] * 5), min_size=1, max_size=6), data=st.data())
+def test_generic_refuses_any_non_finite_field_on_its_line(tmp_path_factory, rows, data):
+    # A valid file loads; with one field made non-finite it is refused in
+    # the one input-error format, which names the file and the line.
+    path = tmp_path_factory.mktemp("generic") / "trips.csv"
+    lines = ["time,o_lon,o_lat,d_lon,d_lat"] + [",".join(map(repr, r)) for r in rows]
+    path.write_text("\n".join(lines) + "\n")
+    assert len(ingest_trips(str(path))) == len(rows)
+    at = data.draw(st.integers(1, len(rows)))
+    lines[at] = replace_token(lines[at], data.draw(st.integers(0, 4)), data.draw(NON_FINITE),
+                              sep=",")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidInputError) as exc:
+        ingest_trips(str(path))
+    assert str(exc.value) == malformed(path, at + 1, lines[at], "non-finite field")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(fixes=st.lists(st.tuples(FINITE, FINITE, st.sampled_from([0, 1])),
+                      min_size=3, max_size=8),
+       data=st.data())
+def test_trace_refuses_any_non_finite_field_on_its_line(tmp_path_factory, fixes, data):
+    # Times ascend and the trace opens empty, occupied, empty, so the
+    # valid file holds a trip; then latitude, longitude or time goes bad.
+    path = tmp_path_factory.mktemp("trace") / "cab.txt"
+    lines = [f"{lat!r} {lon!r} {occ if k > 2 else k % 2} {100.0 * k!r}"
+             for k, (lat, lon, occ) in enumerate(fixes)]
+    path.write_text("\n".join(lines) + "\n")
+    assert len(ingest_trips(str(path), fmt="cabtrace")) >= 1
+    at = data.draw(st.integers(0, len(lines) - 1))
+    lines[at] = replace_token(lines[at], data.draw(st.sampled_from([0, 1, 3])),
+                              data.draw(NON_FINITE))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidInputError) as exc:
+        ingest_trips(str(path), fmt="cabtrace")
+    assert str(exc.value) == malformed(path, at + 1, lines[at], "non-finite field")
 
 
 def test_trace_directory_merges_files_and_skips_hidden(tmp_path):
@@ -264,6 +327,19 @@ def test_flow_validation():
     with pytest.raises(InvalidInputError, match="rates"):
         DemandFlow(origin=(0, 0), dest=(1, 1), spread=0.0,
                    profile=[(8.0, 9.0, -10.0)])
+
+
+@pytest.mark.parametrize("numbers, message", [
+    ({"spread": math.nan}, "spread must be finite and >= 0, got nan"),
+    ({"day_jitter": math.nan}, "day_jitter must be finite and >= 0, got nan"),
+    ({"peak_jitter": math.inf}, "peak_jitter must be finite and >= 0, got inf"),
+    ({"profile": [(8.0, 9.0, math.nan)]}, "profile rates must be finite and >= 0, got nan")])
+def test_flow_rejects_non_finite_numbers(numbers, message):
+    # A NaN spread or rate used to construct (the rate then failed inside
+    # NumPy's Poisson draw), a NaN day jitter meant no jitter, and an
+    # infinite peak jitter was accepted.
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        DemandFlow(**{"origin": (0, 0), "dest": (1, 1), "spread": 0.0, **numbers})
 
 
 def test_rate_at_sums_overlapping_windows():
@@ -321,6 +397,13 @@ def test_synth_rejects_degenerate_inputs():
                         profile=[(7.0, 8.0, 0.0)])
     with pytest.raises(InvalidInputError, match="no trips"):
         synth_demand([silent], 0.0, 1.0, seed=1)
+
+
+@pytest.mark.parametrize("days", [math.nan, math.inf])
+def test_synth_rejects_non_finite_days(days):
+    # NaN days used to fail converting the day count to an integer.
+    with pytest.raises(InvalidInputError, match=f"days must be finite and positive, got {days}"):
+        synth_demand([COMMUTE], 0.0, days, seed=1)
 
 
 def test_synth_is_deterministic():

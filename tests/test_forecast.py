@@ -14,6 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from bad_numbers import malformed, out_of_domain, replace_token
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amodcc.errors import InvalidInputError, NumericalError
 from amodcc.forecast import (STARTS, ForecastBank, bank_train_config, default_kernel,
@@ -422,8 +425,10 @@ def test_load_rejects_repeated_keys(tmp_path):
     lines = PINNED.read_text().splitlines()
     path = tmp_path / "repeated.txt"
     path.write_text("\n".join(lines + ["trained_at 123.0"]) + "\n")
+    first = next(k for k, ln in enumerate(lines) if ln.startswith("trained_at ")) + 1
     with pytest.raises(InvalidInputError,
-                       match=f"line {len(lines) + 1}: 'trained_at 123.0' \\(repeated trained_at\\)"):
+                       match=f"line {len(lines) + 1}: 'trained_at 123.0' "
+                             f"\\(repeated trained_at, first at line {first}\\)"):
         load_bank(str(path), counts, t)
     at = lines.index("flow 0 1 gp")
     for key in ("center", "noise_var"):
@@ -435,9 +440,36 @@ def test_load_rejects_repeated_keys(tmp_path):
             load_bank(str(path), counts, t)
 
 
+# The rule of each header number of a bank file, by token position.
+HEADER_RULES = {"interval_seconds": {1: "finite and positive"},
+                "series_origin": {1: "finite"},
+                "window": {1: "finite", 2: "finite"},
+                "trained_at": {1: "finite"}}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_load_refuses_any_bad_header_number(tmp_path_factory, planted_bank, data):
+    # A header number that is not finite, or an interval <= 0, is refused
+    # in the one input-error format, naming the file and the line.
+    path = tmp_path_factory.mktemp("bank") / "bank.txt"
+    save_bank(str(path), planted_bank)
+    lines = path.read_text().splitlines()
+    key = data.draw(st.sampled_from(sorted(HEADER_RULES)))
+    slot, rule = data.draw(st.sampled_from(sorted(HEADER_RULES[key].items())))
+    bad = data.draw(out_of_domain(rule))
+    at = next(k for k, ln in enumerate(lines) if ln.startswith(key + " "))
+    lines[at] = replace_token(lines[at], slot, bad)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidInputError) as exc:
+        load_bank(str(path), planted_counts(), hour_axis())
+    assert str(exc.value) == malformed(path, at + 1, lines[at],
+                                       f"{key} must be {rule}, got {float(bad)}")
+
+
 @pytest.mark.parametrize("key, value, why", [
-    ("interval_seconds", "nan", "interval_seconds must be finite, got nan"),
-    ("interval_seconds", "0.0", "interval_seconds must be positive, got 0.0"),
+    ("interval_seconds", "nan", "interval_seconds must be finite and positive, got nan"),
+    ("interval_seconds", "0.0", "interval_seconds must be finite and positive, got 0.0"),
     ("series_origin", "inf", "series_origin must be finite, got inf"),
     ("window", "nan nan", "window must be finite, got nan"),
     ("window", f"{ORIGIN!r} {ORIGIN - DAYS * 86_400.0!r}",

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from bad_numbers import malformed, out_of_domain, replace_token
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -345,6 +346,41 @@ class TestStationNetwork:
             with pytest.raises(InvalidInputError) as exc:
                 load_network(str(path))
         assert str(exc.value) == f"{path}: malformed line {at}: '{key} {value}' ({message})"
+
+    # A valid network file with explicit matrices, and the rule of each
+    # number on each line by token position.
+    VALID_LINES = (
+        [("stations 2", {}),
+         ("step_seconds 900.0", {1: "finite and positive"}),
+         ("speed_mps 10.0", {1: "finite and positive"}),
+         ("projection -122.4 37.7", {1: "finite", 2: "finite"}),
+         ("centroid 0 0.0 0.0", {2: "finite", 3: "finite"}),
+         ("centroid 1 1000.0 0.0", {2: "finite", 3: "finite"})]
+        + [(f"{key} {i} {j} {scale * (i != j)!r}", {3: "finite and >= 0"})
+           for key, scale in (("travel_time", 100.0), ("travel_distance", 1000.0))
+           for i in range(2) for j in range(2)])
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_any_bad_number_names_its_line(self, tmp_path_factory, data):
+        # Every number is checked against its rule: not finite, or <= 0
+        # where it must be positive, or < 0 where it must be >= 0, is
+        # refused in the one input-error format, naming file and line.
+        path = tmp_path_factory.mktemp("net") / "net.txt"
+        lines = [line for line, _ in self.VALID_LINES]
+        path.write_text("\n".join(lines) + "\n")
+        assert load_network(str(path)).n_stations == 2
+        at = data.draw(st.sampled_from([k for k, (_, rules) in enumerate(self.VALID_LINES)
+                                        if rules]))
+        slot, rule = data.draw(st.sampled_from(sorted(self.VALID_LINES[at][1].items())))
+        bad = data.draw(out_of_domain(rule))
+        lines[at] = replace_token(lines[at], slot, bad)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError) as exc:
+            load_network(str(path))
+        name = lines[at].split()[0]
+        assert str(exc.value) == malformed(path, at + 1, lines[at],
+                                           f"{name} must be {rule}, got {float(bad)}")
 
     def test_constructor_takes_finite_scales_and_centroids(self):
         c = np.array([[0.0, 0.0], [1000.0, 0.0]])

@@ -7,6 +7,7 @@ synthetic workload with per-tick invariant assertions.
 """
 
 import copy
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,17 @@ def test_scenario_validation():
     with pytest.raises(InvalidInputError, match="out of range"):
         Scenario(network=net, trips=trips, sim_start=0.0, sim_end=600.0,
                  fleet_size=2, initial_positions=[0, 5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["sim_start", "sim_end"])
+def test_scenario_rejects_non_finite_times(name, bad):
+    # A NaN start used to construct and fail only in the run, as a
+    # simulation window of "nan s".
+    times = {"sim_start": 0.0, "sim_end": 600.0, name: bad}
+    with pytest.raises(InvalidInputError, match=f"{name} must be finite, got {bad}"):
+        Scenario(network=two_station_net(), trips=table([(10.0, A, B)]), fleet_size=1,
+                 **times)
 
 
 def test_run_config_validation():
