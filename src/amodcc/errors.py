@@ -32,16 +32,17 @@ def read_lines(path: str, handle: Callable[[int, str], None]) -> None:
     ``path``, numbered from 1, with any ``#`` comment dropped; blank lines
     are skipped.
 
-    A ``ValueError`` or ``IndexError`` raised by ``handle`` becomes an
-    :class:`InvalidInputError` naming the file, the line and the reason.
+    A line that is not UTF-8, or a ``ValueError`` or ``IndexError`` raised
+    by ``handle``, becomes an :class:`InvalidInputError` naming the file,
+    the line and the reason.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
+            text = raw.strip()      # shown as bytes if it is not UTF-8
             try:
-                handle(lineno, text)
+                text = raw.decode("utf-8").split("#", 1)[0].strip()
+                if text:
+                    handle(lineno, text)
             except (IndexError, ValueError) as exc:
                 raise InvalidInputError(
                     f"{path}: malformed line {lineno}: {text!r} ({exc})") from exc

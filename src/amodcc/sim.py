@@ -112,14 +112,19 @@ class Scenario:
 
 
 class DemandGrid:
-    """Realized per-interval origin-destination counts over a time range."""
+    """Realized per-interval origin-destination counts over a time range.
+
+    Building a grid labels the origin station of each trip in its window;
+    the destinations are labelled only on the first read of
+    :attr:`counts`.  :meth:`origin_totals`, which fleet placement reads,
+    needs the origins alone.  A :meth:`span` shares its parent's labels.
+    """
 
     def __init__(self, trips: TripTable, network: StationNetwork,
                  origin_epoch: float, interval_seconds: float, n_intervals: int):
         self.origin = float(origin_epoch)
         self.interval_seconds = float(interval_seconds)
         self.n_intervals = int(n_intervals)
-        n = network.n_stations
         # Only trips near the window are binned.  The times are sorted, so
         # a candidate slice reaching one interval past either end holds
         # every trip the interval test keeps: the test's rounding moves its
@@ -129,12 +134,38 @@ class DemandGrid:
         hi = int(np.searchsorted(
             times, self.origin + (self.n_intervals + 1) * self.interval_seconds, side="right"))
         m = np.floor((times[lo:hi] - self.origin) / self.interval_seconds).astype(int)
-        keep = (m >= 0) & (m < self.n_intervals)
-        o_st = assign_stations(network.centroids, trips.origins[lo:hi][keep])
-        d_st = assign_stations(network.centroids, trips.dests[lo:hi][keep])
-        flat = (o_st * n + d_st) * self.n_intervals + m[keep]
-        self.counts = np.bincount(flat, minlength=n * n * self.n_intervals).astype(
+        # The times are sorted and every step from a time to its interval
+        # is monotone, so ``m`` never falls: the window's trips are one run
+        # of the slice.
+        first, stop = np.searchsorted(m, [0, self.n_intervals])
+        rows = slice(lo + first, lo + stop)
+        # Per trip in the window, in time order: interval in the grid this
+        # one was built as, origin station and destination point.
+        self._m = m[first:stop]
+        self._o_st = assign_stations(network.centroids, trips.origins[rows])
+        self._dests = trips.dests[rows]
+        self._network = network
+        self._whole: DemandGrid | None = None    # the built grid, for a span
+        self._first = 0                          # first interval within it
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """(N, N, n_intervals) int64 trips per origin, destination and
+        interval.  The built grid's first read labels each destination; a
+        span's counts are a view of the built grid's."""
+        if self._whole is not None:
+            return self._whole.counts[:, :, self._first:self._first + self.n_intervals]
+        n = self._network.n_stations
+        d_st = assign_stations(self._network.centroids, self._dests)
+        flat = (self._o_st * n + d_st) * self.n_intervals + self._m
+        return np.bincount(flat, minlength=n * n * self.n_intervals).astype(
             np.int64, copy=False).reshape(n, n, self.n_intervals)
+
+    def origin_totals(self) -> np.ndarray:
+        """(N,) trips per origin station, ``counts.sum(axis=(1, 2))``,
+        counted without labelling a destination."""
+        first, stop = np.searchsorted(self._m, [self._first, self._first + self.n_intervals])
+        return np.bincount(self._o_st[first:stop], minlength=self._network.n_stations)
 
     def span(self, lo: int, hi: int) -> "DemandGrid":
         """Intervals ``lo`` to ``hi`` (exclusive); the counts are a view."""
@@ -142,9 +173,11 @@ class DemandGrid:
             raise InvalidInputError(
                 f"cannot take intervals {lo} to {hi} of {self.n_intervals}")
         out = copy.copy(self)
+        out.__dict__.pop("counts", None)     # taken from the built grid on read
         out.origin = self.origin + lo * self.interval_seconds
         out.n_intervals = hi - lo
-        out.counts = self.counts[:, :, lo:hi]
+        out._whole = self if self._whole is None else self._whole
+        out._first = self._first + lo
         return out
 
     def midpoint_hours(self, ref_epoch: float) -> np.ndarray:
@@ -289,17 +322,16 @@ def history_bank(grid: DemandGrid, end: float, cfg: TrainConfig | None = None,
 
 def initial_placement(network: StationNetwork, fleet_size: int,
                       history: DemandGrid | None) -> np.ndarray:
-    """Spread the fleet over stations by historical origin share.
+    """Spread the fleet over stations by historical origin share, read
+    from the history's :meth:`DemandGrid.origin_totals`.
 
-    Largest-remainder rounding keeps the total exact; with no history the
-    split is uniform.  Ties go to the lower station index.
+    Largest-remainder rounding keeps the total exact; with no history, or
+    no trip in it, the split is uniform.  Ties go to the lower station
+    index.
     """
     n = network.n_stations
-    if history is not None and history.counts.sum() > 0:
-        share = history.counts.sum(axis=(1, 2)).astype(float)
-        share /= share.sum()
-    else:
-        share = np.full(n, 1.0 / n)
+    totals = np.zeros(n) if history is None else history.origin_totals().astype(float)
+    share = totals / totals.sum() if totals.sum() > 0 else np.full(n, 1.0 / n)
     quota = fleet_size * share
     base = np.floor(quota).astype(int)
     short = fleet_size - int(base.sum())
@@ -359,7 +391,7 @@ class _Run:
         fleet = scenario.fleet_size
         self.station = np.array(
             scenario.initial_positions if scenario.initial_positions is not None
-            else initial_placement(net, fleet, self._history_grid_or_none()),
+            else initial_placement(net, fleet, self.grid.span(0, self.window_intervals)),
             dtype=int)
         self.xy = net.centroids[self.station]
         self.leg = np.full(fleet, IDLE)
@@ -396,16 +428,12 @@ class _Run:
     def grid(self) -> DemandGrid:
         """Realized counts from the training window's start to one horizon
         past the run's end.  Only ``fixed`` and ``oracle`` forecasts,
-        retraining and default placement read them, so the trips are
-        binned on first read, not for every run."""
+        retraining and default placement read the grid, so it is built on
+        first read, not for every run; placement reads origin totals only."""
         sim_intervals = -(-self.n_ticks // self.step_ticks)
         return DemandGrid(
             self.sc.trips, self.net, self.sc.sim_start - self.cfg.train_window_days * DAY,
             self.net.step_seconds, self.window_intervals + sim_intervals + self.cfg.horizon + 1)
-
-    def _history_grid_or_none(self) -> DemandGrid | None:
-        hist = self.grid.span(0, self.window_intervals)
-        return hist if hist.counts.sum() > 0 else None
 
     # --- per-tick phases ---------------------------------------------------
 

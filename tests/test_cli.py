@@ -219,6 +219,41 @@ def test_exit_codes(city, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind", ["trips", "cabtrace", "network", "bank", "config"])
+def test_a_line_that_is_not_utf8_exits_2(kind, city, tmp_path, capsys):
+    # Every text input goes through one line reader, which decodes each
+    # line where it reports bad lines: a Latin-1 byte in a comment on line
+    # 2 is invalid input (exit code 2) that names the file and the line.
+    root, trips, net = city
+    good = tmp_path / "good.txt"
+    if kind == "bank":
+        assert main(["train", "--network", net, "--trips", trips, "--train-end", "21600",
+                     "--window-days", "0.25", "--gp-max-iters", "0", "--out", str(good)]) == 0
+    else:
+        good.write_bytes({"trips": Path(trips).read_bytes(),
+                          "cabtrace": b"37.70 -122.40 0 100\n37.71 -122.41 1 160\n"
+                                      b"37.72 -122.42 0 220\n",
+                          "network": Path(net).read_bytes(),
+                          "config": b"stations = 4\nstep_seconds = 600\n"}[kind])
+    lines = good.read_bytes().splitlines()
+    lines[1] += " # caf\xe9".encode("latin-1")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\n".join(lines) + b"\n")
+    out = ["--out", str(tmp_path / "n.txt")]
+    run = ["--trips", trips, "--start", "21600", "--end", "43200", "--fleet", "5"]
+    argv = {"trips": ["partition", "--trips", str(bad)] + out,
+            "cabtrace": ["partition", "--trips", str(bad), "--trips-format", "cabtrace"] + out,
+            "network": ["simulate", "--network", str(bad), *run, "--controller", "gbm"],
+            "bank": ["simulate", "--network", net, *run, "--window-days", "0.25",
+                     "--horizon", "4", "--bank", str(bad)],
+            "config": ["partition", "--config", str(bad), "--trips", trips] + out}[kind]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: malformed line 2: {lines[1].strip()!r} ('utf-8' codec can't " \
+           "decode byte 0xe9" in err, err
+
+
 def test_training_window_is_whole_model_steps(city, tmp_path, capsys):
     # `train`, `simulate --bank` and a run that trains in-run share one
     # rule: the window spans a positive whole number of model steps.  A
@@ -402,13 +437,27 @@ def test_gp_max_iters_keeps_bank_training_defaults(city, monkeypatch, tmp_path):
     assert seen[2] == dataclasses.replace(bank_train_config(), max_iters=4)
 
 
+def run_demo(name: str, *args: str) -> str:
+    """Run ``demos/<name>`` in a subprocess; its output, after exit 0."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    demo = Path(__file__).resolve().parent.parent / "demos" / name
+    done = subprocess.run([sys.executable, str(demo), *args], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 @pytest.mark.slow
 def test_forecast_demo_runs():
     # The demo trains the seed-7 bank through the same calls as `train`
     # and prints its busiest flow against the held-out day.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
-    demo = Path(__file__).resolve().parent.parent / "demos" / "forecast_day.py"
-    done = subprocess.run([sys.executable, str(demo), "--seed", "7"], env=env,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert "busiest flow" in done.stdout
+    assert "busiest flow" in run_demo("forecast_day.py", "--seed", "7")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, args", [
+    ("controller_faceoff.py", ()),     # every run places its fleet from history
+    ("risk_sweep.py", ("--epsilons", "0.35", "0.5")),
+])
+def test_demo_runs(name, args):
+    assert "controller" in run_demo(name, *args)

@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amodcc import sim
 from amodcc.demand import DemandFlow, TripTable, synth_demand
@@ -19,7 +21,7 @@ from amodcc.errors import InvalidInputError
 from amodcc.forecast import forecast_demand, train_bank
 from amodcc.ilp import SolverConfig
 from amodcc.mpc import quantile_demand
-from amodcc.network import StationNetwork
+from amodcc.network import StationNetwork, assign_stations
 from amodcc.sim import (DemandGrid, RunConfig, Scenario, _Run, benchmark_flows,
                         benchmark_network, benchmark_scenario,
                         initial_placement, run_simulation)
@@ -201,6 +203,76 @@ def test_demand_grid_of_no_trips():
                       n_intervals=4)
     assert grid.counts.shape == (2, 2, 4) and grid.counts.dtype == np.int64
     assert not grid.counts.any()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_origin_totals_sum_the_counts_of_a_grid_and_its_spans(data):
+    # Origin totals come from the origin labels alone, before any counts
+    # are read; a span's counts stay a view of its parent's.
+    net = benchmark_network()
+    n_intervals = data.draw(st.integers(0, 12))
+    interval = data.draw(st.sampled_from([7.3, 600.0, 900.0]))
+    origin = data.draw(st.sampled_from([0.0, 1.7e9]))
+    size = data.draw(st.integers(0, 80))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    times = np.sort(origin + rng.uniform(-2, n_intervals + 2, size=size) * interval)
+    points = rng.uniform(-8000.0, 8000.0, size=(2, size, 2))
+    grid = DemandGrid(TripTable(times=times, origins=points[0], dests=points[1]),
+                      net, origin, interval, n_intervals)
+    lo = data.draw(st.integers(0, n_intervals))
+    span = grid.span(lo, data.draw(st.integers(lo, n_intervals)))
+    inner_lo = data.draw(st.integers(0, span.n_intervals))
+    inner = span.span(inner_lo, data.draw(st.integers(inner_lo, span.n_intervals)))
+    totals = [g.origin_totals() for g in (inner, span, grid)]
+    for g, got in zip((inner, span, grid), totals):
+        assert np.array_equal(got, g.counts.sum(axis=(1, 2)))
+    # Views of one buffer, even when empty (which shares no memory).
+    assert span.counts.base is inner.counts.base is grid.counts.base is not None
+    if inner.counts.size:
+        assert np.shares_memory(inner.counts, span.counts)
+    # A span taken after its parent's counts were read.
+    late = span.span(inner_lo, inner.n_intervals + inner_lo)
+    assert np.array_equal(late.counts, span.counts[:, :, inner_lo:inner_lo + inner.n_intervals])
+    assert np.array_equal(late.origin_totals(), inner.origin_totals())
+
+
+def test_a_grid_labels_destinations_only_when_its_counts_are_read(monkeypatch):
+    # Fleet placement reads origin totals: building a grid and placing a
+    # fleet label each window trip's origin once and no destination.  The
+    # first read of the counts labels each destination once; a second
+    # read, or a span's counts, labels nothing.
+    labelled = []
+
+    def counted(centroids, points):
+        labelled.append(np.array(points))
+        return assign_stations(centroids, points)
+
+    monkeypatch.setattr(sim, "assign_stations", counted)
+    net = benchmark_network()
+    rng = np.random.default_rng(5)
+    times = np.sort(rng.uniform(-2.5, 8.5, size=300)) * 900.0
+    points = rng.uniform(-8000.0, 8000.0, size=(2, times.size, 2))
+    in_window = (times >= 0.0) & (times < 6 * 900.0)
+    grid = DemandGrid(TripTable(times=times, origins=points[0], dests=points[1]),
+                      net, 0.0, 900.0, 6)
+    initial_placement(net, 40, grid)
+    initial_placement(net, 40, grid.span(1, 4))
+    assert len(labelled) == 1 and np.array_equal(labelled[0], points[0][in_window])
+    grid.counts
+    assert len(labelled) == 2 and np.array_equal(labelled[1], points[1][in_window])
+    grid.counts
+    grid.span(2, 5).counts
+    grid.span(0, 6).span(1, 3).counts
+    assert len(labelled) == 2
+
+    # A run placed from history labels its grid's origins and its live
+    # requests' endpoints, and no history destination.
+    sc = table_scenario()
+    labelled.clear()
+    run = _Run(sc, RunConfig(controller="gbm", horizon=4, train_window_days=1.0))
+    live = len(sc.trips.window(sc.sim_start, sc.sim_end))
+    assert sum(map(len, labelled)) == run.grid.origin_totals().sum() + 2 * live
 
 
 # --- initial placement ----------------------------------------------------------
