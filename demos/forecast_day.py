@@ -26,8 +26,9 @@ t0 = time.time()
 
 history = history_grid(sc.trips, net, sc.sim_start, 5)
 bank = history_bank(history, sc.sim_start)
-print(f"trained {net.n_stations ** 2} flow models on "
-      f"{int(history.counts.sum())} historical trips in {time.time() - t0:.0f}s\n")
+fitted = sum(m.gp is not None for row in bank.models for m in row)
+print(f"fitted {fitted} of {net.n_stations * (net.n_stations - 1)} station-to-station flows "
+      f"on {int(history.counts.sum())} historical trips in {time.time() - t0:.0f}s\n")
 
 # The strongest flow is one of the two commutes; find it by history volume.
 totals = history.counts.sum(axis=2)

@@ -185,12 +185,10 @@ def cmd_train(args) -> int:
             f"no trips fall inside the training window [{grid.origin}, {end})")
     bank = history_bank(grid, end, _gp_train_config(args), args.gp_jobs)
     save_bank(args.out, bank)
-    n = bank.n_stations
-    const = sum(1 for i in range(n) for j in range(n)
-                if bank.models[i][j].gp is None)
-    print(f"trained {n * n - const} flow models ({const} constant) on "
-          f"{int(grid.counts.sum())} trips over {args.window_days} days")
+    pairs = bank.n_stations * (bank.n_stations - 1)
     kept = [m for row in bank.models for m in row if m.gp is not None]
+    print(f"fitted {len(kept)} of {pairs} station-to-station flows ({pairs - len(kept)} "
+          f"constant) on {int(grid.counts.sum())} trips over {args.window_days} days")
     print(f"{sum(m.gp.converged for m in kept)} of {len(kept)} kept fits converged; "
           f"the wide start won on {sum(m.start == 'wide' for m in kept)} flows")
     print(f"bank written to {args.out}")

@@ -1,14 +1,14 @@
-"""Per-flow demand forecasting: one GP per origin-destination pair.
+"""Per-flow demand forecasting: one GP per station-to-station pair.
 
 Each flow's count series is centered by its training mean and modeled by a
 zero-mean GP with a locally periodic kernel (RBF x Periodic, 24 h period).
-Flows with constant history get a constant fallback model with zero
-predictive spread.  Flow fits are independent, so the bank can train them in
-worker processes (one per usable core in runs and on the command line),
-one flow per task.  A worker only fits, and sends back each start's
-hyperparameters; this process builds each start's posterior the way
-:func:`load_bank` does, scores it and keeps one, so the bank is
-bit-identical however many workers train it.
+Station-to-itself flows, which no plan reads, and flows with constant
+history get a constant model: the mean, with zero spread.  Flow fits are
+independent, so the bank can train them in worker processes (one per usable
+core in runs and on the command line), one flow per task.  A worker only
+fits, and sends back each start's hyperparameters; this process builds each
+start's posterior the way :func:`load_bank` does, scores it and keeps one,
+so the bank is bit-identical however many workers train it.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ def wide_kernel(variance: float) -> LocallyPeriodicKernel:
 
 
 def bank_train_config() -> TrainConfig:
-    # With this budget the seed-0 benchmark bank (100 flows, 5-day series)
-    # trains in about 5 s on one core of a 2-core x86-64 machine
+    # With this budget the seed-0 benchmark bank (90 flows, 5-day series)
+    # trains in about 3 s on one core of a 2-core x86-64 machine
     # (n_jobs=1); standalone fits should pass a richer config.
     # The period stays pinned to the daily cycle: letting it drift is the
     # easiest way for a short fit to lose the day-over-day structure.
@@ -104,7 +104,7 @@ class ForecastTensor:
 
 @dataclass
 class ForecastBank:
-    """All N^2 flow models plus the shared time axis bookkeeping."""
+    """One model per flow, N x N, plus the shared time axis bookkeeping."""
 
     models: list[list[FlowModel]]
     interval_seconds: float
@@ -149,11 +149,13 @@ def train_bank(
     cfg: TrainConfig | None = None,
     n_jobs: int = 1,
 ) -> ForecastBank:
-    """Fit one GP per flow from per-interval counts.
+    """Fit one GP per station-to-station flow from per-interval counts.
 
     ``counts`` is (N, N, M); ``t_hours`` holds the M interval midpoints on
-    the bank's hour axis.  Noise variance is initialized to 0.1x the
-    series variance, the kernel scale to the variance itself.
+    the bank's hour axis.  A station-to-itself flow, which no plan reads,
+    and a flow whose history is constant keep a constant model at their
+    mean.  Noise variance is initialized to 0.1x the series variance, the
+    kernel scale to the variance itself.
 
     The likelihood surface is multi-modal: started locally, the fit can
     settle on a short-envelope mode that never looks a full day back.
@@ -189,7 +191,8 @@ def train_bank(
     series = counts.astype(float)
     models = [[FlowModel(center=float(series[i, j].mean())) for j in range(n)]
               for i in range(n)]
-    flows = [(i, j) for i in range(n) for j in range(n) if float(series[i, j].var()) != 0.0]
+    flows = [(i, j) for i in range(n) for j in range(n)
+             if i != j and float(series[i, j].var()) != 0.0]
 
     def keep(results):
         # Built and scored as each result arrives, while the workers fit the rest.

@@ -79,7 +79,7 @@ def load_metrics_json(path: str) -> list[SimMetrics]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise InvalidInputError(f"{path}: expected a list of metrics records")

@@ -589,12 +589,10 @@ class _Run:
         # Each station sends its idle vehicles, in id order, to the planned
         # destinations in ascending order; trips past the pool are clamped.
         n = self.net.n_stations
-        first = plan.first_step.copy()
-        np.fill_diagonal(first, 0)
         idle = np.flatnonzero(self.leg == IDLE)
         for i in range(n):
             pool = idle[self.station[idle] == i]
-            dests = np.repeat(np.arange(n), first[i])
+            dests = np.repeat(np.arange(n), plan.first_step[i])
             take = min(len(pool), len(dests))
             self.clamped += len(dests) - take
             v, j = pool[:take], dests[:take]

@@ -127,7 +127,7 @@ def test_tracer_hooks_read_what_the_program_returns(monkeypatch):
     assert tracer.missing == set()
     assert [label for label in tracing.WRAPPED
             if label != "gp.gram_matrix" and not tracer.spans[label]] == []
-    assert tracer.flows_fitted == 4 and tracer.problem_shape is not None
+    assert tracer.flows_fitted == 2 and tracer.problem_shape is not None
     # Every decision, certified or solved, goes through mpc.solve_ilp.
     assert len(tracer.solves) == len(run.solver_wall) == 24
     assert ticks.count(0) == 2

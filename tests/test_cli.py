@@ -254,6 +254,18 @@ def test_a_line_that_is_not_utf8_exits_2(kind, city, tmp_path, capsys):
            "decode byte 0xe9" in err, err
 
 
+def test_a_metrics_json_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # `report` reads a metrics file as a whole, not by lines: a Latin-1
+    # byte in it is invalid input (exit code 2) that names the file, not a
+    # decoding traceback.
+    bad = tmp_path / "latin.json"
+    bad.write_bytes('[1, "caf\xe9"]\n'.encode("latin-1"))
+    capsys.readouterr()
+    assert main(["report", "--metrics", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: not valid JSON: 'utf-8' codec can't decode byte 0xe9" in err, err
+
+
 def test_training_window_is_whole_model_steps(city, tmp_path, capsys):
     # `train`, `simulate --bank` and a run that trains in-run share one
     # rule: the window spans a positive whole number of model steps.  A
@@ -271,7 +283,7 @@ def test_training_window_is_whole_model_steps(city, tmp_path, capsys):
                "900.0 s model steps" in capsys.readouterr().err, argv
     assert main(["train", "--network", net, "--trips", trips, "--train-end", "21600",
                  "--window-days", str(900 / 86400), "--out", bank]) == 0
-    assert "trained 0 flow models (9 constant)" in capsys.readouterr().out
+    assert "fitted 0 of 6 station-to-station flows (6 constant)" in capsys.readouterr().out
 
 
 def test_train_pins_blas_to_one_thread(city, tmp_path):

@@ -8,8 +8,11 @@ round-tripping hyperparameters and rebuilding the posterior.
 
 import dataclasses
 import multiprocessing
+import os
 import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +72,8 @@ def test_bank_input_validation():
 
 
 def test_constant_flows_get_constant_models(planted_bank):
-    # Diagonals never see a trip: center 0, no spread.
+    # Station-to-itself flows are never fitted, and these never see a
+    # trip: center 0, no spread.
     for i in range(2):
         model = planted_bank.models[i][i]
         assert model.gp is None
@@ -188,11 +192,11 @@ def same_model(a, b):
 
 def test_bank_does_not_depend_on_its_batches(monkeypatch):
     # Three stations over two days: every flow busy, some with a daily
-    # bump, fitted on series thinned to 48 points.  Worker processes
-    # train the flows one task each (three workers: more than this
-    # machine class's two cores; five for the four flows of the top-left
-    # 2 x 2 bank); a flow trained on its own must come out exactly as it
-    # does inside the whole bank.
+    # bump, the six station-to-station ones fitted on series thinned to
+    # 48 points.  Worker processes train the flows one task each (three
+    # workers: more than this machine class's two cores; five for the two
+    # fitted flows of the top-left 2 x 2 bank); a flow trained on its own
+    # must come out exactly as it does inside the whole bank.
     monkeypatch.setattr(forecast, "FIT_POINTS", 48)
     rng = np.random.default_rng(8)
     m = 2 * 96
@@ -210,12 +214,38 @@ def test_bank_does_not_depend_on_its_batches(monkeypatch):
     alone = train_bank(lone, t, **kw)
     for i in range(3):
         for j in range(3):
-            assert one.models[i][j].gp is not None
+            assert (one.models[i][j].gp is None) == (i == j)
             for bank in split:
                 same_model(one.models[i][j], bank.models[i][j])
             if i < 2 and j < 2:
                 same_model(one.models[i][j], few.models[i][j])
     same_model(one.models[2][1], alone.models[2][1])
+
+
+def test_station_to_itself_series_reach_no_fit(monkeypatch):
+    # Every series varies, the three station-to-itself ones included, yet
+    # only the six station-to-station series are fitted: a diagonal flow
+    # keeps the constant model at its mean.
+    rng = np.random.default_rng(5)
+    m = 96
+    t = (np.arange(m) + 0.5) * INTERVAL / 3600.0 - 24.0
+    counts = rng.poisson(2.0, (3, 3, m))
+    fitted = []
+    fit_flow = forecast._fit_flow
+
+    def counted(y, *args, **kwargs):
+        fitted.append(next((i, j) for i in range(3) for j in range(3)
+                           if np.array_equal(counts[i, j], y)))
+        return fit_flow(y, *args, **kwargs)
+
+    monkeypatch.setattr(forecast, "_fit_flow", counted)
+    bank = train_bank(counts, t, INTERVAL, ORIGIN, (ORIGIN - 86_400.0, ORIGIN), ORIGIN,
+                      cfg=TrainConfig(max_iters=1, freeze=("b.period",)))
+    assert all(counts[i, i].var() > 0 for i in range(3))
+    assert fitted == [(i, j) for i in range(3) for j in range(3) if i != j]
+    for i in range(3):
+        assert bank.models[i][i].gp is None
+        assert bank.models[i][i].center == counts[i, i].mean()
 
 
 def test_worker_sends_back_hyperparameters_only(planted_bank):
@@ -285,20 +315,18 @@ def seed0_3day_history():
     return sc, grid.counts, grid.midpoint_hours(sc.sim_start)
 
 
-@pytest.mark.slow
-def test_bank_matches_the_pinned_seed0_fits():
-    # The seed-0 benchmark bank on a 3-day window, as pinned in the file
-    # (saved hyperparameters): the per-flow trainer must land on the same
-    # fits, and the likelihoods rebuilt from the file must match.
-    sc, counts, t = seed0_3day_history()
-    start = sc.sim_start - 3 * 86_400.0
-    bank = train_bank(counts, t, sc.network.step_seconds, series_origin=sc.sim_start,
-                      window=(start, sc.sim_start), trained_at=sc.sim_start)
+def assert_matches_pinned_fits(bank, counts, t) -> None:
+    """``bank`` holds the pinned file's 90 station-to-station fits, to rel
+    1e-9, and each station-to-itself flow as a constant at the file's
+    center.  The file is an older one: it holds ``gp`` blocks there."""
     pinned = load_bank(str(PINNED), counts, t)
     fitted = 0
-    for row, pinned_row in zip(bank.models, pinned.models):
-        for a, b in zip(row, pinned_row):
+    for i, (row, pinned_row) in enumerate(zip(bank.models, pinned.models)):
+        for j, (a, b) in enumerate(zip(row, pinned_row)):
             assert a.center == b.center
+            if i == j:
+                assert a.gp is None and b.gp is not None
+                continue
             assert (a.gp is None) == (b.gp is None)
             if a.gp is None:
                 continue
@@ -309,7 +337,67 @@ def test_bank_matches_the_pinned_seed0_fits():
             want = [kb.lengthscale, kb.periodic_lengthscale, kb.period,
                     kb.output_scale, b.gp.noise_var, b.gp.lml]
             assert got == pytest.approx(want, rel=1e-9, abs=0.0)
-    assert fitted == 100
+    assert fitted == 90
+
+
+def train_seed0_3day_bank():
+    """The seed-0 benchmark bank on the pinned 3-day window, its counts
+    and its hour axis."""
+    sc, counts, t = seed0_3day_history()
+    start = sc.sim_start - 3 * 86_400.0
+    bank = train_bank(counts, t, sc.network.step_seconds, series_origin=sc.sim_start,
+                      window=(start, sc.sim_start), trained_at=sc.sim_start)
+    return bank, counts, t
+
+
+@pytest.mark.slow
+def test_bank_matches_the_pinned_seed0_fits():
+    # The seed-0 benchmark bank on a 3-day window, as pinned in the file
+    # (saved hyperparameters): the per-flow trainer must land on the same
+    # fits, and the likelihoods rebuilt from the file must match.
+    assert_matches_pinned_fits(*train_seed0_3day_bank())
+
+
+# Run in a fresh interpreter: OpenBLAS reads OPENBLAS_CORETYPE when it loads.
+ON_ANOTHER_KERNEL_SET = """
+import sys
+from test_forecast import assert_matches_pinned_fits, train_seed0_3day_bank
+from test_golden import record_period
+from amodcc.report import write_metrics_csv
+
+assert_matches_pinned_fits(*train_seed0_3day_bank())
+write_metrics_csv(sys.argv[1], [record_period()[0]])
+"""
+
+
+@pytest.mark.slow
+def test_fits_and_plans_do_not_depend_on_the_blas_kernels(tmp_path):
+    # Another OpenBLAS kernel set (Prescott, which predates AVX) must leave
+    # the seed-0 bank within the pinned test's tolerance and the golden
+    # ccmpc period's metrics row byte for byte.  The variable picks the
+    # kernels only in a DYNAMIC_ARCH build, and the fits' factorizations
+    # run in SciPy's OpenBLAS, the rest in NumPy's: both must be one.
+    import numpy.__config__
+    import scipy.__config__
+    static = {}
+    for lib in (numpy, scipy):
+        deps = lib.__config__.CONFIG.get("Build Dependencies", {})
+        for part in ("blas", "lapack"):
+            build = deps.get(part, {}).get("openblas configuration", "none")
+            if "DYNAMIC_ARCH" not in build.split():
+                static[f"{lib.__name__} {part}"] = build
+    if static:
+        pytest.skip(f"OPENBLAS_CORETYPE selects no kernels here: not DYNAMIC_ARCH: {static}")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here),
+                                         env.get("PYTHONPATH", "")])
+    out = tmp_path / "ccmpc.csv"
+    done = subprocess.run([sys.executable, "-c", ON_ANOTHER_KERNEL_SET, str(out)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    golden = (here / "data" / "golden_seed0_6h.csv").read_bytes().splitlines(keepends=True)
+    assert out.read_bytes() == b"".join(golden[:2])
 
 
 # --- persistence ----------------------------------------------------------------
