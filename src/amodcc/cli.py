@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 
 import numpy as np
@@ -46,40 +47,51 @@ from .sim import (
 _RUN = RunConfig()      # the defaults every run option reads
 
 
-def _read_config(path: str) -> list[str]:
-    """Turn a config file into CLI tokens, inserted ahead of real flags."""
+def _read_config(path: str, options: dict[str, argparse.Action]) -> list[str]:
+    """Turn a config file into CLI tokens, inserted ahead of real flags.
+
+    A value is parsed as its option's argparse type in ``options``, and a
+    float must be finite, so a bad number names its line; a path is not
+    checked, and argparse refuses an unknown key.
+    """
     tokens: list[str] = []
 
     def setting(lineno: int, line: str) -> None:
         key, eq, value = line.partition("=")
-        key = key.strip().replace("_", "-")
+        key = "--" + key.strip().replace("_", "-")
         value = value.strip()
-        if not eq or not key or not value:
+        if not eq or key == "--" or not value:
             raise ValueError("expected 'key = value'")
-        tokens.extend([f"--{key}", value])
+        action = options.get(key)
+        if action is not None and action.type is not None:
+            try:
+                parsed = action.type(value)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(exc) from exc
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (parsed if isinstance(parsed, list) else [parsed])):
+                raise ValueError(f"{key} must be finite, got {value}")
+        tokens.extend([key, value])
 
     read_lines(path, setting)
     return tokens
 
 
 def _extract_config(argv: list[str]) -> tuple[list[str], list[str]]:
+    paths: list[str] = []
     rest: list[str] = []
-    tokens: list[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
+    args = iter(argv)
+    for arg in args:
         if arg == "--config":
-            if i + 1 >= len(argv):
+            path = next(args, None)
+            if path is None:
                 raise InvalidInputError("--config needs a file path")
-            tokens.extend(_read_config(argv[i + 1]))
-            i += 2
+            paths.append(path)
         elif arg.startswith("--config="):
-            tokens.extend(_read_config(arg.split("=", 1)[1]))
-            i += 1
+            paths.append(arg.split("=", 1)[1])
         else:
             rest.append(arg)
-            i += 1
-    return tokens, rest
+    return paths, rest
 
 
 def _comma_list(cast):
@@ -332,12 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config_tokens, argv = _extract_config(argv)
-        if config_tokens:
+        paths, argv = _extract_config(argv)
+        parser = build_parser()
+        if paths:
             if not argv or argv[0].startswith("-"):
                 raise InvalidInputError("--config requires a subcommand")
-            argv = [argv[0]] + config_tokens + argv[1:]
-        args = build_parser().parse_args(argv)
+            # argparse has no public lookup of a subcommand's options.
+            command = parser._subparsers._group_actions[0].choices.get(argv[0])
+            options = command._option_string_actions if command else {}
+            argv[1:1] = [tok for path in paths for tok in _read_config(path, options)]
+        args = parser.parse_args(argv)
         return args.func(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

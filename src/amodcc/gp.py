@@ -4,9 +4,10 @@ One-dimensional inputs (time, in hours), real-valued targets (request
 counts).  Exact inference throughout: Cholesky factorization of the gram
 matrix (LAPACK ``dpotrf``), analytic gradients of the log marginal
 likelihood, gradient-ascent hyperparameter search in log space.  No sparse
-or variational shortcuts.  On a uniform time grid the gram matrix is
-symmetric Toeplitz, and the gradient takes the gap sums of its inverse
-from one solve (Gohberg-Semencul) instead of forming the inverse.
+or variational shortcuts.  On a uniform time grid the gram matrix is the
+kernel at the lags ``t - t[0]``, symmetric Toeplitz, and the gradient
+takes the lag sums of its inverse from one solve (Gohberg-Semencul)
+instead of forming the inverse; other times use the dense gaps.
 
 Where a gram matrix or a cross-covariance is gathered for LAPACK, kernel
 values below ``1e-100`` of the output scale are set to exact zero: short
@@ -122,7 +123,7 @@ def _flushed(values: np.ndarray, kernel: LocallyPeriodicKernel) -> np.ndarray:
     return values
 
 
-# --- training data and gap structure -------------------------------------------
+# --- training data and gaps ------------------------------------------------------
 
 
 @dataclass
@@ -151,44 +152,26 @@ class GPTrainingSet:
         return self.t.shape[0]
 
 
-@dataclass(frozen=True)
-class _Gaps:
-    """The distinct gaps |t_i - t_j| of one input vector.
-
-    The kernel is stationary, so a gram matrix over ``t`` is the kernel
-    evaluated once per gap and gathered through ``index``; on a
-    regular grid that is n kernel values instead of n^2.  ``uniform``
-    says that ``index`` is exactly ``|i - j|``: every gram matrix over
-    ``t`` is then symmetric Toeplitz.
-    """
-
-    t: np.ndarray
-    values: np.ndarray   # (G,)
-    index: np.ndarray    # (n, n) positions in ``values``
-    uniform: bool
-
-    @classmethod
-    def of(cls, t: np.ndarray) -> "_Gaps":
-        """The gaps of ``t``, built once per grid: the last two grids are
-        kept, since a bank fits every flow on a thinned and a full grid."""
-        return _gaps_of(np.asarray(t, dtype=float).ravel().tobytes())
-
-    @property
-    def n(self) -> int:
-        return self.t.shape[0]
-
-    def sums(self, m: np.ndarray) -> np.ndarray:
-        """Sum of the entries of the (n, n) matrix ``m`` at each gap."""
-        return np.bincount(self.index.ravel(), weights=m.ravel(), minlength=self.values.shape[0])
+def _gaps(t: np.ndarray) -> np.ndarray:
+    """The gaps of a fit's gram: the n lags ``t - t[0]`` where each step
+    equals the first to within four ulps of max|t|, below the precision
+    of ``t`` itself, and the (n, n) matrix |t_i - t_j| for any other
+    ``t``: irregular, repeated or decreasing times."""
+    t = np.asarray(t, dtype=float).ravel()
+    step = np.diff(t)
+    if step.size == 0 or (step[0] > 0 and np.all(
+            np.abs(step - step[0]) <= 4.0 * np.spacing(np.abs(t).max()))):
+        return t - t[0]
+    return np.abs(np.subtract.outer(t, t))
 
 
-@lru_cache(maxsize=2)
-def _gaps_of(key: bytes) -> _Gaps:
-    t = np.frombuffer(key)
-    values, index = np.unique(np.abs(np.subtract.outer(t, t)), return_inverse=True)
-    index = index.reshape(t.shape[0], t.shape[0])
-    lag = np.arange(t.shape[0])
-    return _Gaps(t, values, index, np.array_equal(index, np.abs(np.subtract.outer(lag, lag))))
+@lru_cache(maxsize=4)
+def _lag_index(n: int) -> np.ndarray:
+    """The (n, n) lags |i - j|, read-only: shared by every fit on n points."""
+    lag = np.arange(n)
+    index = np.abs(np.subtract.outer(lag, lag))
+    index.flags.writeable = False
+    return index
 
 
 @lru_cache(maxsize=2)
@@ -209,19 +192,19 @@ def _cross_gaps(t: bytes, t_star: bytes) -> tuple[np.ndarray, np.ndarray]:
 # --- factorization ---------------------------------------------------------------
 
 
-def _factor(gaps: _Gaps, kernel: LocallyPeriodicKernel, noise: float):
-    """Noise-augmented gram matrix of one fit, tiny kernel values flushed
-    to zero, and its lower factor.
+def _factor(gaps: np.ndarray, kernel: LocallyPeriodicKernel, noise: float):
+    """Noise-augmented gram matrix of one fit over its :func:`_gaps`, tiny
+    kernel values flushed to zero, and its lower factor.
 
     Returns ``(K, L, jitter)``.  Jitter starts at ``1e-6 * trace / n`` and
     escalates tenfold, at most three times, while the factorization fails.
     ``L`` is None where all four failed or the gram is not finite; then
     ``jitter`` is the last one tried.
     """
-    n = gaps.n
+    n = gaps.shape[0]
     d = np.arange(n)
-    values = _flushed(kernel.value(gaps.values), kernel)
-    K = values[gaps.index]
+    values = _flushed(kernel.value(gaps), kernel)
+    K = values[_lag_index(n)] if gaps.ndim == 1 else values
     K[d, d] += noise
     base = K[d, d]
     with np.errstate(over="ignore"):       # a jitter that overflows fails below
@@ -258,16 +241,17 @@ class _Point(NamedTuple):
     jitter: float
 
 
-def _w_sums(gaps: _Gaps, p: _Point) -> tuple[np.ndarray, float]:
-    """Gap sums of ``W = a a' - K^-1`` at a factored point, and its trace."""
-    if gaps.uniform:
+def _w_sums(gaps: np.ndarray, p: _Point) -> tuple[np.ndarray, float]:
+    """``W = a a' - K^-1`` at a factored point, summed per lag on a uniform
+    grid and flattened on any other, and its trace."""
+    if gaps.ndim == 1:
         # K is symmetric Toeplitz, so with x = K^-1 e1, v = (0, x_{n-1},
         # ..., x_1) and T(u) the lower-triangular Toeplitz matrix with first
         # column u, K^-1 = (T(x) T(x)' - T(v) T(v)') / x_0 (Gohberg-Semencul).
         # The lag-g diagonal of T(u) T(u)' sums to sum_m (n-g-m) u_m u_{m+g},
         # the correlation of u with (n - m) u.  Lags g >= 1 occur on both
         # sides of the diagonal.
-        n = gaps.n
+        n = gaps.shape[0]
         e1 = np.zeros(n)
         e1[0] = 1.0
         x = dpotrs(p.L, e1, lower=1)[0]
@@ -282,29 +266,27 @@ def _w_sums(gaps: _Gaps, p: _Point) -> tuple[np.ndarray, float]:
         s[1:] *= 2.0
         return s, float(s[0])                       # gap 0 is the diagonal alone
     # Any other grid: K^-1 from the factor, in its lower triangle (zeros
-    # above).  The gaps are symmetric, so the gap sums of the symmetric
-    # K^-1 are twice those of that triangle less its diagonal once.
+    # above), mirrored into the upper one.
     inv = dpotri(p.L, lower=1)[0]
-    inv_tr = float(np.trace(inv))
-    s = gaps.sums(np.outer(p.alpha, p.alpha) - 2.0 * inv)
-    s[0] += inv_tr                                  # gap 0 holds the diagonal
-    return s, float(p.alpha @ p.alpha) - inv_tr
+    inv += np.tril(inv, -1).T
+    w = np.outer(p.alpha, p.alpha) - inv
+    return w.ravel(), float(np.trace(w))
 
 
-def _gradient(gaps: _Gaps, p: _Point, include_noise: bool) -> np.ndarray:
+def _gradient(gaps: np.ndarray, p: _Point, include_noise: bool) -> np.ndarray:
     """LML gradient over log hyperparameters at a factored point.
 
     Component order: kernel shape parameters, log output scale, then (when
     ``include_noise``) log noise variance.  Each component is ``1/2
     sum(W * dK)`` with ``W = a a' - K^-1``, ``a = K^-1 y`` and ``dK`` the
     gram derivative for that log parameter.  Off its diagonal terms, dK
-    is a function of the gap, so the sum runs over the gap sums of W
-    (:func:`_w_sums`): O(n^2) from one solve on a uniform grid, where K
-    is Toeplitz, and from K^-1 (O(n^3)) on any other.
+    is a function of the gap, so the sum runs over W summed per gap
+    (:func:`_w_sums`): O(n^2) lag sums from one solve on a uniform grid,
+    where K is Toeplitz, and W from K^-1 (O(n^3)) on any other.
     """
     s, tr = _w_sums(gaps, p)
-    value = p.kernel.value(gaps.values)
-    comps = [g @ s for g in p.kernel.grads(gaps.values)]
+    value = p.kernel.value(gaps).ravel()
+    comps = [g.ravel() @ s for g in p.kernel.grads(gaps)]
     # The stabilizing jitter tracks the gram trace, so it moves with the
     # scale parameters; fold its derivative in or finite differences of
     # the implemented likelihood disagree at the 1e-5 level.
@@ -318,7 +300,7 @@ def _gradient(gaps: _Gaps, p: _Point, include_noise: bool) -> np.ndarray:
 
 def _one(kernel: LocallyPeriodicKernel, t: np.ndarray, noise_var: float):
     """Factor a single fit; raise if it fails."""
-    gaps = _Gaps.of(t)
+    gaps = _gaps(t)
     K, L, jitter = _factor(gaps, kernel, float(noise_var))
     if L is None:
         raise NumericalError(
@@ -419,7 +401,7 @@ def train(data: GPTrainingSet, init: LocallyPeriodicKernel,
     if unknown:
         raise InvalidInputError(f"cannot freeze unknown parameters {sorted(unknown)}")
     mask = np.array([0.0 if nm in cfg.freeze else 1.0 for nm in names])
-    gaps = _Gaps.of(data.t)
+    gaps = _gaps(data.t)
 
     def at(theta: np.ndarray) -> _Point | None:
         """The fit at ``theta``, or None for a rejected point: parameters

@@ -148,6 +148,30 @@ def test_config_file_errors(tmp_path, capsys):
     assert rc == 2
 
 
+def test_a_bad_number_in_a_config_file_names_its_line(city, tmp_path, capsys, monkeypatch):
+    # A config value is parsed as its option's argparse type, and a float
+    # must be finite, where the file is read: the error names the file and
+    # the line (exit code 2).  Path options are not numbers.
+    root, trips, net = city
+    cfg = tmp_path / "run.cfg"
+    for command, line, reason in (
+            ("simulate", "backlog_cost = nan", "--backlog-cost must be finite, got nan"),
+            ("simulate", "fleet = 1x", "invalid literal for int() with base 10: '1x'"),
+            ("simulate", "epsilon = inf", "--epsilon must be finite, got inf"),
+            ("sweep", "epsilons = 0.5,nan", "--epsilons must be finite, got 0.5,nan"),
+            ("sweep", "seeds = 1,x", "invalid literal for int() with base 10: 'x'")):
+        cfg.write_text(f"# a run\nhorizon = 4\n{line}\n")
+        run = ["--benchmark", "0"] if command == "simulate" else []
+        assert main([command, "--config", str(cfg), *run]) == 2, line
+        assert f"error: {cfg}: malformed line 3: {line!r} ({reason})" \
+            in capsys.readouterr().err, line
+    monkeypatch.chdir(tmp_path)
+    cfg.write_text("out = inf\nstations = 2\n")
+    assert main(["partition", "--config", str(cfg), "--trips", trips]) == 0
+    assert load_network(str(tmp_path / "inf")).n_stations == 2
+    capsys.readouterr()
+
+
 def test_exit_codes(city, tmp_path, capsys):
     root, trips, net = city
     # 2: invalid input

@@ -10,7 +10,7 @@ from amodcc.errors import InvalidInputError, NumericalError
 from amodcc.gp import (
     _FLUSH,
     PARAM_NAMES,
-    _Gaps,
+    _gaps,
     GPTrainingSet,
     LocallyPeriodicKernel,
     TrainConfig,
@@ -23,6 +23,7 @@ from amodcc.gp import (
     standard_normal_quantile,
     train,
 )
+import amodcc.gp as gp
 from amodcc.sim import DAY, DemandGrid, benchmark_scenario
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -89,6 +90,40 @@ def fd_gradient(data, kernel, include_noise, h=1e-6):
         dn[i] -= h
         out[i] = (lml_at(up) - lml_at(dn)) / (2.0 * h)
     return out
+
+
+def dense_gradient(data, k, K, jitter):
+    """1/2 tr(W dK) with W = a a' - K^-1 from a dense inverse of the gram
+    ``K``, for every log parameter; dK carries the jitter's derivative as
+    the implementation does."""
+    inv = np.linalg.inv(K)
+    a = inv @ data.y
+    w = np.outer(a, a) - inv
+    dt = np.subtract.outer(data.t, data.t)
+    eye = np.eye(data.n)
+    rate = jitter / (k.diag_value() + data.noise_var)
+    dks = k.grads(dt) + [k.value(dt) + rate * k.diag_value() * eye,
+                         (1.0 + rate) * data.noise_var * eye]
+    return np.array([0.5 * np.sum(w * dk) for dk in dks])
+
+
+def dense_reference(data, k):
+    """LML and gradient from the gram over every pair |t_i - t_j|, with
+    the implementation's jitter."""
+    _, _, jitter = gram_matrix(k, data.t, data.noise_var)
+    K = kernel_matrix(k, data.t, data.t) + (data.noise_var + jitter) * np.eye(data.n)
+    _, logdet = np.linalg.slogdet(K)
+    lml = -0.5 * data.y @ np.linalg.solve(K, data.y) - 0.5 * logdet - 0.5 * data.n * LOG_2PI
+    return lml, dense_gradient(data, k, K, jitter)
+
+
+def hour_axis(seconds, days):
+    """The seed-0 benchmark's training hour axis on a window of ``days``
+    in steps of ``seconds``."""
+    sc = benchmark_scenario(0, history_days=days, sim_days=0.25)
+    grid = DemandGrid(sc.trips, sc.network, sc.sim_start - days * DAY, seconds,
+                      int(round(days * DAY / seconds)))
+    return grid.midpoint_hours(sc.sim_start)
 
 
 class TestKernels:
@@ -185,18 +220,10 @@ class TestLikelihood:
         rng = np.random.default_rng(12)
         escalated = 0
         for data, k in uniform_datasets(rng):
-            assert _Gaps.of(data.t).uniform
+            assert _gaps(data.t).shape == (data.n,)
             K, _, jitter = gram_matrix(k, data.t, data.noise_var)
             escalated += jitter > 2e-6 * (k.output_scale + data.noise_var)
-            inv = np.linalg.inv(K)
-            a = inv @ data.y
-            w = np.outer(a, a) - inv
-            dt = np.subtract.outer(data.t, data.t)
-            eye = np.eye(data.n)
-            rate = jitter / (k.diag_value() + data.noise_var)
-            dks = k.grads(dt) + [k.value(dt) + rate * k.diag_value() * eye,
-                                 (1.0 + rate) * data.noise_var * eye]
-            want = np.array([0.5 * np.sum(w * dk) for dk in dks])
+            want = dense_gradient(data, k, K, jitter)
             for include_noise in (False, True):
                 got = lml_gradient(data, k, include_noise=include_noise)
                 assert got == pytest.approx(want[:got.shape[0]], rel=1e-8, abs=1e-8), \
@@ -287,41 +314,80 @@ class TestFlush:
 
 
 class TestGridDetection:
-    """A grid is uniform where its gap index is exactly |i - j|; only
-    there does the gradient take the Toeplitz path."""
+    """A grid is uniform where each step is the first to within a few ulps
+    of max|t|: its gaps are then the n lags ``t - t[0]``, and only there
+    does the gradient take the Toeplitz path.  Any other times take the
+    dense gaps |t_i - t_j|."""
 
-    def test_benchmark_hour_axis_is_uniform_at_900s_only(self):
-        sc = benchmark_scenario(0, history_days=3.0, sim_days=0.25)
-
-        def axis(seconds):
-            grid = DemandGrid(sc.trips, sc.network, sc.sim_start - 3 * DAY, seconds,
-                              int(round(3 * DAY / seconds)))
-            return grid.midpoint_hours(sc.sim_start)
-
-        t = axis(900.0)
+    def test_benchmark_hour_axis_takes_the_lag_path(self):
+        t = hour_axis(900.0, 3.0)
         for stride in (1, 2):
-            gaps = _Gaps.of(t[::stride])
-            assert gaps.uniform and gaps.values.shape[0] == gaps.n == 288 // stride
-        # 1/6 h is not a binary fraction: equal lags differ in their last bits.
-        gaps = _Gaps.of(axis(600.0))
-        assert (gaps.n, gaps.values.shape[0], gaps.uniform) == (432, 1565, False)
+            gaps = _gaps(t[::stride])
+            assert gaps.shape == (288 // stride,)
+            assert np.array_equal(gaps, t[::stride] - t[0])
 
     def test_repeated_times_are_not_uniform(self):
-        assert not _Gaps.of(np.array([0.0, 0.5, 0.5, 1.0])).uniform
-        assert not _Gaps.of(np.array([2.0, 2.0])).uniform
+        for t in (np.array([0.0, 0.5, 0.5, 1.0]), np.array([2.0, 2.0])):
+            assert np.array_equal(_gaps(t), np.abs(np.subtract.outer(t, t)))
 
-    def test_one_ulp_off_is_not_uniform_and_both_paths_agree(self):
+    def test_one_ulp_off_takes_the_lag_path_and_matches_the_dense_formula(self):
         t = 0.5 * np.arange(144.0) - 71.75
         moved = t.copy()
         moved[60] = np.nextafter(moved[60], np.inf)
-        assert _Gaps.of(t).uniform and not _Gaps.of(moved).uniform
+        assert _gaps(t).shape == _gaps(moved).shape == (144,)
         rng = np.random.default_rng(6)
         y = rng.normal(size=t.size)
         k = random_kernel(rng)
+        data = GPTrainingSet(moved, y, 0.1)
+        lml, grad = dense_reference(data, k)
+        assert log_marginal_likelihood(data, k) == pytest.approx(lml, rel=1e-9)
         for include_noise in (False, True):
-            want = lml_gradient(GPTrainingSet(moved, y, 0.1), k, include_noise)
-            got = lml_gradient(GPTrainingSet(t, y, 0.1), k, include_noise)
+            got = lml_gradient(data, k, include_noise)
+            assert got == pytest.approx(grad[:got.shape[0]], rel=1e-9, abs=1e-9)
+            want = lml_gradient(GPTrainingSet(t, y, 0.1), k, include_noise)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_short_step_hour_axes_are_uniform(self, monkeypatch):
+        # 600 s and 300 s steps (1/6 h and 1/12 h) are not binary
+        # fractions: equal lags differ in their last bits, by at most one
+        # ulp of max|t|.  They still take the lag path, whose gradient
+        # forms no inverse and matches the dense formula.
+        for seconds in (600.0, 300.0):
+            for days in (3.0, 5.0):
+                for stride in (1, 2, 3):
+                    t = hour_axis(seconds, days)[::stride]
+                    step = np.diff(t)
+                    assert np.abs(step - step[0]).max() <= np.spacing(np.abs(t).max())
+                    assert np.array_equal(_gaps(t), t - t[0])
+        t = hour_axis(600.0, 3.0)
+        rng = np.random.default_rng(2)
+        data = GPTrainingSet(t, np.sin(2.0 * np.pi * t / 24.0) + rng.normal(size=t.size), 0.3)
+        k = random_kernel(rng)
+        _, want = dense_reference(data, k)
+
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("the lag path forms no inverse")
+
+        monkeypatch.setattr(gp, "dpotri", no_inverse)
+        assert lml_gradient(data, k) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_irregular_times_match_finite_differences_and_the_dense_formulas(self):
+        # Irregular, repeated and decreasing times build their gram from
+        # the dense gaps; the LML and gradient match the dense formulas
+        # and finite differences of the LML.
+        rng = np.random.default_rng(19)
+        irregular = np.sort(rng.uniform(-48.0, 0.0, size=30))
+        for t in (irregular, np.repeat(irregular[:10], 2), irregular[::-1],
+                  0.5 * np.arange(20.0)[::-1]):
+            data = GPTrainingSet(t, np.sin(t / 3.0) + 0.3 * rng.normal(size=t.size), 0.2)
+            k = random_kernel(rng)
+            assert np.array_equal(_gaps(t), np.abs(np.subtract.outer(t, t)))
+            lml, grad = dense_reference(data, k)
+            assert log_marginal_likelihood(data, k) == pytest.approx(lml, rel=1e-10)
+            got = lml_gradient(data, k)
+            assert got == pytest.approx(grad, rel=1e-8, abs=1e-8)
+            err = np.abs(got - fd_gradient(data, k, True)) / np.maximum(1.0, np.abs(grad))
+            assert err.max() < 1e-5, (t.size, got, grad)
 
 
 class TestTraining:
