@@ -35,12 +35,10 @@ from .gp import (
     LocallyPeriodicKernel,
     TrainConfig,
     TrainedGP,
-    gaussian_quantile,
     kernel_matrix,
     log_marginal_likelihood,
     lml_gradient,
     predict_batch,
-    standard_normal_quantile,
     train,
 )
 from .forecast import (
@@ -88,8 +86,7 @@ __all__ = [
     "FleetState", "StationNetwork", "assign_stations", "build_travel_matrices",
     "kmeans_partition", "load_network", "outstanding_matrix", "project_lonlat", "save_network",
     "GPTrainingSet", "LocallyPeriodicKernel", "TrainConfig", "TrainedGP",
-    "gaussian_quantile", "kernel_matrix", "log_marginal_likelihood",
-    "lml_gradient", "predict_batch", "standard_normal_quantile", "train",
+    "kernel_matrix", "log_marginal_likelihood", "lml_gradient", "predict_batch", "train",
     "FlowModel", "ForecastBank", "ForecastTensor", "forecast_demand",
     "load_bank", "save_bank", "train_bank",
     "assign_pickups", "distance_cost_matrix",

@@ -50,9 +50,10 @@ _RUN = RunConfig()      # the defaults every run option reads
 def _read_config(path: str, options: dict[str, argparse.Action]) -> list[str]:
     """Turn a config file into CLI tokens, inserted ahead of real flags.
 
-    A value is parsed as its option's argparse type in ``options``, and a
-    float must be finite, so a bad number names its line; a path is not
-    checked, and argparse refuses an unknown key.
+    A value is parsed as its option's argparse type in ``options``, a
+    float must be finite and an option with choices must get one of
+    them, so a bad value names its line; a path is not checked, and
+    argparse refuses an unknown key.
     """
     tokens: list[str] = []
 
@@ -63,6 +64,7 @@ def _read_config(path: str, options: dict[str, argparse.Action]) -> list[str]:
         if not eq or key == "--" or not value:
             raise ValueError("expected 'key = value'")
         action = options.get(key)
+        parsed = value
         if action is not None and action.type is not None:
             try:
                 parsed = action.type(value)
@@ -71,6 +73,9 @@ def _read_config(path: str, options: dict[str, argparse.Action]) -> list[str]:
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in (parsed if isinstance(parsed, list) else [parsed])):
                 raise ValueError(f"{key} must be finite, got {value}")
+        if action is not None and action.choices is not None and parsed not in action.choices:
+            raise ValueError(f"{key} must be one of {', '.join(map(str, action.choices))}, "
+                             f"got {value}")
         tokens.extend([key, value])
 
     read_lines(path, setting)

@@ -89,17 +89,14 @@ class FlowModel:
 
 @dataclass
 class ForecastTensor:
-    """Posterior mean/std per (origin, destination, distinct query time).
+    """Posterior mean/std per origin, destination, instant and horizon step.
 
-    ``slots[..., k]`` is the column that holds horizon step k of each
-    control instant.  For a single instant the query times are distinct
-    and increasing, so ``slots`` is ``arange(T+1)`` and the columns are
-    the horizon steps themselves.
+    Indexed ``[i, j, k]`` for a single instant and ``[i, j, instant, k]``
+    for an array of them.
     """
 
-    mean: np.ndarray   # (N, N, Q)
-    std: np.ndarray    # (N, N, Q)
-    slots: np.ndarray  # (T+1,) for one instant, (I, T+1) for I instants
+    mean: np.ndarray   # (N, N, T+1) or (N, N, I, T+1)
+    std: np.ndarray    # same shape as mean
 
 
 @dataclass
@@ -231,16 +228,16 @@ def forecast_demand(
 ) -> ForecastTensor:
     """Forecast over the control horizon of one or more control instants.
 
-    Slot k of an instant at t0 stands for requests appearing during
+    Step k of an instant at t0 stands for requests appearing during
     ``(t0 + (k-1) dt, t0 + k dt]``, matching the planner's convention that
     step-1 demand is what lands before the next control instant.  Each
-    flow model is queried at the interval midpoints; slot 0 (the interval
+    flow model is queried at the interval midpoints; step 0 (the interval
     that just ended) is filled but ignored by the planner.
 
-    ``t0_epoch`` may be a scalar or an array of instants.  Instants share
-    most of their query times, so every flow is predicted once at the
-    distinct times, in one batched query; ``slots`` maps each instant's
-    horizon back onto them.
+    ``t0_epoch`` may be a scalar or an array of I instants; the tensor is
+    (N, N, T+1) or (N, N, I, T+1).  Instants share most of their query
+    times, so every flow is predicted once at the distinct times, in one
+    batched query, and each instant's steps are gathered from those.
     """
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
@@ -250,13 +247,14 @@ def forecast_demand(
     t0 = np.asarray(t0_epoch, dtype=float)
     q_hours = (t0[..., None] - bank.series_origin
                + (np.arange(horizon + 1) - 0.5) * step_seconds) / HOUR
-    distinct, slots = np.unique(q_hours, return_inverse=True)
+    distinct, column = np.unique(q_hours, return_inverse=True)
     mean = np.zeros((n, n, distinct.size))
     std = np.zeros((n, n, distinct.size))
     for i in range(n):
         for j in range(n):
             mean[i, j], std[i, j] = bank.models[i][j].predict(distinct)
-    return ForecastTensor(mean=mean, std=std, slots=slots.reshape(q_hours.shape))
+    column = column.reshape(q_hours.shape)
+    return ForecastTensor(mean=mean[:, :, column], std=std[:, :, column])
 
 
 # --- persistence ---------------------------------------------------------------

@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.special import ndtri
 
 from .errors import InvalidInputError, NumericalError
 
@@ -466,31 +465,3 @@ def predict_batch(gp: TrainedGP, t_star: np.ndarray) -> tuple[np.ndarray, np.nda
     var = gp.kernel.diag_value() + gp.noise_var - np.sum(v * v, axis=0)
     var = np.maximum(var, 0.0)
     return mean, np.sqrt(var)
-
-
-# --- Gaussian quantile ----------------------------------------------------------
-
-def standard_normal_quantile(p):
-    """Inverse standard normal CDF, vectorized; exact zero at p = 0.5."""
-    arr = np.asarray(p, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise InvalidInputError("quantile probability must lie strictly inside (0, 1)")
-    x = ndtri(arr)
-    if np.isscalar(p) or np.ndim(p) == 0:
-        return float(x)
-    return x
-
-
-def gaussian_quantile(p, mean, std):
-    """Quantile of N(mean, std^2): mean + std * Phi^-1(p).
-
-    ``std`` may be zero, in which case the result is exactly ``mean``.
-    """
-    std_arr = np.asarray(std, dtype=float)
-    if np.any(std_arr < 0) or np.any(~np.isfinite(std_arr)):
-        raise InvalidInputError("std must be finite and >= 0")
-    z = standard_normal_quantile(p)
-    out = np.asarray(mean, dtype=float) + std_arr * z
-    if np.ndim(out) == 0:
-        return float(out)
-    return out

@@ -43,9 +43,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
+from scipy.special import ndtri
 
 from .errors import InvalidInputError, SolverError
-from .gp import gaussian_quantile
 from .ilp import IlpProblem, SolverConfig, solve_ilp
 from .network import FleetState, StationNetwork
 
@@ -63,18 +63,29 @@ def columns(n: int, horizon: int) -> np.ndarray:
 
 
 def quantile_demand(mean: np.ndarray, std: np.ndarray, epsilon: float) -> np.ndarray:
-    """Integer per-step demand covering the forecast's 1-epsilon quantile.
+    """Integer per-step demand covering the forecast's 1-epsilon quantile,
+    ``mean + std * Phi^-1(1 - epsilon)``.
 
     Values are ceiled to whole requests (quantiles within 1e-9 of an
     integer snap to it, so exact means stay exact), clamped at zero, and
     zeroed on the diagonal: a station never generates trips to itself.
+    A std that is negative or not finite, a mean that is not finite and a
+    quantile above 2**53, the largest count a float holds exactly, are
+    invalid input.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInputError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not 0.0 < 1.0 - epsilon < 1.0:
+        raise InvalidInputError(f"epsilon must lie in (0, 1) with 1 - epsilon < 1, "
+                                f"got {epsilon}")
     mean = np.asarray(mean, dtype=float)
-    std = np.asarray(std, dtype=float)
-    q = gaussian_quantile(1.0 - epsilon, mean, np.broadcast_to(std, mean.shape))
-    q = np.atleast_1d(np.asarray(q, dtype=float))
+    std = np.broadcast_to(np.asarray(std, dtype=float), mean.shape)
+    if np.any(std < 0) or np.any(~np.isfinite(std)):
+        raise InvalidInputError("std must be finite and >= 0")
+    q = mean + std * float(ndtri(1.0 - epsilon))
+    bad = ~(np.isfinite(mean) & (q <= 2.0 ** 53))
+    if np.any(bad):
+        raise InvalidInputError(f"mean must be finite with a quantile of at most 2**53, "
+                                f"got mean {float(mean[bad][0])!r}")
+    q = np.atleast_1d(q)
     nearest = np.round(q)
     snapped = np.where(np.abs(q - nearest) <= 1e-9, nearest, np.ceil(q))
     out = np.maximum(snapped, 0.0).astype(np.int64)

@@ -411,9 +411,9 @@ class _Run:
         self.program = (mpc.build_problem(net, cfg.horizon, self.weights)
                         if cfg.controller != "gbm" else None)
         self.bank = bank
-        # (first control tick, end tick, slots per instant, quantile demand)
+        # (first control tick, end tick, quantile demand [i, j, instant, k])
         # of the current retraining period; built at its first instant.
-        self.table: tuple[int, int, np.ndarray, np.ndarray] | None = None
+        self.table: tuple[int, int, np.ndarray] | None = None
         self.waits: list[float] = []
         self.served = 0
         # Metres per vehicle, flat (fleet, 3): customer, rebalance, pickup.
@@ -524,14 +524,15 @@ class _Run:
                             self.cfg.gp_train, self.cfg.gp_jobs)
 
     def _forecast(self, boundary: int, ticks: np.ndarray) -> ForecastTensor:
-        """The demand forecast at the control ticks of the period from ``boundary``.
+        """The demand forecast at the control ticks of the period from
+        ``boundary``, indexed ``[i, j, instant, k]``.
 
         ``ccmpc`` asks a bank trained at the boundary tick; a bank handed
         to the run serves the first period.  ``fixed`` and
-        ``oracle`` read the realized counts with zero spread: slot k of an
+        ``oracle`` read the realized counts with zero spread: step k of an
         instant in grid interval m reads interval ``m - 1 + lead * k``,
         with ``lead`` 0 (the interval that just ended, held flat) or 1
-        (the true future).  Slot 0 is never planned on.
+        (the true future).  Step 0 is never planned on.
         """
         if self.cfg.controller == "ccmpc":
             if self.bank is None or boundary > 0:
@@ -541,10 +542,8 @@ class _Run:
         lead = int(self.cfg.controller == "oracle")
         m = (self._interval_index(ticks)[:, None] - 1
              + lead * np.arange(self.cfg.horizon + 1))
-        distinct, slots = np.unique(m, return_inverse=True)
-        mean = self.grid.counts[:, :, distinct].astype(float)
-        return ForecastTensor(mean=mean, std=np.zeros_like(mean),
-                              slots=slots.reshape(m.shape))
+        mean = self.grid.counts[:, :, m].astype(float)
+        return ForecastTensor(mean=mean, std=np.zeros_like(mean))
 
     def _demand_tensor(self, k_tick: int) -> np.ndarray:
         """Quantile demand of the instant at ``k_tick``, read from its table.
@@ -557,10 +556,9 @@ class _Run:
             boundary = k_tick // self.gp_ticks * self.gp_ticks
             end = min(self.n_ticks, boundary + self.gp_ticks)
             fc = self._forecast(boundary, np.arange(k_tick, end, self.mpc_ticks))
-            self.table = (k_tick, end, fc.slots,
-                          quantile_demand(fc.mean, fc.std, self.cfg.epsilon))
-        first, _, slots, table = self.table
-        return table[:, :, slots[(k_tick - first) // self.mpc_ticks]]
+            self.table = (k_tick, end, quantile_demand(fc.mean, fc.std, self.cfg.epsilon))
+        first, _, table = self.table
+        return table[:, :, (k_tick - first) // self.mpc_ticks]
 
     def _fleet_state(self, now: float) -> FleetState:
         idle = self.leg == IDLE

@@ -149,9 +149,10 @@ def test_config_file_errors(tmp_path, capsys):
 
 
 def test_a_bad_number_in_a_config_file_names_its_line(city, tmp_path, capsys, monkeypatch):
-    # A config value is parsed as its option's argparse type, and a float
-    # must be finite, where the file is read: the error names the file and
-    # the line (exit code 2).  Path options are not numbers.
+    # A config value is parsed as its option's argparse type, a float
+    # must be finite and a choice must be one of its option's, where the
+    # file is read: the error names the file and the line (exit code 2).
+    # Path options are not numbers.
     root, trips, net = city
     cfg = tmp_path / "run.cfg"
     for command, line, reason in (
@@ -159,7 +160,11 @@ def test_a_bad_number_in_a_config_file_names_its_line(city, tmp_path, capsys, mo
             ("simulate", "fleet = 1x", "invalid literal for int() with base 10: '1x'"),
             ("simulate", "epsilon = inf", "--epsilon must be finite, got inf"),
             ("sweep", "epsilons = 0.5,nan", "--epsilons must be finite, got 0.5,nan"),
-            ("sweep", "seeds = 1,x", "invalid literal for int() with base 10: 'x'")):
+            ("sweep", "seeds = 1,x", "invalid literal for int() with base 10: 'x'"),
+            ("simulate", "controller = foo",
+             f"--controller must be one of {', '.join(CONTROLLERS)}, got foo"),
+            ("simulate", "trips_format = xml",
+             "--trips-format must be one of generic, cabtrace, got xml")):
         cfg.write_text(f"# a run\nhorizon = 4\n{line}\n")
         run = ["--benchmark", "0"] if command == "simulate" else []
         assert main([command, "--config", str(cfg), *run]) == 2, line

@@ -102,7 +102,6 @@ def test_forecast_axis_matches_flow_queries(planted_bank):
     dt = 600.0
     fc = forecast_demand(planted_bank, t0, 3, dt)
     assert fc.mean.shape == (2, 2, 4) and fc.std.shape == (2, 2, 4)
-    assert fc.slots.tolist() == [0, 1, 2, 3]
     q = (t0 - ORIGIN + (np.arange(4) - 0.5) * dt) / 3600.0
     for i in range(2):
         for j in range(2):
@@ -119,7 +118,7 @@ def test_forecast_axis_matches_flow_queries(planted_bank):
 def test_instants_share_one_query_per_flow(planted_bank, cadence, distinct, monkeypatch):
     # A day of control instants, on the step grid or three per step: each
     # fitted flow is predicted once, at the distinct query times, and each
-    # instant's columns equal its own per-instant query to 1e-12, with the
+    # instant's slice equals its own per-instant query to 1e-12, with the
     # very same quantile demand.
     calls = []
     predict_batch = forecast.predict_batch
@@ -133,11 +132,10 @@ def test_instants_share_one_query_per_flow(planted_bank, cadence, distinct, monk
     horizon = 4
     fc = forecast_demand(planted_bank, t0, horizon, INTERVAL)
     assert calls == [distinct, distinct]        # the two fitted flows
-    assert fc.mean.shape == fc.std.shape == (2, 2, distinct)
-    assert fc.slots.shape == (t0.size, horizon + 1)
+    assert fc.mean.shape == fc.std.shape == (2, 2, t0.size, horizon + 1)
     for eps in (0.05, 0.35, 0.5, 0.8):
         table = quantile_demand(fc.mean, fc.std, eps)
-        for t, row in zip(t0, fc.slots):
+        for row, t in enumerate(t0):
             q = (t - ORIGIN + (np.arange(horizon + 1) - 0.5) * INTERVAL) / 3600.0
             mean = np.zeros((2, 2, horizon + 1))
             std = np.zeros((2, 2, horizon + 1))

@@ -14,13 +14,11 @@ from amodcc.gp import (
     GPTrainingSet,
     LocallyPeriodicKernel,
     TrainConfig,
-    gaussian_quantile,
     gram_matrix,
     kernel_matrix,
     log_marginal_likelihood,
     lml_gradient,
     predict_batch,
-    standard_normal_quantile,
     train,
 )
 import amodcc.gp as gp
@@ -512,32 +510,3 @@ class TestPrediction:
                 assert var <= prev + 1e-8
                 prev = var
 
-
-class TestQuantile:
-    def test_median_is_exact_zero(self):
-        assert standard_normal_quantile(0.5) == 0.0
-
-    def test_reference_values(self):
-        assert standard_normal_quantile(0.975) == pytest.approx(1.959963985, abs=1e-8)
-        assert standard_normal_quantile(0.841344746) == pytest.approx(1.0, abs=1e-7)
-        assert standard_normal_quantile(0.05) == pytest.approx(-1.644853627, abs=1e-8)
-
-    def test_symmetry(self):
-        for p in (0.01, 0.2, 0.35, 0.49):
-            assert standard_normal_quantile(p) == pytest.approx(
-                -standard_normal_quantile(1.0 - p), abs=1e-12)
-
-    def test_monotone(self):
-        ps = np.linspace(0.001, 0.999, 200)
-        qs = standard_normal_quantile(ps)
-        assert np.all(np.diff(qs) > 0)
-
-    def test_rejects_out_of_range(self):
-        for p in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(InvalidInputError):
-                standard_normal_quantile(p)
-
-    def test_gaussian_affine(self):
-        z = standard_normal_quantile(0.8)
-        assert gaussian_quantile(0.8, 3.0, 2.0) == pytest.approx(3.0 + 2.0 * z)
-        assert gaussian_quantile(0.8, 3.0, 0.0) == 3.0

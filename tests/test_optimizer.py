@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,9 +142,64 @@ class TestQuantileDemand:
         assert np.all(np.diag(got) == 0)
 
     def test_rejects_bad_epsilon(self):
-        for eps in (0.0, 1.0, -0.5):
-            with pytest.raises(InvalidInputError):
+        # 1e-17: 1 - epsilon rounds to 1, whose quantile is infinite.
+        for eps in (0.0, 1.0, -0.5, -0.1, 1.1, 1.5, 1e-17, float("nan")):
+            with pytest.raises(InvalidInputError, match="epsilon"):
                 quantile_demand(np.ones((2, 2)), np.zeros((2, 2)), eps)
+
+    @pytest.mark.parametrize("eps, z", [(0.025, 1.959963985), (1.0 - 0.841344746, 1.0),
+                                        (0.95, -1.644853627)],
+                             ids=["p0.975", "p0.841344746", "p0.05"])
+    def test_reference_quantiles(self, eps, z):
+        # Phi^-1(1 - eps) = z to 1e-8: a mean just under 5 - z plans 5,
+        # one just over plans 6.
+        got = quantile_demand(np.array([5.0 - z - 1e-8, 5.0 - z + 1e-8]), 1.0, eps)
+        assert got.tolist() == [5, 6]
+
+    def test_quantile_is_mean_plus_std_times_z(self):
+        # Phi^-1(0.975) = 1.96 and Phi^-1(0.8) = 0.84: 0 + 1.96, 3 + 1.68, 3 + 0.
+        assert quantile_demand(np.array([0.0]), np.array([1.0]), 0.025).tolist() == [2]
+        got = quantile_demand(np.array([3.0, 3.0]), np.array([2.0, 0.0]), 0.2)
+        assert got.tolist() == [5, 3]
+
+    def test_strictly_monotone_on_a_fine_sweep(self):
+        # A std of 1e6 turns every step of Phi^-1 between neighbouring
+        # levels into thousands of requests.
+        levels = [quantile_demand(np.array([1e7]), np.array([1e6]), e)[0]
+                  for e in np.linspace(0.001, 0.999, 200)]
+        assert np.all(np.diff(levels) < 0)
+
+    def test_median_adds_exactly_zero(self):
+        # Phi^-1(0.5) is an exact zero: even a std of 1e300 leaves the mean.
+        assert quantile_demand(np.array([2.5]), np.array([1e300]), 0.5).tolist() == [3]
+
+    def test_mirrored_risk_levels_straddle_the_mean(self):
+        for eps in (0.01, 0.2, 0.35, 0.49):
+            lo, hi = (quantile_demand(np.array([10.0]), np.array([1.0]), e)[0]
+                      for e in (1.0 - eps, eps))
+            assert lo + hi == 21 and lo <= 10 < hi
+
+    @pytest.mark.parametrize("std", [-1e-12, -1.0, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_std(self, std):
+        with pytest.raises(InvalidInputError, match="std"):
+            quantile_demand(np.full((2, 2), 3.0), np.full((2, 2), std), 0.35)
+
+    @pytest.mark.parametrize("mean, std", [(float("nan"), 0.0), (float("inf"), 0.0),
+                                           (-float("inf"), 0.0), (1e30, 0.0),
+                                           (2.0 ** 53 + 2.0, 0.0), (1.0, 1e30)])
+    def test_rejects_non_finite_or_inexact_quantile(self, mean, std):
+        # No such cell has an exact integer count: it is refused, not cast
+        # (a NaN, inf or 1e30 mean used to read INT64_MIN, with a warning).
+        means, stds = np.ones((2, 2, 3)), np.zeros((2, 2, 3))
+        means[0, 1, 2], stds[0, 1, 2] = mean, std
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="mean"):
+                quantile_demand(means, stds, 0.35)
+
+    def test_quantile_of_2_pow_53_is_kept(self):
+        got = quantile_demand(np.array([2.0 ** 53]), np.array([0.0]), 0.35)
+        assert got.tolist() == [2 ** 53]
 
 
 class TestCostWeights:

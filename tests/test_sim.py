@@ -502,7 +502,7 @@ def table_scenario():
 ])
 def test_runs_plan_from_one_table_per_bank(mpc_seconds, gp_seconds, banks, monkeypatch):
     # The run forecasts once per bank, over every instant that bank plans.
-    # At each instant the table's columns equal that instant's own
+    # At each instant the table's slice equals that instant's own
     # per-flow queries to 1e-12, and the demand it plans on is the very
     # quantile demand of those queries.  Each bank is trained at its
     # retraining boundary, even when no instant falls on it.
@@ -536,11 +536,12 @@ def test_runs_plan_from_one_table_per_bank(mpc_seconds, gp_seconds, banks, monke
     instants = np.concatenate([t0 for _, t0, _ in tables])
     assert np.array_equal(instants, sc.sim_start + np.array([k for k, _, _ in planned])
                           * cfg.dispatch_seconds)
+    n = sc.network.n_stations
     at = {}
     for bank, t0, fc in tables:
-        for t, row in zip(t0, fc.slots):
+        assert fc.mean.shape == fc.std.shape == (n, n, t0.size, cfg.horizon + 1)
+        for row, t in enumerate(t0):
             at[t] = (bank, fc.mean[:, :, row], fc.std[:, :, row])
-    n = sc.network.n_stations
     gp_ticks = int(round(gp_seconds / cfg.dispatch_seconds))
     for k, bank, demand in planned:
         now = sc.sim_start + k * cfg.dispatch_seconds
