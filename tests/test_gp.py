@@ -22,6 +22,7 @@ from amodcc.gp import (
     train,
 )
 import amodcc.gp as gp
+from amodcc.mpc import quantile_demand
 from amodcc.sim import DAY, DemandGrid, benchmark_scenario
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -510,3 +511,15 @@ class TestPrediction:
                 assert var <= prev + 1e-8
                 prev = var
 
+
+
+class TestQuantile:
+    def test_rejects_out_of_range(self):
+        # The plan covers the predictive's p = 1 - epsilon quantile; a level
+        # outside (0, 1) has no finite Phi^-1(p) and is refused, not planned.
+        data = GPTrainingSet([0.0, 1.0], [1.0, -1.0], noise_var=0.1)
+        fit = train(data, smooth_kernel(1.0, 2.0), TrainConfig(max_iters=0))
+        mean, std = predict_batch(fit, np.array([0.5, 2.0]))
+        for p in (0.0, 1.0, -0.1, 1.1):
+            with pytest.raises(InvalidInputError):
+                quantile_demand(mean, std, 1.0 - p)
